@@ -325,7 +325,7 @@ Status ConditionalAlgorithm::ExecuteInternal() {
 std::string ConditionalAlgorithm::BindingValue(int attr,
                                                int32_t rank) const {
   // The interned dictionary entry for this code *is* the original value
-  // (FromTable interns the first-occurrence representative).
+  // (every encoder interns the first-row representative).
   const ValueDictionary& dict = relation().dictionary(attr);
   if (rank >= 0 && rank < dict.size()) return dict.ToString(rank);
   return "#" + std::to_string(rank);

@@ -263,14 +263,14 @@ fastod_dataset_t* fastod_dataset_load_csv_opts(const char* path,
   options.delimiter = delimiter;
   options.has_header = has_header != 0;
   options.max_rows = max_rows;
-  fastod::Result<Table> table = fastod::ReadCsvFile(path, options);
-  if (!table.ok()) {
-    ThreadError() = table.status().message();
+  fastod::Result<std::string> text = fastod::ReadTextFile(path);
+  if (!text.ok()) {
+    ThreadError() = text.status().message();
     return nullptr;
   }
   fastod::Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::Build(path, *std::move(table),
-                           std::string("csv:") + path);
+      LoadedDataset::LoadCsv(path, *text, options,
+                             std::string("csv:") + path);
   if (!dataset.ok()) {
     ThreadError() = dataset.status().message();
     return nullptr;
@@ -302,13 +302,14 @@ fastod_dataset_t* fastod_dataset_append_rows(const fastod_dataset_t* dataset,
   }
   CsvOptions options;
   options.has_header = false;  // deltas are data-only
-  fastod::Result<Table> delta = fastod::ReadCsvString(csv_text, options);
+  fastod::Result<fastod::EncodedRelation> delta =
+      fastod::EncodeCsvString(csv_text, options);
   if (!delta.ok()) {
     ThreadError() = delta.status().message();
     return nullptr;
   }
   fastod::Result<std::shared_ptr<const LoadedDataset>> grown =
-      LoadedDataset::Append(dataset->dataset, *std::move(delta));
+      LoadedDataset::Append(dataset->dataset, *delta);
   if (!grown.ok()) {
     ThreadError() = grown.status().message();
     return nullptr;

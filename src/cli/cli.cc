@@ -100,7 +100,10 @@ struct CsvFlags {
     flags->AddInt("max-rows", &max_rows, "read at most N data rows (-1=all)");
   }
 
-  Result<Table> Load(const std::string& path) const {
+  /// Reads and encodes `path` straight from the CSV text, recording the
+  /// csv.parse and encode spans into `trace` when given.
+  Result<EncodedRelation> Load(const std::string& path,
+                               obs::TraceRecorder* trace = nullptr) const {
     CsvOptions options;
     if (delimiter.size() != 1) {
       return Status::InvalidArgument("--delimiter must be one character");
@@ -108,7 +111,7 @@ struct CsvFlags {
     options.delimiter = delimiter[0];
     options.has_header = !no_header;
     options.max_rows = max_rows;
-    return ReadCsvFile(path, options);
+    return EncodeCsvFile(path, options, trace);
   }
 };
 
@@ -281,16 +284,13 @@ CliResult Discover(const std::vector<std::string>& args) {
   // The same spans a DiscoverySession records, rebuilt locally because
   // `discover` drives the algorithm directly, without a session.
   obs::TraceRecorder trace;
-  double start = trace.Now();
-  Result<Table> table = csv.Load(positional[0]);
-  if (!table.ok()) return Fail(table.status());
-  if (stats) trace.RecordSpan("csv.parse", start, trace.Now() - start);
-  start = trace.Now();
-  if (Status s = (*algo)->LoadData(std::move(table).value()); !s.ok()) {
+  Result<EncodedRelation> relation =
+      csv.Load(positional[0], stats ? &trace : nullptr);
+  if (!relation.ok()) return Fail(relation.status());
+  if (Status s = (*algo)->LoadData(*std::move(relation)); !s.ok()) {
     return Fail(s);
   }
-  if (stats) trace.RecordSpan("encode", start, trace.Now() - start);
-  start = trace.Now();
+  double start = trace.Now();
   if (Status s = (*algo)->Execute(); !s.ok()) return Fail(s);
   CliResult result;
   result.output =
@@ -329,9 +329,7 @@ CliResult Validate(const std::vector<std::string>& args) {
     return Fail(Status::InvalidArgument(
         "validate expects exactly one CSV path"));
   }
-  Result<Table> table = csv.Load(flags.positional()[0]);
-  if (!table.ok()) return Fail(table.status());
-  Result<EncodedRelation> rel = EncodedRelation::FromTable(*table);
+  Result<EncodedRelation> rel = csv.Load(flags.positional()[0]);
   if (!rel.ok()) return Fail(rel.status());
   Result<DirectedSpec> lhs = ParseDirectedSpec(lhs_text, rel->schema());
   if (!lhs.ok()) return Fail(lhs.status());
@@ -371,9 +369,7 @@ CliResult Violations(const std::vector<std::string>& args) {
     return Fail(Status::InvalidArgument(
         "violations expects exactly one CSV path"));
   }
-  Result<Table> table = csv.Load(flags.positional()[0]);
-  if (!table.ok()) return Fail(table.status());
-  Result<EncodedRelation> rel = EncodedRelation::FromTable(*table);
+  Result<EncodedRelation> rel = csv.Load(flags.positional()[0]);
   if (!rel.ok()) return Fail(rel.status());
   Result<DirectedSpec> lhs = ParseDirectedSpec(lhs_text, rel->schema());
   if (!lhs.ok()) return Fail(lhs.status());

@@ -49,6 +49,17 @@ std::string_view Trim(std::string_view s) {
 std::optional<int64_t> ParseInt(std::string_view s) {
   s = Trim(s);
   if (s.empty() || s.size() > 20) return std::nullopt;
+  // Fast path for the common shape, [+-]?[0-9]{1,18}: it cannot overflow
+  // and strtoll would accept it with exactly this value.
+  size_t sign = (s[0] == '+' || s[0] == '-') ? 1 : 0;
+  if (s.size() > sign && s.size() - sign <= 18) {
+    int64_t v = 0;
+    size_t i = sign;
+    for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+      v = v * 10 + (s[i] - '0');
+    }
+    if (i == s.size()) return s[0] == '-' ? -v : v;
+  }
   char buf[24];
   std::memcpy(buf, s.data(), s.size());
   buf[s.size()] = '\0';

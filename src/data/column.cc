@@ -14,21 +14,21 @@ CodeColumn CodeColumn::FromRanks(const std::vector<int32_t>& ranks,
   return CodeColumn(std::move(codes), num_distinct);
 }
 
-void ValueDictionary::Builder::Add(const Value& value) {
-  tags_.push_back(static_cast<uint8_t>(value.type()));
-  switch (value.type()) {
+void ValueDictionary::Builder::Add(const ValueView& value) {
+  tags_.push_back(static_cast<uint8_t>(value.type));
+  switch (value.type) {
     case DataType::kNull:
       slots_.push_back(0);
       break;
     case DataType::kInt:
-      slots_.push_back(value.AsInt());
+      slots_.push_back(value.i);
       break;
     case DataType::kDouble:
-      slots_.push_back(std::bit_cast<int64_t>(value.AsDouble()));
+      slots_.push_back(std::bit_cast<int64_t>(value.d));
       break;
     case DataType::kString:
       slots_.push_back(static_cast<int64_t>(arena_.size()));
-      arena_ += value.AsString();
+      arena_ += value.s;
       break;
   }
 }
@@ -44,37 +44,34 @@ ValueDictionary ValueDictionary::Builder::Build() {
   return dict;
 }
 
-std::string_view ValueDictionary::StringAt(int32_t code) const {
-  FASTOD_DCHECK(static_cast<DataType>(tags_[code]) == DataType::kString);
-  size_t begin = static_cast<size_t>(slots_[code]);
-  // Strings occupy a contiguous code suffix in arena order, so the next
-  // entry's offset (or the arena end) bounds this one.
-  size_t end = code + 1 < size() ? static_cast<size_t>(slots_[code + 1])
-                                 : arena_.size();
-  return std::string_view(arena_.data() + begin, end - begin);
+ValueView ValueDictionary::View(int32_t code) const {
+  FASTOD_DCHECK(code >= 0 && code < size());
+  ValueView v;
+  v.type = static_cast<DataType>(tags_[code]);
+  switch (v.type) {
+    case DataType::kNull:
+      break;
+    case DataType::kInt:
+      v.i = slots_[code];
+      break;
+    case DataType::kDouble:
+      v.d = std::bit_cast<double>(slots_[code]);
+      break;
+    case DataType::kString: {
+      size_t begin = static_cast<size_t>(slots_[code]);
+      // Strings occupy a contiguous code suffix in arena order, so the
+      // next entry's offset (or the arena end) bounds this one.
+      size_t end = code + 1 < size() ? static_cast<size_t>(slots_[code + 1])
+                                     : arena_.size();
+      v.s = std::string_view(arena_.data() + begin, end - begin);
+      break;
+    }
+  }
+  return v;
 }
 
 Value ValueDictionary::At(int32_t code) const {
-  FASTOD_DCHECK(code >= 0 && code < size());
-  switch (static_cast<DataType>(tags_[code])) {
-    case DataType::kNull:
-      return Value::Null();
-    case DataType::kInt:
-      return Value::Int(slots_[code]);
-    case DataType::kDouble:
-      return Value::Double(std::bit_cast<double>(slots_[code]));
-    case DataType::kString:
-      return Value::Str(std::string(StringAt(code)));
-  }
-  return Value::Null();
-}
-
-int ValueDictionary::Compare(int32_t code, const Value& v) const {
-  return Value::Compare(At(code), v);
-}
-
-std::string ValueDictionary::ToString(int32_t code) const {
-  return At(code).ToString();
+  return Value::FromView(View(code));
 }
 
 }  // namespace fastod

@@ -83,8 +83,9 @@ class ValueDictionary {
   class Builder {
    public:
     /// Appends the value for the next code. Values must arrive in
-    /// ascending order — exactly the order FromTable discovers ranks.
-    void Add(const Value& value);
+    /// strictly ascending order — the order the encoder assigns codes.
+    /// String views are copied into the arena.
+    void Add(const ValueView& value);
     ValueDictionary Build();
 
    private:
@@ -97,15 +98,21 @@ class ValueDictionary {
 
   int32_t size() const { return static_cast<int32_t>(tags_.size()); }
 
+  /// Borrowing view of the interned value behind `code`; a string view
+  /// points into the arena and lives as long as the dictionary.
+  ValueView View(int32_t code) const;
+
   /// Materializes the value behind `code`.
   Value At(int32_t code) const;
 
   /// Three-way comparison of the interned value against `v` under the
-  /// Value total order (<0, 0, >0).
-  int Compare(int32_t code, const Value& v) const;
+  /// Value total order (<0, 0, >0). Copies nothing.
+  int Compare(int32_t code, const Value& v) const {
+    return ValueView::Compare(View(code), v.view());
+  }
 
   /// Rendered form of the interned value ("NULL", "42", raw string).
-  std::string ToString(int32_t code) const;
+  std::string ToString(int32_t code) const { return View(code).ToString(); }
 
   /// Exact bytes across the flat arrays and the string arena.
   int64_t ByteSize() const {
@@ -115,8 +122,6 @@ class ValueDictionary {
   }
 
  private:
-  std::string_view StringAt(int32_t code) const;
-
   std::vector<uint8_t> tags_;   // DataType per code
   std::vector<int64_t> slots_;  // int / bit-cast double / arena offset
   std::string arena_;           // string payloads, in code order

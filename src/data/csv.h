@@ -5,12 +5,25 @@
 // Supports RFC-4180-style quoting ("a,b" fields, "" escapes), configurable
 // delimiter, optional header row, and per-column type inference
 // (int -> double -> string; empty fields become NULL).
+//
+// One tokenizer serves every reader: TokenizeCsv splits the text into
+// per-column field views in a single pass, copying only fields that need
+// unescaping, and infers each column's type on those views. The load
+// paths hand its output straight to the encoder
+// (EncodedRelation::FromCsv in data/encode.h) without building a Value;
+// ReadCsvString/ReadCsvFile build a Table from the same views for callers
+// that want one.
 #ifndef FASTOD_DATA_CSV_H_
 #define FASTOD_DATA_CSV_H_
 
+#include <cstdint>
+#include <deque>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
+#include "data/schema.h"
 #include "data/table.h"
 
 namespace fastod {
@@ -26,6 +39,42 @@ struct CsvOptions {
   /// Maximum number of data rows to read (-1 = all).
   int64_t max_rows = -1;
 };
+
+/// Tokenized CSV: the schema (header names or col0.., inferred types) and,
+/// per column, the whitespace-trimmed text of every data row's field. An
+/// empty view is a NULL. Views point into the tokenized text, which must
+/// outlive this object, or into `unescaped`. Move-only, since copies
+/// would alias the original's unescaped fields.
+struct CsvFields {
+  CsvFields() = default;
+  CsvFields(CsvFields&&) = default;
+  CsvFields& operator=(CsvFields&&) = default;
+  CsvFields(const CsvFields&) = delete;
+  CsvFields& operator=(const CsvFields&) = delete;
+
+  Schema schema;
+  int64_t num_rows = 0;
+  /// columns[c][r]: field of data row r (at most max_rows) in column c.
+  std::vector<std::vector<std::string_view>> columns;
+  /// Owned copies of the fields that needed unescaping (quotes, stray
+  /// \r); a deque, so the views stay valid as it grows.
+  std::deque<std::string> unescaped;
+};
+
+/// Splits CSV text into per-column field views in one pass and infers
+/// column types on them. Fails (InvalidArgument) on an unterminated
+/// quoted field, input with no records, or ragged records — checked in
+/// that order over the whole text, even beyond max_rows.
+Result<CsvFields> TokenizeCsv(std::string_view text,
+                              const CsvOptions& options = CsvOptions());
+
+/// A trimmed field's value under its column type: NULL when empty (or,
+/// for a field the inferred type cannot parse, which inference rules
+/// out); a string view borrows `field`.
+ValueView ParseField(std::string_view field, DataType type);
+
+/// The whole contents of a file (IoError if it cannot be read).
+Result<std::string> ReadTextFile(const std::string& path);
 
 /// Parses CSV text into a Table.
 Result<Table> ReadCsvString(const std::string& text,

@@ -1,12 +1,9 @@
 #include "data/dataset_store.h"
 
-#include "common/fault.h"
-
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
-#include "common/timer.h"
+#include "common/fault.h"
 
 namespace fastod {
 
@@ -31,38 +28,63 @@ int64_t DatasetBytes(const EncodedRelation& relation,
 
 }  // namespace
 
-Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Build(
-    std::string id, Table table, std::string source) {
-  WallTimer timer;
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
+std::shared_ptr<const LoadedDataset> LoadedDataset::Make(
+    std::string id, std::string source, EncodedRelation relation,
+    const WallTimer& timer) {
   // make_shared needs a public constructor; the explicit new keeps it
-  // private to this factory.
+  // private to the factories.
   std::shared_ptr<LoadedDataset> dataset(new LoadedDataset());
   dataset->id_ = std::move(id);
   dataset->source_ = std::move(source);
-  dataset->relation_ = *std::move(encoded);
-  // Version 1 has no append block: the whole relation is "base". The raw
-  // table dies here — its values live on interned in the dictionaries.
+  dataset->relation_ = std::move(relation);
+  // Version 1 has no append block: the whole relation is "base".
   dataset->base_rows_ = dataset->relation_.NumRows();
+  dataset->Finish(timer);
+  return dataset;
+}
 
-  const EncodedRelation& relation = dataset->relation_;
-  dataset->singletons_.reserve(relation.NumAttributes());
-  for (int a = 0; a < relation.NumAttributes(); ++a) {
-    dataset->singletons_.push_back(
-        StrippedPartition::ForAttribute(relation.codes(a)));
+void LoadedDataset::Finish(const WallTimer& timer) {
+  singletons_.reserve(relation_.NumAttributes());
+  for (int a = 0; a < relation_.NumAttributes(); ++a) {
+    singletons_.push_back(StrippedPartition::ForAttribute(relation_.codes(a)));
   }
-  dataset->approx_bytes_ = DatasetBytes(relation, dataset->singletons_);
-  dataset->load_seconds_ = timer.ElapsedSeconds();
-  return std::shared_ptr<const LoadedDataset>(std::move(dataset));
+  approx_bytes_ = DatasetBytes(relation_, singletons_);
+  load_seconds_ = timer.ElapsedSeconds();
+}
+
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Build(
+    std::string id, Table table, std::string source) {
+  WallTimer timer;
+  // The raw table dies here — its values live on interned in the
+  // dictionaries.
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
+  if (!encoded.ok()) return encoded.status();
+  return Make(std::move(id), std::move(source), *std::move(encoded), timer);
+}
+
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::LoadCsv(
+    std::string id, std::string_view text, const CsvOptions& options,
+    std::string source) {
+  WallTimer timer;
+  Result<EncodedRelation> encoded = EncodeCsvString(text, options);
+  if (!encoded.ok()) return encoded.status();
+  return Make(std::move(id), std::move(source), *std::move(encoded), timer);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
     const std::shared_ptr<const LoadedDataset>& base, Table delta) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
+  if (!encoded.ok()) return encoded.status();
+  return Append(base, *encoded);
+}
+
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
+    const std::shared_ptr<const LoadedDataset>& base,
+    const EncodedRelation& delta) {
   FASTOD_CHECK(base != nullptr);
-  if (delta.NumColumns() != base->NumAttributes()) {
+  if (delta.NumAttributes() != base->NumAttributes()) {
     return Status::InvalidArgument(
-        "append block has " + std::to_string(delta.NumColumns()) +
+        "append block has " + std::to_string(delta.NumAttributes()) +
         " columns; dataset '" + base->id() + "' has " +
         std::to_string(base->NumAttributes()));
   }
@@ -84,61 +106,43 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
   merged_codes.reserve(cols);
   merged_dicts.reserve(cols);
   for (int c = 0; c < cols; ++c) {
-    const std::vector<Value>& delta_col = delta.column(c);
     const CodeColumn& old_codes = base->relation_.codes(c);
     const ValueDictionary& old_dict = base->relation_.dictionary(c);
+    const CodeColumn& delta_codes = delta.codes(c);
+    const ValueDictionary& delta_dict = delta.dictionary(c);
     const int32_t old_distinct = old_dict.size();
+    const int32_t delta_distinct = delta_dict.size();
 
-    // Delta rows in value order, stable tiebreak like FromTable.
-    std::vector<int32_t> order(d);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&delta_col](int32_t x, int32_t y) {
-                int cmp = Value::Compare(delta_col[x], delta_col[y]);
-                if (cmp != 0) return cmp < 0;
-                return x < y;
-              });
-
-    // Merge the parent's dictionary with the delta's sorted values:
-    // every old code shifts up by the count of unseen delta values
-    // ordered before it, each delta row reads its merged code straight
-    // off the walk, and the merged dictionary is built in the same pass
-    // (parent representatives win ties, exactly like FromTable's
-    // smallest-row-id interning on the concatenated column). The result
-    // is dense and order-preserving — bit-for-bit what FromTable
-    // produces on the concatenated table.
+    // Merge the two sorted dictionaries: every old code shifts up by the
+    // count of unseen delta values ordered before it, each delta code
+    // maps to its merged code, and the merged dictionary is built in the
+    // same walk (parent representatives win ties, exactly like the
+    // first-row interning of an encode of the concatenated column). The
+    // result is dense and order-preserving — bit-for-bit what encoding
+    // the concatenated rows from scratch produces.
     ValueDictionary::Builder dict_builder;
     std::vector<int32_t> shift(old_distinct, 0);
-    std::vector<uint32_t> delta_code(d, 0);
+    std::vector<uint32_t> delta_map(delta_distinct, 0);
     int32_t next_code = 0;
     int32_t oi = 0;
-    int64_t di = 0;
-    while (oi < old_distinct || di < d) {
+    int32_t di = 0;
+    while (oi < old_distinct || di < delta_distinct) {
       int cmp;
       if (oi >= old_distinct) {
         cmp = 1;
-      } else if (di >= d) {
+      } else if (di >= delta_distinct) {
         cmp = -1;
       } else {
-        cmp = old_dict.Compare(oi, delta_col[order[di]]);
+        cmp = ValueView::Compare(old_dict.View(oi), delta_dict.View(di));
       }
       if (cmp <= 0) {
-        dict_builder.Add(old_dict.At(oi));
+        dict_builder.Add(old_dict.View(oi));
         shift[oi] = next_code - oi;
-        if (cmp == 0) {
-          while (di < d && old_dict.Compare(oi, delta_col[order[di]]) == 0) {
-            delta_code[order[di]] = static_cast<uint32_t>(next_code);
-            ++di;
-          }
-        }
+        if (cmp == 0) delta_map[di++] = static_cast<uint32_t>(next_code);
         ++oi;
       } else {
-        const Value& value = delta_col[order[di]];
-        dict_builder.Add(value);
-        while (di < d && Value::Compare(value, delta_col[order[di]]) == 0) {
-          delta_code[order[di]] = static_cast<uint32_t>(next_code);
-          ++di;
-        }
+        dict_builder.Add(delta_dict.View(di));
+        delta_map[di++] = static_cast<uint32_t>(next_code);
       }
       ++next_code;
     }
@@ -148,7 +152,7 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
       int32_t old_code = old_codes[i];
       merged[i] = static_cast<uint32_t>(old_code + shift[old_code]);
     }
-    for (int64_t j = 0; j < d; ++j) merged[n + j] = delta_code[j];
+    for (int64_t j = 0; j < d; ++j) merged[n + j] = delta_map[delta_codes[j]];
     merged_codes.emplace_back(std::move(merged), next_code);
     merged_dicts.push_back(dict_builder.Build());
   }
@@ -156,15 +160,7 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
   grown->relation_ = EncodedRelation::FromColumns(
       base->relation_.schema(), std::move(merged_codes),
       std::move(merged_dicts));
-
-  const EncodedRelation& relation = grown->relation_;
-  grown->singletons_.reserve(cols);
-  for (int a = 0; a < cols; ++a) {
-    grown->singletons_.push_back(
-        StrippedPartition::ForAttribute(relation.codes(a)));
-  }
-  grown->approx_bytes_ = DatasetBytes(relation, grown->singletons_);
-  grown->load_seconds_ = timer.ElapsedSeconds();
+  grown->Finish(timer);
   return std::shared_ptr<const LoadedDataset>(std::move(grown));
 }
 
@@ -187,17 +183,21 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutTable(
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvFile(
     const std::string& id, const std::string& path,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return PutTable(id, *std::move(table), "csv:" + path);
+  Result<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  Result<std::shared_ptr<const LoadedDataset>> dataset =
+      LoadedDataset::LoadCsv(id, *text, options, "csv:" + path);
+  if (!dataset.ok()) return dataset.status();
+  return Insert(*std::move(dataset));
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvString(
     const std::string& id, const std::string& text,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvString(text, options);
-  if (!table.ok()) return table.status();
-  return PutTable(id, *std::move(table), "inline");
+  Result<std::shared_ptr<const LoadedDataset>> dataset =
+      LoadedDataset::LoadCsv(id, text, options, "inline");
+  if (!dataset.ok()) return dataset.status();
+  return Insert(*std::move(dataset));
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::Insert(
@@ -258,6 +258,13 @@ void PruneHistory(
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
     const std::string& id, Table delta) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
+  if (!encoded.ok()) return encoded.status();
+  return AppendEncoded(id, *encoded);
+}
+
+Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendEncoded(
+    const std::string& id, const EncodedRelation& delta) {
   if (FASTOD_FAULT_POINT("dataset_store.append")) {
     return Status::ResourceExhausted("injected fault: dataset_store.append");
   }
@@ -273,7 +280,7 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
   // Merge-encode outside the lock; concurrent sessions keep reading
   // `base` undisturbed, including while we splice the new version in.
   Result<std::shared_ptr<const LoadedDataset>> grown =
-      LoadedDataset::Append(base, std::move(delta));
+      LoadedDataset::Append(base, delta);
   if (!grown.ok()) return grown.status();
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -324,17 +331,17 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvString(
     const std::string& id, const std::string& text,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvString(text, options);
-  if (!table.ok()) return table.status();
-  return AppendRows(id, *std::move(table));
+  Result<EncodedRelation> delta = EncodeCsvString(text, options);
+  if (!delta.ok()) return delta.status();
+  return AppendEncoded(id, *delta);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvFile(
     const std::string& id, const std::string& path,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return AppendRows(id, *std::move(table));
+  Result<EncodedRelation> delta = EncodeCsvFile(path, options);
+  if (!delta.ok()) return delta.status();
+  return AppendEncoded(id, *delta);
 }
 
 void DatasetStore::EvictFor(int64_t needed) {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "data/table.h"
@@ -65,13 +66,24 @@ class LoadedDataset {
   static Result<std::shared_ptr<const LoadedDataset>> Build(
       std::string id, Table table, std::string source = "table");
 
+  /// The CSV load path: tokenizes `text` and encodes the field views
+  /// directly (EncodeCsvString), never building a Table or a Value; the
+  /// result equals Build() on ReadCsvString(text, options).
+  static Result<std::shared_ptr<const LoadedDataset>> LoadCsv(
+      std::string id, std::string_view text, const CsvOptions& options,
+      std::string source);
+
   /// Version base->version()+1: `base`'s rows followed by `delta`'s rows
-  /// (column count must match; `base`'s schema wins). Delta rows are
-  /// merge-encoded against the parent's value dictionaries — O(rows)
-  /// integer work plus O(delta log delta) value comparisons — and the
-  /// resulting codes and merged dictionaries are bit-for-bit what
-  /// FromTable would produce on the concatenated table. An empty delta
-  /// yields a new (identical but renumbered) version.
+  /// (column count must match; `base`'s schema wins). The delta, encoded
+  /// on its own, is merged against the parent's value dictionaries —
+  /// O(rows) integer work plus one walk over both sorted dictionaries —
+  /// and the resulting codes and merged dictionaries are bit-for-bit
+  /// what encoding the concatenated rows from scratch would produce. An
+  /// empty delta yields a new (identical but renumbered) version.
+  static Result<std::shared_ptr<const LoadedDataset>> Append(
+      const std::shared_ptr<const LoadedDataset>& base,
+      const EncodedRelation& delta);
+  /// Append() of a Table delta, encoded with FromTable first.
   static Result<std::shared_ptr<const LoadedDataset>> Append(
       const std::shared_ptr<const LoadedDataset>& base, Table delta);
 
@@ -104,11 +116,21 @@ class LoadedDataset {
   /// unit the store's memory budget is accounted in.
   int64_t ApproxBytes() const { return approx_bytes_; }
 
-  /// Wall-clock of the one-time preprocessing (parse excluded).
+  /// Wall-clock of the one-time preprocessing: tokenize (for LoadCsv),
+  /// encode, and the level-1 partitions; for Append, the dictionary merge
+  /// and partitions (the delta's own tokenize and encode excluded).
   double load_seconds() const { return load_seconds_; }
 
  private:
   LoadedDataset() = default;
+
+  /// Version 1 over an encoded relation; `timer` started with the load.
+  static std::shared_ptr<const LoadedDataset> Make(std::string id,
+                                                   std::string source,
+                                                   EncodedRelation relation,
+                                                   const WallTimer& timer);
+  /// Builds the level-1 partitions and byte accounting of relation_.
+  void Finish(const WallTimer& timer);
 
   std::string id_;
   std::string source_;
@@ -174,6 +196,8 @@ class DatasetStore {
   /// under `id`. Duplicate ids are refused (FailedPrecondition) — ids
   /// name immutable data, so silently replacing one would redirect
   /// future sessions mid-stream. Returns the inserted dataset, pinned.
+  /// PutCsvFile/PutCsvString go through LoadedDataset::LoadCsv: CSV bytes
+  /// to code columns with no Table in between.
   Result<std::shared_ptr<const LoadedDataset>> PutTable(
       const std::string& id, Table table, std::string source = "table");
   Result<std::shared_ptr<const LoadedDataset>> PutCsvFile(
@@ -258,6 +282,9 @@ class DatasetStore {
 
   Result<std::shared_ptr<const LoadedDataset>> Insert(
       std::shared_ptr<const LoadedDataset> dataset);
+  /// The append protocol shared by AppendRows and AppendCsv*.
+  Result<std::shared_ptr<const LoadedDataset>> AppendEncoded(
+      const std::string& id, const EncodedRelation& delta);
   /// Evicts unpinned entries, LRU first, until `needed` fits under the
   /// budget or nothing unpinned remains. Caller holds mutex_.
   void EvictFor(int64_t needed);

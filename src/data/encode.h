@@ -11,6 +11,14 @@
 // (4 bytes/row) plus the column's interned ValueDictionary (code ->
 // value), which replaces retaining the raw Value table for rendering and
 // for merge-encoding appended deltas.
+//
+// Every encoder runs the same core per column: hash-intern the cells,
+// giving each distinct value an id in first-row order (the first row
+// carrying a value is its representative), sort only the d distinct
+// values, and remap each row's id to its value's rank — O(n + d log d)
+// instead of sorting all n rows. FromCsv interns the tokenizer's field
+// views directly, so CSV loads never build a Value; FromTable interns the
+// Values of an existing Table.
 #ifndef FASTOD_DATA_ENCODE_H_
 #define FASTOD_DATA_ENCODE_H_
 
@@ -19,7 +27,9 @@
 
 #include "common/status.h"
 #include "data/column.h"
+#include "data/csv.h"
 #include "data/table.h"
+#include "obs/trace.h"
 
 namespace fastod {
 
@@ -34,6 +44,11 @@ class EncodedRelation {
   /// Encodes every column of `table`. Fails if the table has more than
   /// AttributeSet::kMaxAttributes columns.
   static Result<EncodedRelation> FromTable(const Table& table);
+
+  /// Encodes tokenized CSV (data/csv.h) with no intermediate Values:
+  /// bit-for-bit what FromTable produces on the Table ReadCsvString
+  /// builds from the same text. Same attribute limit as FromTable.
+  static Result<EncodedRelation> FromCsv(const CsvFields& fields);
 
   /// Wraps precomputed code columns and their dictionaries. The append
   /// path in data/dataset_store.cc merge-encodes delta rows into the
@@ -74,6 +89,17 @@ class EncodedRelation {
   std::vector<CodeColumn> codes_;
   std::vector<ValueDictionary> dicts_;
 };
+
+/// CSV text straight to its encoding: TokenizeCsv + FromCsv.
+Result<EncodedRelation> EncodeCsvString(
+    std::string_view text, const CsvOptions& options = CsvOptions());
+
+/// The same for a file. With a `trace`, records the two session phase
+/// spans: csv.parse (read, tokenize, infer types) and, when that
+/// succeeded, encode (intern, sort distinct values, remap).
+Result<EncodedRelation> EncodeCsvFile(const std::string& path,
+                                      const CsvOptions& options = CsvOptions(),
+                                      obs::TraceRecorder* trace = nullptr);
 
 }  // namespace fastod
 

@@ -1,5 +1,6 @@
 #include "data/value.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/macros.h"
@@ -57,6 +58,39 @@ double Value::NumericValue() const {
   return std::get<double>(rep_);
 }
 
+Value Value::FromView(const ValueView& v) {
+  switch (v.type) {
+    case DataType::kNull:
+      return Null();
+    case DataType::kInt:
+      return Int(v.i);
+    case DataType::kDouble:
+      return Double(v.d);
+    case DataType::kString:
+      return Str(std::string(v.s));
+  }
+  return Null();
+}
+
+ValueView Value::view() const {
+  ValueView v;
+  v.type = type();
+  switch (v.type) {
+    case DataType::kNull:
+      break;
+    case DataType::kInt:
+      v.i = std::get<int64_t>(rep_);
+      break;
+    case DataType::kDouble:
+      v.d = std::get<double>(rep_);
+      break;
+    case DataType::kString:
+      v.s = std::get<std::string>(rep_);
+      break;
+  }
+  return v;
+}
+
 namespace {
 
 // Rank of a type in the cross-type total order: null < numeric < string.
@@ -73,49 +107,66 @@ int TypeRank(DataType t) {
   return 3;
 }
 
+int CompareIntDouble(int64_t x, double y) {
+  if (std::isnan(y)) return -1;
+  // [-2^63, 2^63) is exactly the int64 range, so a double outside it
+  // orders against every int without a lossy conversion.
+  if (y >= 9223372036854775808.0) return -1;
+  if (y < -9223372036854775808.0) return 1;
+  const double whole = std::trunc(y);
+  const int64_t w = static_cast<int64_t>(whole);
+  if (x != w) return x < w ? -1 : 1;
+  // Same integral part: the fraction decides.
+  return y > whole ? -1 : (y < whole ? 1 : 0);
+}
+
+// NaN equals NaN and sorts after every number, so sorts see a strict
+// weak ordering.
+int CompareDoubles(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  // At least one NaN.
+  return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+}
+
 }  // namespace
 
-int Value::Compare(const Value& a, const Value& b) {
-  int ra = TypeRank(a.type());
-  int rb = TypeRank(b.type());
+int ValueView::Compare(const ValueView& a, const ValueView& b) {
+  int ra = TypeRank(a.type);
+  int rb = TypeRank(b.type);
   if (ra != rb) return ra < rb ? -1 : 1;
   switch (ra) {
     case 0:  // both null
       return 0;
     case 1: {  // both numeric
-      // Exact comparison when both are ints avoids double rounding for
-      // values beyond 2^53.
-      if (a.type() == DataType::kInt && b.type() == DataType::kInt) {
-        int64_t x = a.AsInt();
-        int64_t y = b.AsInt();
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      double x = a.NumericValue();
-      double y = b.NumericValue();
-      return x < y ? -1 : (x > y ? 1 : 0);
+      const bool a_int = a.type == DataType::kInt;
+      const bool b_int = b.type == DataType::kInt;
+      if (a_int && b_int) return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
+      if (a_int) return CompareIntDouble(a.i, b.d);
+      if (b_int) return -CompareIntDouble(b.i, a.d);
+      return CompareDoubles(a.d, b.d);
     }
     default: {  // both strings
-      const std::string& x = a.AsString();
-      const std::string& y = b.AsString();
-      int c = x.compare(y);
+      int c = a.s.compare(b.s);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
 }
 
-std::string Value::ToString() const {
-  switch (type()) {
+std::string ValueView::ToString() const {
+  switch (type) {
     case DataType::kNull:
       return "NULL";
     case DataType::kInt:
-      return std::to_string(AsInt());
+      return std::to_string(i);
     case DataType::kDouble: {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%g", AsDouble());
+      std::snprintf(buf, sizeof(buf), "%g", d);
       return buf;
     }
     case DataType::kString:
-      return AsString();
+      return std::string(s);
   }
   return "?";
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace fastod {
@@ -23,10 +24,29 @@ enum class DataType {
 /// Returns a short lowercase name ("int", "double", ...).
 const char* DataTypeName(DataType type);
 
+/// A non-owning view of one value: the string case borrows its bytes.
+/// Value, the column dictionaries and the CSV encoder all order and
+/// render through it, so there is one implementation of the total order
+/// and none of them has to materialize a Value to compare.
+struct ValueView {
+  DataType type = DataType::kNull;
+  int64_t i = 0;       // kInt
+  double d = 0.0;      // kDouble
+  std::string_view s;  // kString
+
+  /// Three-way comparison under the Value total order (<0, 0, >0).
+  static int Compare(const ValueView& a, const ValueView& b);
+
+  /// Rendered form: "NULL", "42", "3.5", or the raw string.
+  std::string ToString() const;
+};
+
 /// A single typed cell. Small, copyable, with a total order:
 ///   null < all non-null; ints and doubles compare numerically with each
-///   other; any number < any string. Within strings: lexicographic byte
-///   order. This matches SQL ascending order with NULLS FIRST.
+///   other, exactly (an int is never rounded to a double), and NaN equals
+///   NaN and sorts after every other number; any number < any string.
+///   Within strings: lexicographic byte order. This matches SQL ascending
+///   order with NULLS FIRST.
 class Value {
  public:
   Value() : rep_(std::monostate{}) {}
@@ -34,6 +54,8 @@ class Value {
   static Value Int(int64_t v) { return Value(Rep(v)); }
   static Value Double(double v) { return Value(Rep(v)); }
   static Value Str(std::string v) { return Value(Rep(std::move(v))); }
+  /// An owning copy of a view.
+  static Value FromView(const ValueView& v);
 
   DataType type() const;
   bool is_null() const { return std::holds_alternative<std::monostate>(rep_); }
@@ -46,9 +68,14 @@ class Value {
   /// Numeric view: AsInt widened, or AsDouble. Only for numeric values.
   double NumericValue() const;
 
+  /// Borrowing view of this value; valid while the Value lives.
+  ValueView view() const;
+
   /// Three-way comparison under the total order documented above.
   /// Returns <0, 0, >0.
-  static int Compare(const Value& a, const Value& b);
+  static int Compare(const Value& a, const Value& b) {
+    return ValueView::Compare(a.view(), b.view());
+  }
 
   bool operator==(const Value& other) const {
     return Compare(*this, other) == 0;
@@ -56,7 +83,7 @@ class Value {
   bool operator<(const Value& other) const { return Compare(*this, other) < 0; }
 
   /// Rendered form: "NULL", "42", "3.5", or the raw string.
-  std::string ToString() const;
+  std::string ToString() const { return view().ToString(); }
 
  private:
   using Rep = std::variant<std::monostate, int64_t, double, std::string>;

@@ -6,10 +6,10 @@
 //
 //   #include "fastod/fastod.h"
 //
-//   fastod::Result<fastod::Table> table = fastod::ReadCsvFile("data.csv");
+//   auto relation = fastod::EncodeCsvFile("data.csv");  // CSV -> codes
 //   auto algo = fastod::AlgorithmRegistry::Default().Create("fastod");
 //   (*algo)->SetOption("threads", "4");     // typed, introspectable
-//   (*algo)->LoadData(*table);
+//   (*algo)->LoadData(*std::move(relation));
 //   (*algo)->Execute();
 //   std::cout << (*algo)->ResultText();
 //

@@ -14,6 +14,7 @@
 #include "common/json.h"
 #include "common/timer.h"
 #include "data/csv.h"
+#include "data/encode.h"
 #include "data/schema.h"
 #include "obs/metrics.h"
 #include "od/attribute_set.h"
@@ -837,9 +838,10 @@ void DiscoveryServer::HandleCreateSession(const HttpRequest& request,
       streams_[*id] = std::move(state);
     }
     if (csv != nullptr) {
-      Result<Table> table = ReadCsvString(csv->string_value(), csv_options);
-      if (!table.ok()) return table.status();
-      if (Status s = service_.LoadTable(*id, std::move(table).value());
+      Result<EncodedRelation> relation =
+          EncodeCsvString(csv->string_value(), csv_options);
+      if (!relation.ok()) return relation.status();
+      if (Status s = service_.LoadRelation(*id, *std::move(relation));
           !s.ok()) {
         return s;
       }

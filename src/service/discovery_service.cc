@@ -85,6 +85,13 @@ Status DiscoveryService::LoadTable(SessionId id, Table table) {
   return session->LoadTable(std::move(table));
 }
 
+Status DiscoveryService::LoadRelation(SessionId id,
+                                      EncodedRelation relation) {
+  auto session = FindMutable(id);
+  if (session == nullptr) return StaleHandle(id);
+  return session->LoadRelation(std::move(relation));
+}
+
 Status DiscoveryService::LoadDataset(SessionId id,
                                      const std::string& dataset_id,
                                      int64_t version) {

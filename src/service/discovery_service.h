@@ -84,6 +84,7 @@ class DiscoveryService {
   Status LoadCsv(SessionId id, const std::string& path,
                  const CsvOptions& options = CsvOptions());
   Status LoadTable(SessionId id, Table table);
+  Status LoadRelation(SessionId id, EncodedRelation relation);
   /// Binds the dataset registered in store() under `dataset_id` — by
   /// reference, so N sessions on one dataset share a single parse,
   /// encoding, and set of level-1 partitions. The session pins the

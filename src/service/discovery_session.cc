@@ -43,21 +43,24 @@ Status DiscoverySession::SetOption(const std::string& name,
 
 Status DiscoverySession::LoadCsv(const std::string& path,
                                  const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return LoadTable(std::move(table).value());
+  Result<EncodedRelation> relation = EncodeCsvFile(path, options);
+  if (!relation.ok()) return relation.status();
+  return LoadRelation(*std::move(relation));
+}
+
+Status DiscoverySession::BindableLocked() const {
+  // Data freezes at submission: a source swapped in after queueing would
+  // silently redirect the pending run to the wrong dataset.
+  if (state_ == SessionState::kCreated) return Status::Ok();
+  return Status::FailedPrecondition(
+      "session is " + std::string(SessionStateName(state_)) +
+      "; data may only be bound before submission");
 }
 
 Status DiscoverySession::SetDeferredCsv(std::string path,
                                         CsvOptions options) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Same freeze point as LoadTable: a source swapped in after queueing
-  // would silently redirect the pending run to the wrong dataset.
-  if (state_ != SessionState::kCreated) {
-    return Status::FailedPrecondition(
-        "session is " + std::string(SessionStateName(state_)) +
-        "; data may only be bound before submission");
-  }
+  if (Status s = BindableLocked(); !s.ok()) return s;
   has_deferred_csv_ = true;
   csv_path_ = std::move(path);
   csv_options_ = options;
@@ -66,22 +69,20 @@ Status DiscoverySession::SetDeferredCsv(std::string path,
 
 Status DiscoverySession::LoadTable(Table table) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ != SessionState::kCreated) {
-    return Status::FailedPrecondition(
-        "session is " + std::string(SessionStateName(state_)) +
-        "; data may only be bound before submission");
-  }
+  if (Status s = BindableLocked(); !s.ok()) return s;
   return algorithm_->LoadData(std::move(table));
+}
+
+Status DiscoverySession::LoadRelation(EncodedRelation relation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (Status s = BindableLocked(); !s.ok()) return s;
+  return algorithm_->LoadData(std::move(relation));
 }
 
 Status DiscoverySession::LoadDataset(
     std::shared_ptr<const LoadedDataset> dataset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ != SessionState::kCreated) {
-    return Status::FailedPrecondition(
-        "session is " + std::string(SessionStateName(state_)) +
-        "; data may only be bound before submission");
-  }
+  if (Status s = BindableLocked(); !s.ok()) return s;
   return algorithm_->LoadData(std::move(dataset));
 }
 
@@ -138,18 +139,10 @@ void DiscoverySession::Run() {
   Status executed;
   try {
     if (load_csv) {
-      double start = trace_.Now();
-      Result<Table> table = ReadCsvFile(path, csv_options);
-      if (observe) {
-        trace_.RecordSpan("csv.parse", start, trace_.Now() - start);
-      }
-      if (!table.ok()) {
-        Finish(SessionState::kFailed, table.status());
-        return;
-      }
-      start = trace_.Now();
-      Status s = algorithm_->LoadData(std::move(table).value());
-      if (observe) trace_.RecordSpan("encode", start, trace_.Now() - start);
+      Result<EncodedRelation> relation =
+          EncodeCsvFile(path, csv_options, observe ? &trace_ : nullptr);
+      Status s = relation.ok() ? algorithm_->LoadData(*std::move(relation))
+                               : relation.status();
       if (!s.ok()) {
         Finish(SessionState::kFailed, s);
         return;

@@ -72,6 +72,9 @@ class DiscoverySession {
   /// surface through state()/status() as kFailed.
   Status SetDeferredCsv(std::string path, CsvOptions options);
   Status LoadTable(Table table);
+  /// Binds an already-encoded relation (the CSV load paths encode
+  /// straight from the text, data/encode.h).
+  Status LoadRelation(EncodedRelation relation);
   /// Binds a shared preprocessed dataset (data/dataset_store.h) by
   /// reference — no parse, encode, or copy. The session pins the dataset
   /// (keeps it alive and ineligible for store eviction) until destroyed.
@@ -121,6 +124,8 @@ class DiscoverySession {
   std::string trace_json() const { return trace_.ToJson(); }
 
  private:
+  /// OK while data may still be bound (kCreated). Caller holds mutex_.
+  Status BindableLocked() const;
   void Finish(SessionState terminal, Status status);
   /// Publishes the terminal transition to the global metrics registry
   /// and copies the engine's counters into the trace.

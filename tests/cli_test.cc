@@ -460,12 +460,40 @@ TEST_F(CliTest, DiscoverStatsJsonEmbedsTrace) {
   CliResult r = RunCli({"discover", path_, "--stats", "--output=json"});
   EXPECT_EQ(r.exit_code, 0) << r.error;
   EXPECT_NE(r.output.find("\"trace\":"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("\"csv.parse\""), std::string::npos);
+  // The fused CSV-to-codes load keeps both ingest spans, in order.
+  const size_t parse = r.output.find("\"csv.parse\"");
+  const size_t encode = r.output.find("\"encode\"");
+  EXPECT_NE(parse, std::string::npos);
+  EXPECT_NE(encode, std::string::npos);
+  EXPECT_LT(parse, encode);
   EXPECT_NE(r.output.find("\"nodes_visited\""), std::string::npos);
 
   CliResult bad = RunCli({"discover", path_, "--stats=maybe"});
   EXPECT_EQ(bad.exit_code, 1);
   EXPECT_NE(bad.error.find("--stats"), std::string::npos);
+}
+
+// A column alternating numbers and NaN is not constant: discover must not
+// report {}: [] -> a, and FASTOD agrees with the brute-force oracle.
+TEST_F(CliTest, DiscoverDoesNotReportNanColumnConstant) {
+  std::string csv = "a,b\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += i % 2 == 0 ? std::to_string(i) : "nan";
+    csv += "," + std::to_string(i % 3) + "\n";
+  }
+  const std::string path = WriteFixture("cli_nan.csv", csv);
+  CliResult fastod = RunCli({"discover", path});
+  CliResult brute = RunCli({"discover", path, "--algorithm=brute-force"});
+  std::remove(path.c_str());
+  ASSERT_EQ(fastod.exit_code, 0) << fastod.error;
+  ASSERT_EQ(brute.exit_code, 0) << brute.error;
+  EXPECT_EQ(fastod.output.find("-> a"), std::string::npos) << fastod.output;
+  // Same counts line from both engines ("N ODs (...)").
+  auto counts = [](const std::string& out) {
+    size_t begin = out.find(": ");
+    return out.substr(begin, out.find(" in ") - begin);
+  };
+  EXPECT_EQ(counts(fastod.output), counts(brute.output));
 }
 
 }  // namespace

@@ -11,6 +11,12 @@
 //   3. The versioned-append path — merge-encoding a delta against the
 //      parent's dictionaries must equal FromTable on the concatenation,
 //      and discovery over the grown dataset must still match the golden.
+//   4. The direct CSV encoder — FromCsv on the tokenizer's field views
+//      must equal FromTable(ReadCsvString(text)) on hostile, generated
+//      and option-varied inputs, and a CSV append must equal a load of
+//      the concatenated text.
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -22,10 +28,13 @@
 #include "api/algorithm.h"
 #include "api/registry.h"
 #include "common/json.h"
+#include "common/rng.h"
+#include "data/csv.h"
 #include "data/dataset_store.h"
 #include "data/encode.h"
 #include "data/table.h"
 #include "gen/generators.h"
+#include "gen/random_table.h"
 #include "golden_pr9_data.h"
 #include "partition/stripped_partition.h"
 
@@ -245,6 +254,189 @@ TEST(ColumnarAppendTest, MergeEncodedAppendEqualsFromTable) {
   ASSERT_TRUE(algo->Execute().ok());
   ExpectSameModuloStats(ParseOrDie(kGoldenFastod, "golden"),
                         ParseOrDie(algo->ResultJson(), "grown"), "fastod");
+}
+
+// Same schema, codes, and dictionaries: per code the same type, the same
+// value (doubles bit for bit, so -0.0 and 0.0 are told apart) and the
+// same rendering, and equal dictionary byte sizes.
+void ExpectSameRelation(const EncodedRelation& want,
+                        const EncodedRelation& got, const std::string& what) {
+  ASSERT_TRUE(want.schema() == got.schema()) << what;
+  ASSERT_EQ(want.NumRows(), got.NumRows()) << what;
+  for (int a = 0; a < want.NumAttributes(); ++a) {
+    ASSERT_TRUE(want.codes(a) == got.codes(a)) << what << " attr " << a;
+    const ValueDictionary& w = want.dictionary(a);
+    const ValueDictionary& g = got.dictionary(a);
+    ASSERT_EQ(w.size(), g.size()) << what << " attr " << a;
+    EXPECT_EQ(w.ByteSize(), g.ByteSize()) << what << " attr " << a;
+    for (int32_t code = 0; code < w.size(); ++code) {
+      const Value wv = w.At(code);
+      const Value gv = g.At(code);
+      ASSERT_EQ(wv.type(), gv.type()) << what << " attr " << a;
+      EXPECT_EQ(Value::Compare(wv, gv), 0) << what << " attr " << a;
+      EXPECT_EQ(wv.ToString(), gv.ToString()) << what << " attr " << a;
+      if (wv.type() == DataType::kDouble) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(wv.AsDouble()),
+                  std::bit_cast<uint64_t>(gv.AsDouble()))
+            << what << " attr " << a << " code " << code;
+      }
+    }
+  }
+}
+
+// The direct route (tokenizer views -> FromCsv) against the Table route
+// (ReadCsvString -> FromTable): the same StatusCode on failure, the same
+// relation otherwise.
+void ExpectDirectMatchesTablePath(const std::string& text,
+                                  const CsvOptions& options) {
+  const std::string what = "input \"" + text + "\"";
+  Result<EncodedRelation> direct = EncodeCsvString(text, options);
+  Result<Table> table = ReadCsvString(text, options);
+  Result<EncodedRelation> via_table =
+      table.ok() ? EncodedRelation::FromTable(*table)
+                 : Result<EncodedRelation>(table.status());
+  ASSERT_EQ(direct.ok(), via_table.ok()) << what;
+  if (!direct.ok()) {
+    EXPECT_EQ(direct.status().code(), via_table.status().code()) << what;
+    return;
+  }
+  ExpectSameRelation(*via_table, *direct, what);
+}
+
+// delimiter x has_header x infer_types x max_rows.
+std::vector<CsvOptions> OptionMatrix(char delimiter) {
+  std::vector<CsvOptions> matrix;
+  for (bool header : {true, false}) {
+    for (bool infer : {true, false}) {
+      for (int64_t max_rows : {int64_t{-1}, int64_t{0}, int64_t{1},
+                               int64_t{5}}) {
+        CsvOptions options;
+        options.delimiter = delimiter;
+        options.has_header = header;
+        options.infer_types = infer;
+        options.max_rows = max_rows;
+        matrix.push_back(options);
+      }
+    }
+  }
+  return matrix;
+}
+
+// The CsvFuzzTest alphabet and seeds (tests/csv_test.cc): quotes, \r,
+// blank lines and ragged rows, under every option combination.
+TEST(DirectCsvEncodingTest, FuzzAlphabetMatchesTablePath) {
+  const char alphabet[] = "ab,\"\n\r\t;0123456789.\\x";
+  for (uint64_t seed : {1001, 2002, 3003, 4004}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string input;
+      int64_t len = rng.Uniform(120);
+      for (int64_t i = 0; i < len; ++i) {
+        input += alphabet[rng.Uniform(sizeof(alphabet) - 1)];
+      }
+      for (char delimiter : {',', ';'}) {
+        for (const CsvOptions& options : OptionMatrix(delimiter)) {
+          ExpectDirectMatchesTablePath(input, options);
+        }
+      }
+    }
+  }
+}
+
+TEST(DirectCsvEncodingTest, WrittenRandomTablesMatchTablePath) {
+  Rng rng(1234);
+  for (int trial = 0; trial < 20; ++trial) {
+    Table t = GenRandomTable(1 + rng.Uniform(30),
+                             1 + static_cast<int>(rng.Uniform(6)),
+                             1 + rng.Uniform(8), rng.Next64());
+    for (char delimiter : {',', ';', '\t'}) {
+      const std::string text = WriteCsvString(t, delimiter);
+      for (const CsvOptions& options : OptionMatrix(delimiter)) {
+        ExpectDirectMatchesTablePath(text, options);
+      }
+    }
+  }
+  // Typed columns: ints, doubles, strings, and NULLs.
+  std::mt19937 typed(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::string text = WriteCsvString(RandomTable(typed, 40 + trial));
+    for (const CsvOptions& options : OptionMatrix(',')) {
+      ExpectDirectMatchesTablePath(text, options);
+    }
+  }
+}
+
+// Spellings of one value intern to separate ids but must share a code,
+// represented by the first row's spelling — and NaN is one value, last
+// among the numbers.
+TEST(DirectCsvEncodingTest, SpellingsOfOneValueShareACode) {
+  const std::string text =
+      "i,d,s\n"
+      "01,-0,b\n"
+      "1,0,a\n"
+      "+1,nan,\" b\"\n"
+      "-3,-nan,b\n"
+      ",1e3,\n"
+      "7,1000,a\n";
+  ExpectDirectMatchesTablePath(text, CsvOptions());
+  Result<EncodedRelation> rel = EncodeCsvString(text);
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->schema().type(0), DataType::kInt);
+  EXPECT_EQ(rel->schema().type(1), DataType::kDouble);
+  // i: NULL < -3 < 1 (three spellings) < 7.
+  EXPECT_EQ(rel->NumDistinct(0), 4);
+  EXPECT_EQ(rel->rank(0, 0), rel->rank(1, 0));
+  EXPECT_EQ(rel->rank(0, 0), rel->rank(2, 0));
+  // d: -0 and 0 are one value whose representative is the first row's
+  // -0; 1e3 and 1000 are one value; both NaNs form the last code.
+  EXPECT_EQ(rel->NumDistinct(1), 3);
+  EXPECT_EQ(rel->dictionary(1).ToString(0), "-0");
+  EXPECT_EQ(rel->rank(2, 1), rel->rank(3, 1));
+  EXPECT_EQ(rel->rank(2, 1), 2);
+  EXPECT_TRUE(std::isnan(rel->dictionary(1).At(2).AsDouble()));
+  // s: fields are trimmed, so " b" is b.
+  EXPECT_EQ(rel->rank(0, 2), rel->rank(2, 2));
+}
+
+// Appending a headerless CSV block onto a loaded prefix equals loading
+// the concatenated CSV at once (columns whose inferred type is the same
+// in the prefix, the block, and the whole).
+TEST(DirectCsvEncodingTest, AppendCsvEqualsPutOfConcatenation) {
+  const std::string full = WriteCsvString(GenFlightLike(300, 8, 7));
+  CsvOptions rows_only;
+  rows_only.has_header = false;
+  for (int64_t split : {1, 150, 299}) {
+    SCOPED_TRACE(split);
+    // The header line plus `split` data lines, then the rest.
+    size_t cut = 0;
+    for (int64_t line = 0; line <= split; ++line) {
+      cut = full.find('\n', cut) + 1;
+    }
+    DatasetStore store;
+    ASSERT_TRUE(store.PutCsvString("whole", full).ok());
+    ASSERT_TRUE(store.PutCsvString("grown", full.substr(0, cut)).ok());
+    auto grown = store.AppendCsvString("grown", full.substr(cut), rows_only);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    auto whole = store.Get("whole");
+    ASSERT_TRUE(whole.ok());
+    ExpectSameRelation((*whole)->relation(), (*grown)->relation(), "append");
+    for (int a = 0; a < (*grown)->NumAttributes(); ++a) {
+      EXPECT_TRUE((*grown)->singleton_partitions()[a] ==
+                  (*whole)->singleton_partitions()[a]);
+    }
+  }
+}
+
+TEST(DirectCsvEncodingTest, LoadedDatasetMatchesBuildOfReadTable) {
+  const std::string text = WriteCsvString(Fixture());
+  auto direct = LoadedDataset::LoadCsv("direct", text, CsvOptions(), "inline");
+  ASSERT_TRUE(direct.ok());
+  auto table = ReadCsvString(text);
+  ASSERT_TRUE(table.ok());
+  auto built = LoadedDataset::Build("built", *std::move(table));
+  ASSERT_TRUE(built.ok());
+  ExpectSameRelation((*built)->relation(), (*direct)->relation(), "load");
+  EXPECT_EQ((*built)->ApproxBytes(), (*direct)->ApproxBytes());
 }
 
 }  // namespace

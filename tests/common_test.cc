@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include <string>
 #include <vector>
 
@@ -84,6 +86,23 @@ TEST(StringUtilTest, ParseIntStrict) {
   EXPECT_FALSE(ParseInt("x42").has_value());
   EXPECT_FALSE(ParseInt("42x").has_value());
   EXPECT_FALSE(ParseInt("").has_value());
+}
+
+// The digits-only fast path must agree with the strtoll fallback at the
+// 18/19-digit boundary and on signs, zeros and overflow.
+TEST(StringUtilTest, ParseIntFastPathMatchesStrtoll) {
+  EXPECT_EQ(ParseInt("+5"), 5);
+  EXPECT_EQ(ParseInt("-0"), 0);
+  EXPECT_EQ(ParseInt("007"), 7);
+  EXPECT_EQ(ParseInt("999999999999999999"), 999999999999999999);
+  EXPECT_EQ(ParseInt("-1000000000000000000"), -1000000000000000000);
+  EXPECT_EQ(ParseInt("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt("-9223372036854775808"), INT64_MIN);
+  EXPECT_FALSE(ParseInt("9223372036854775808").has_value());
+  EXPECT_FALSE(ParseInt("+").has_value());
+  EXPECT_FALSE(ParseInt("-").has_value());
+  EXPECT_FALSE(ParseInt("1 2").has_value());
+  EXPECT_FALSE(ParseInt("--1").has_value());
 }
 
 TEST(StringUtilTest, ParseDoubleStrict) {

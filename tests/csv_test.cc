@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/csv.h"
@@ -104,6 +106,58 @@ TEST(CsvReadTest, UnterminatedQuoteRejected) {
 
 TEST(CsvReadTest, EmptyInputRejected) {
   EXPECT_FALSE(ReadCsvString("").ok());
+}
+
+// The tokenizer's grammar on the cases that force a field out of a plain
+// text slice: a quote opens a quoted section only at the start of a
+// field, text after a closing quote is appended, "" is a literal quote,
+// a stray \r is dropped, and lines without content are skipped.
+TEST(CsvReadTest, QuoteAndCarriageReturnGrammar) {
+  CsvOptions opt;
+  opt.has_header = false;
+  auto t = ReadCsvString(
+      "\"ab\"cd,x\"y\"\n"
+      "\"\",\"p\"\"q\"\n"
+      "\n\r\n"
+      "a\rb,\"line\nbreak\"\r\n",
+      opt);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->NumRows(), 3);
+  EXPECT_EQ(t->at(0, 0).AsString(), "abcd");
+  EXPECT_EQ(t->at(0, 1).AsString(), "x\"y\"");
+  EXPECT_TRUE(t->at(1, 0).is_null());  // "" is an empty field
+  EXPECT_EQ(t->at(1, 1).AsString(), "p\"q");
+  EXPECT_EQ(t->at(2, 0).AsString(), "ab");
+  EXPECT_EQ(t->at(2, 1).AsString(), "line\nbreak");
+}
+
+TEST(CsvReadTest, TokenizerViewsAreTrimmedAndColumnMajor) {
+  const std::string text = "a , b\n 1,\" x \"\n2 ,y\n3,z\n";
+  CsvOptions opt;
+  opt.max_rows = 2;
+  auto fields = TokenizeCsv(text, opt);
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields->schema.name(0), "a");
+  EXPECT_EQ(fields->schema.name(1), "b");
+  EXPECT_EQ(fields->schema.type(0), DataType::kInt);
+  EXPECT_EQ(fields->num_rows, 2);
+  ASSERT_EQ(fields->columns.size(), 2u);
+  EXPECT_EQ(fields->columns[0], (std::vector<std::string_view>{"1", "2"}));
+  EXPECT_EQ(fields->columns[1], (std::vector<std::string_view>{"x", "y"}));
+}
+
+TEST(CsvReadTest, ErrorsCoverTheWholeTextInOrder) {
+  CsvOptions opt;
+  opt.max_rows = 1;
+  // A ragged record past max_rows still fails the read...
+  auto ragged = ReadCsvString("a,b\n1,2\n3\n", opt);
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_NE(ragged.status().message().find("found a record with 1"),
+            std::string::npos);
+  // ...and an unterminated quote anywhere wins over raggedness.
+  auto quote = ReadCsvString("a,b\n1\n\"open\n", opt);
+  ASSERT_FALSE(quote.ok());
+  EXPECT_NE(quote.status().message().find("unterminated"), std::string::npos);
 }
 
 TEST(CsvReadTest, CustomDelimiter) {

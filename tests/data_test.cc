@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "data/schema.h"
 #include "data/table.h"
 #include "data/value.h"
@@ -33,6 +36,31 @@ TEST(ValueTest, LargeIntsCompareExactly) {
   // path must stay exact.
   int64_t big = (int64_t{1} << 60) + 1;
   EXPECT_LT(Value::Compare(Value::Int(big), Value::Int(big + 1)), 0);
+}
+
+TEST(ValueTest, IntDoubleComparisonIsExact) {
+  // 2^53 + 1 rounds to the double 2^53; compared exactly it is larger.
+  const int64_t above = (int64_t{1} << 53) + 1;
+  const double rounded = 9007199254740992.0;  // 2^53
+  EXPECT_GT(Value::Compare(Value::Int(above), Value::Double(rounded)), 0);
+  EXPECT_LT(Value::Compare(Value::Double(rounded), Value::Int(above)), 0);
+  EXPECT_EQ(Value::Compare(Value::Int(above - 1), Value::Double(rounded)), 0);
+  EXPECT_LT(Value::Compare(Value::Int(INT64_MAX), Value::Double(9.3e18)), 0);
+  EXPECT_GT(Value::Compare(Value::Int(-3), Value::Double(-3.5)), 0);
+  EXPECT_EQ(Value::Compare(Value::Double(-0.0), Value::Int(0)), 0);
+}
+
+TEST(ValueTest, NanEqualsOnlyNanAndSortsAfterNumbers) {
+  const Value nan = Value::Double(std::nan(""));
+  const Value negative_nan = Value::Double(-std::nan(""));
+  const Value inf = Value::Double(HUGE_VAL);
+  EXPECT_EQ(Value::Compare(nan, negative_nan), 0);
+  EXPECT_GT(Value::Compare(nan, inf), 0);
+  EXPECT_GT(Value::Compare(nan, Value::Int(INT64_MAX)), 0);
+  EXPECT_LT(Value::Compare(Value::Double(0.0), nan), 0);
+  EXPECT_LT(Value::Compare(Value::Int(0), nan), 0);
+  EXPECT_LT(Value::Compare(nan, Value::Str("")), 0);
+  EXPECT_GT(Value::Compare(nan, Value::Null()), 0);
 }
 
 TEST(ValueTest, NullsSortFirstStringsLast) {

@@ -10,6 +10,7 @@
 #include "algo/brute_force_discovery.h"
 #include "algo/fastod.h"
 #include "algo/tane.h"
+#include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
@@ -172,6 +173,28 @@ TEST_P(FastodDerivedOracleTest, OutputEqualsBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FastodDerivedOracleTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606,
                                            707, 808));
+
+// NaN must be one value ordered after every number. If it compared equal
+// to every number, the encoder's sort would lose its strict weak ordering:
+// a column alternating 0,nan,2,nan,4,... would come out with one code and
+// FASTOD would report it constant ({}: [] -> a).
+TEST(FastodNanTest, NanColumnIsNotConstantAndMatchesBruteForce) {
+  std::string csv = "a,b\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += i % 2 == 0 ? std::to_string(i) : "nan";
+    csv += "," + std::to_string(i % 3) + "\n";
+  }
+  Result<EncodedRelation> rel = EncodeCsvString(csv);
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->schema().type(0), DataType::kDouble);
+  EXPECT_EQ(rel->NumDistinct(0), 21);  // 0 < 2 < ... < 38 < NaN
+  EXPECT_EQ(rel->rank(1, 0), 20);
+  FastodResult got = Fastod().Discover(*rel);
+  for (const ConstancyOd& od : got.constancy_ods) {
+    EXPECT_FALSE(od.context.IsEmpty() && od.attribute == 0) << od.ToString();
+  }
+  ExpectSameOds(got, BruteForceDiscoverOds(*rel));
+}
 
 }  // namespace
 }  // namespace fastod

@@ -152,8 +152,13 @@ TEST(SessionTrace, DeferredCsvSessionRecordsPhaseSpans) {
   ASSERT_TRUE(service.SubmitCsv(*id, path, CsvOptions()).ok());
   ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
   std::string trace = *service.TraceJson(*id);
-  EXPECT_NE(trace.find("\"csv.parse\""), std::string::npos) << trace;
-  EXPECT_NE(trace.find("\"encode\""), std::string::npos) << trace;
+  // The deferred load reads straight into code columns; tokenizing stays
+  // under csv.parse and interning under encode, in that order.
+  const size_t parse = trace.find("\"csv.parse\"");
+  const size_t encode = trace.find("\"encode\"");
+  EXPECT_NE(parse, std::string::npos) << trace;
+  EXPECT_NE(encode, std::string::npos) << trace;
+  EXPECT_LT(parse, encode) << trace;
   EXPECT_NE(trace.find("\"execute\""), std::string::npos) << trace;
   EXPECT_NE(trace.find("\"level[1]\""), std::string::npos) << trace;
 }
