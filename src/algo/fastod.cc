@@ -70,6 +70,8 @@ struct NodeOutcome {
   std::vector<BidiCompatibilityOd> bidirectional; // only if emit_ods
   int64_t constancy_checks = 0;
   int64_t swap_checks = 0;
+  int64_t swap_sample_refutes = 0;
+  int64_t swap_full_scans = 0;
   int64_t key_prune_hits = 0;
 };
 
@@ -678,11 +680,15 @@ class Run {
   template <typename NodeT, typename ParentFn>
   void ValidateNode(int l, NodeT* node, const ParentFn& parent_of,
                     SwapChecker* checker, NodeOutcome* out) {
+    const int64_t refutes_before = checker->num_sample_refutes();
+    const int64_t scans_before = checker->num_full_scans();
     if (options_.minimality_pruning) {
       ValidateNodeMinimal(l, node, parent_of, checker, out);
     } else {
       ValidateNodeExhaustive(l, node->set, checker, out);
     }
+    out->swap_sample_refutes += checker->num_sample_refutes() - refutes_before;
+    out->swap_full_scans += checker->num_full_scans() - scans_before;
   }
 
   template <typename NodeT, typename ParentFn>
@@ -793,6 +799,8 @@ class Run {
     stats->bidirectional_found += o->num_bidirectional;
     stats->constancy_checks += o->constancy_checks;
     stats->swap_checks += o->swap_checks;
+    stats->swap_sample_refutes += o->swap_sample_refutes;
+    stats->swap_full_scans += o->swap_full_scans;
     stats->key_prune_hits += o->key_prune_hits;
     if (options_.sink != nullptr) {
       for (const ConstancyOd& od : o->constancy) {

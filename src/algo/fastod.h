@@ -114,6 +114,11 @@ struct FastodLevelStats {
   int64_t nodes_pruned = 0;       // nodes deleted by Lemma 11 afterwards
   int64_t constancy_checks = 0;   // FD-side validations performed
   int64_t swap_checks = 0;        // OCD-side validations performed
+  /// Swap checks answered by the witness sample's swap (kAuto only; see
+  /// partition/sorted_partition.h) and checks that needed a full τ/sort
+  /// scan. swap_checks minus both is what complete samples settled.
+  int64_t swap_sample_refutes = 0;
+  int64_t swap_full_scans = 0;
   int64_t key_prune_hits = 0;     // validations skipped via Lemmas 12-13
   int64_t constancy_found = 0;
   int64_t compatibility_found = 0;

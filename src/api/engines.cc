@@ -46,6 +46,7 @@ obs::EngineStats StatsOf(const FastodResult& result) {
     l.nodes_pruned = level.nodes_pruned;
     l.constancy_checks = level.constancy_checks;
     l.swap_checks = level.swap_checks;
+    l.swap_sample_refutes = level.swap_sample_refutes;
     l.key_prune_hits = level.key_prune_hits;
     l.ods_found = level.constancy_found + level.compatibility_found +
                   level.bidirectional_found;
@@ -54,6 +55,7 @@ obs::EngineStats StatsOf(const FastodResult& result) {
     stats.nodes_pruned += level.nodes_pruned;
     stats.constancy_checks += level.constancy_checks;
     stats.swap_checks += level.swap_checks;
+    stats.swap_sample_refutes += level.swap_sample_refutes;
     stats.key_prune_hits += level.key_prune_hits;
     stats.levels.push_back(l);
   }

@@ -177,7 +177,9 @@ std::string RenderStatsText(const obs::EngineStats& stats) {
   out += "  nodes visited:    " + std::to_string(stats.nodes_visited) +
          " (" + std::to_string(stats.nodes_pruned) + " pruned)\n";
   out += "  validations:      " + std::to_string(stats.constancy_checks) +
-         " constancy, " + std::to_string(stats.swap_checks) + " swap, " +
+         " constancy, " + std::to_string(stats.swap_checks) + " swap (" +
+         std::to_string(stats.swap_sample_refutes) +
+         " refuted by a sampled swap), " +
          std::to_string(stats.key_prune_hits) + " skipped by key pruning\n";
   if (stats.candidates_checked > 0 || stats.candidates_pruned > 0) {
     out += "  candidates:       " +

@@ -52,6 +52,7 @@ std::string TraceRecorder::ToJson() const {
         .Key("nodes_pruned").Int(s.nodes_pruned)
         .Key("constancy_checks").Int(s.constancy_checks)
         .Key("swap_checks").Int(s.swap_checks)
+        .Key("swap_sample_refutes").Int(s.swap_sample_refutes)
         .Key("key_prune_hits").Int(s.key_prune_hits)
         .Key("candidates_checked").Int(s.candidates_checked)
         .Key("candidates_pruned").Int(s.candidates_pruned)
@@ -69,6 +70,7 @@ std::string TraceRecorder::ToJson() const {
           .Key("nodes_pruned").Int(level.nodes_pruned)
           .Key("constancy_checks").Int(level.constancy_checks)
           .Key("swap_checks").Int(level.swap_checks)
+          .Key("swap_sample_refutes").Int(level.swap_sample_refutes)
           .Key("key_prune_hits").Int(level.key_prune_hits)
           .Key("ods_found").Int(level.ods_found)
           .Key("seconds").Double(level.seconds)

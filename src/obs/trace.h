@@ -43,6 +43,9 @@ struct LevelStats {
   /// Worker-busy fraction while the task graph processed this level,
   /// in [0, 1]; 0 for serial runs and engines without a task graph.
   double occupancy = 0.0;
+  /// Swap checks refuted by a swap in the witness sample before any full
+  /// scan (fastod's kAuto swap method; partition/sorted_partition.h).
+  int64_t swap_sample_refutes = 0;
 };
 
 /// Engine totals for one Execute(). Engines fill the counters they
@@ -53,6 +56,7 @@ struct EngineStats {
   int64_t nodes_pruned = 0;
   int64_t constancy_checks = 0;
   int64_t swap_checks = 0;
+  int64_t swap_sample_refutes = 0;  // of swap_checks, see LevelStats
   int64_t key_prune_hits = 0;
   int64_t candidates_checked = 0;  // ORDER-style candidate engines
   int64_t candidates_pruned = 0;

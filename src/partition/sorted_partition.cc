@@ -1,9 +1,46 @@
 #include "partition/sorted_partition.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <span>
 
 namespace fastod {
+namespace {
+
+// Sorts `tuples` (one context class, or a sample of one) by A-rank and
+// sweeps A-groups in ascending order. Within a group (equal A) tuples do
+// not constrain each other; across groups every earlier B-rank must be
+// <= every later B-rank. True iff some pair of `tuples` swaps.
+bool SortedSweepFindsSwap(std::span<int32_t> tuples,
+                          const CodeColumn& ranks_a,
+                          const CodeColumn& ranks_b, int32_t flip_base) {
+  std::sort(tuples.begin(), tuples.end(), [&ranks_a](int32_t s, int32_t t) {
+    return ranks_a[s] < ranks_a[t];
+  });
+  auto rank_b = [&](int32_t t) {
+    return flip_base < 0 ? ranks_b[t] : flip_base - ranks_b[t];
+  };
+  int32_t run_max_b = -1;
+  size_t i = 0;
+  while (i < tuples.size()) {
+    const int32_t group_a = ranks_a[tuples[i]];
+    int32_t group_min_b = rank_b(tuples[i]);
+    int32_t group_max_b = group_min_b;
+    size_t j = i + 1;
+    while (j < tuples.size() && ranks_a[tuples[j]] == group_a) {
+      group_min_b = std::min(group_min_b, rank_b(tuples[j]));
+      group_max_b = std::max(group_max_b, rank_b(tuples[j]));
+      ++j;
+    }
+    if (group_min_b < run_max_b) return true;
+    run_max_b = std::max(run_max_b, group_max_b);
+    i = j;
+  }
+  return false;
+}
+
+}  // namespace
 
 SortedPartitions::SortedPartitions(const EncodedRelation& relation) {
   const int64_t n = relation.NumRows();
@@ -41,6 +78,15 @@ bool SwapChecker::IsOrderCompatibleDirected(const StrippedPartition& context,
       opposite ? relation_->NumDistinct(b) - 1 : int32_t{-1};
   SwapCheckMethod method = method_;
   if (method == SwapCheckMethod::kAuto) {
+    switch (CheckSample(context, a, b, flip_base)) {
+      case SampleVerdict::kSwap:
+        ++num_sample_refutes_;
+        return false;
+      case SampleVerdict::kNoSwapComplete:
+        return true;
+      case SampleVerdict::kNoSwapPartial:
+        break;
+    }
     // τ-based scans all n tuples once; sort-based pays Σ c·log c over
     // context classes. Prefer τ when the context still covers most of the
     // relation and τ orders are available.
@@ -56,6 +102,31 @@ bool SwapChecker::IsOrderCompatibleDirected(const StrippedPartition& context,
   return CheckSortBased(context, a, b, flip_base);
 }
 
+SwapChecker::SampleVerdict SwapChecker::CheckSample(
+    const StrippedPartition& context, int a, int b, int32_t flip_base) const {
+  const CodeColumn& ranks_a = relation_->codes(a);
+  const CodeColumn& ranks_b = relation_->codes(b);
+  std::array<int32_t, kSampleTuples> sample{};
+  int64_t taken = 0;
+  for (int32_t c = 0; c < context.NumClasses() && taken < kSampleTuples;
+       ++c) {
+    auto cls = context.Class(c);
+    const int64_t size = static_cast<int64_t>(cls.size());
+    const int64_t k =
+        std::min({size, int64_t{kSamplePerClass}, kSampleTuples - taken});
+    // Strided positions floor(i·size/k) are strictly increasing for
+    // k <= size, so the k members are distinct and spread over the class.
+    for (int64_t i = 0; i < k; ++i) sample[taken + i] = cls[i * size / k];
+    if (SortedSweepFindsSwap(std::span<int32_t>(sample.data() + taken, k),
+                             ranks_a, ranks_b, flip_base)) {
+      return SampleVerdict::kSwap;
+    }
+    taken += k;
+  }
+  return taken == context.NumElements() ? SampleVerdict::kNoSwapComplete
+                                        : SampleVerdict::kNoSwapPartial;
+}
+
 bool SwapChecker::CheckSortBased(const StrippedPartition& context, int a,
                                  int b, int32_t flip_base) {
   ++num_sort_checks_;
@@ -64,32 +135,8 @@ bool SwapChecker::CheckSortBased(const StrippedPartition& context, int a,
   for (int32_t c = 0; c < context.NumClasses(); ++c) {
     auto cls = context.Class(c);
     class_buffer_.assign(cls.begin(), cls.end());
-    std::sort(class_buffer_.begin(), class_buffer_.end(),
-              [&ranks_a](int32_t s, int32_t t) {
-                return ranks_a[s] < ranks_a[t];
-              });
-    // Sweep A-groups in ascending order. Within a group (equal A) tuples do
-    // not constrain each other; across groups every earlier B-rank must be
-    // <= every later B-rank.
-    auto rank_b = [&](int32_t t) {
-      return flip_base < 0 ? ranks_b[t] : flip_base - ranks_b[t];
-    };
-    int32_t run_max_b = -1;
-    size_t i = 0;
-    while (i < class_buffer_.size()) {
-      const int32_t group_a = ranks_a[class_buffer_[i]];
-      int32_t group_min_b = rank_b(class_buffer_[i]);
-      int32_t group_max_b = group_min_b;
-      size_t j = i + 1;
-      while (j < class_buffer_.size() &&
-             ranks_a[class_buffer_[j]] == group_a) {
-        group_min_b = std::min(group_min_b, rank_b(class_buffer_[j]));
-        group_max_b = std::max(group_max_b, rank_b(class_buffer_[j]));
-        ++j;
-      }
-      if (group_min_b < run_max_b) return false;  // swap
-      run_max_b = std::max(run_max_b, group_max_b);
-      i = j;
+    if (SortedSweepFindsSwap(class_buffer_, ranks_a, ranks_b, flip_base)) {
+      return false;
     }
   }
   return true;

@@ -2,7 +2,7 @@
 //
 // Verifying X: A ~ B means verifying, inside every equivalence class of
 // Π_X, that no pair of tuples s,t has s ≺_A t but t ≺_B s (a *swap*,
-// Definition 5). Two interchangeable strategies are provided:
+// Definition 5). Two interchangeable full-scan strategies are provided:
 //
 //  * Sort-based: sort each class by the A-rank and sweep A-groups in
 //    ascending order, tracking the running maximum B-rank of strictly
@@ -14,10 +14,25 @@
 //    τ_A "hashes tuples into sorted buckets" per context class and applies
 //    the same sweep. O(n) per check regardless of class structure.
 //
-// The sort-based variant wins when stripped contexts are small (deep lattice
-// levels); the τ-based one when classes cover most of the relation (early
-// levels). SwapChecker::kAuto switches on coverage. bench_ablation_validation
-// quantifies the trade-off.
+// SwapCheckMethod::kAuto runs three stages:
+//
+//  1. Witness sample: a deterministic strided sample of each context
+//     class (at most kSamplePerClass members), taken from the leading
+//     classes until kSampleTuples tuples, each class's sample swept like a
+//     sort-based class. A swap is an existential witness: two sampled
+//     tuples of one class that swap are a real pair s,t of one class of
+//     Π_X with s ≺_A t and t ≺_B s, so the OD is refuted exactly, with no
+//     class index and no O(n) scan.
+//  2. Complete sample: when the sample held every element of the context,
+//     it *is* the full sort-based check, so its "no swap" is final too.
+//  3. Otherwise a full check decides: τ-based when the context still
+//     covers at least half the relation (and τ orders exist), sort-based
+//     for smaller contexts (deep lattice levels).
+//
+// The sample only ever answers when its answer is the full check's answer,
+// so kAuto, kSortBased and kTauBased agree on every input; the explicit
+// methods skip stages 1-2 and are pure strategies for the ablation
+// (bench_ablation_validation) and the tests.
 #ifndef FASTOD_PARTITION_SORTED_PARTITION_H_
 #define FASTOD_PARTITION_SORTED_PARTITION_H_
 
@@ -46,7 +61,7 @@ class SortedPartitions {
 };
 
 enum class SwapCheckMethod {
-  kAuto,       // heuristic choice per call
+  kAuto,       // witness sample, then the coverage-chosen full scan
   kSortBased,  // per-class sort + sweep
   kTauBased,   // single scan over τ_A
 };
@@ -56,6 +71,11 @@ enum class SwapCheckMethod {
 /// instance reuses scratch buffers and must not be shared across threads.
 class SwapChecker {
  public:
+  /// Witness-sample bounds of kAuto: members taken per context class and
+  /// tuples per check.
+  static constexpr int kSamplePerClass = 64;
+  static constexpr int kSampleTuples = 256;
+
   SwapChecker(const EncodedRelation* relation,
               const SortedPartitions* sorted_partitions,
               SwapCheckMethod method = SwapCheckMethod::kAuto);
@@ -72,13 +92,20 @@ class SwapChecker {
   bool IsOrderCompatibleDirected(const StrippedPartition& context_partition,
                                  int a, int b, bool opposite);
 
-  /// Counters for the ablation benchmarks.
+  /// Counters for the ablation benchmarks and the engine stats: full
+  /// scans by strategy, and kAuto checks refuted by the witness sample.
   int64_t num_sort_checks() const { return num_sort_checks_; }
   int64_t num_tau_checks() const { return num_tau_checks_; }
+  int64_t num_full_scans() const { return num_sort_checks_ + num_tau_checks_; }
+  int64_t num_sample_refutes() const { return num_sample_refutes_; }
 
  private:
+  enum class SampleVerdict { kSwap, kNoSwapComplete, kNoSwapPartial };
+
   // flip_base < 0 means ascending B; otherwise B-ranks are reflected as
   // (flip_base - rank), turning descending compatibility into ascending.
+  SampleVerdict CheckSample(const StrippedPartition& context, int a, int b,
+                            int32_t flip_base) const;
   bool CheckSortBased(const StrippedPartition& context, int a, int b,
                       int32_t flip_base);
   bool CheckTauBased(const StrippedPartition& context, int a, int b,
@@ -93,6 +120,7 @@ class SwapChecker {
   std::vector<int32_t> class_of_;
   int64_t num_sort_checks_ = 0;
   int64_t num_tau_checks_ = 0;
+  int64_t num_sample_refutes_ = 0;
 
   struct TauState {
     int32_t cur_a = -1;        // A-rank of the open group

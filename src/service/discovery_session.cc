@@ -238,6 +238,12 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
                   {{"algorithm", algorithm}, {"kind", "swap"}})
       ->Inc(stats.swap_checks);
   registry
+      .GetCounter("fastod_swap_sample_refutations_total",
+                  "Swap checks refuted by a swap in the witness sample, "
+                  "before any full scan",
+                  by_algorithm)
+      ->Inc(stats.swap_sample_refutes);
+  registry
       .GetCounter("fastod_ods_emitted_total",
                   "Dependencies reported by finished sessions",
                   by_algorithm)

@@ -449,6 +449,7 @@ TEST_F(CliTest, DiscoverStatsAppendsSearchCounters) {
   EXPECT_NE(r.output.find("FASTOD:"), std::string::npos);
   EXPECT_NE(r.output.find("search stats:"), std::string::npos);
   EXPECT_NE(r.output.find("nodes visited"), std::string::npos);
+  EXPECT_NE(r.output.find("refuted by a sampled swap"), std::string::npos);
   EXPECT_NE(r.output.find("level 1:"), std::string::npos);
 
   // Without the flag, no stats block.

@@ -124,6 +124,8 @@ TEST(SessionTrace, LevelCountersMatchDirectRun) {
             expected.nodes_visited);
   EXPECT_EQ(engine->Find("ods_emitted")->int_value(),
             expected.ods_emitted);
+  EXPECT_EQ(engine->Find("swap_sample_refutes")->int_value(),
+            expected.swap_sample_refutes);
   const JsonValue* levels = engine->Find("levels");
   ASSERT_TRUE(levels != nullptr && levels->is_array());
   ASSERT_EQ(levels->array_items().size(), expected.levels.size());
@@ -137,6 +139,8 @@ TEST(SessionTrace, LevelCountersMatchDirectRun) {
               expected.levels[i].constancy_checks);
     EXPECT_EQ(level.Find("swap_checks")->int_value(),
               expected.levels[i].swap_checks);
+    EXPECT_EQ(level.Find("swap_sample_refutes")->int_value(),
+              expected.levels[i].swap_sample_refutes);
     EXPECT_EQ(level.Find("ods_found")->int_value(),
               expected.levels[i].ods_found);
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate for the public surfaces.
 
-Two checks, both run by CI (and runnable locally from the repo root
+Three checks, all run by CI (and runnable locally from the repo root
 with no arguments):
 
 1. C-ABI doc coverage — every public symbol declared in
@@ -14,7 +14,12 @@ with no arguments):
    docs/**/*.md must resolve to an existing file (anchors are stripped;
    external http(s)/mailto links are skipped).
 
-Exit code 0 when both pass; 1 with a per-violation report otherwise.
+3. ABI version single source — the FASTOD_VERSION_MAJOR/MINOR/PATCH
+   defines in src/capi/fastod_c.h are the C ABI version. The VERSION of
+   the fastod_c library in CMakeLists.txt must be read from them (or, if
+   spelled out, equal them).
+
+Exit code 0 when all pass; 1 with a per-violation report otherwise.
 """
 
 import os
@@ -23,6 +28,7 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAPI_HEADER = os.path.join(REPO, "src", "capi", "fastod_c.h")
+CMAKE_LISTS = os.path.join(REPO, "CMakeLists.txt")
 DOC_FILES = [os.path.join(REPO, "README.md")]
 DOCS_DIR = os.path.join(REPO, "docs")
 
@@ -123,17 +129,52 @@ def link_integrity():
     return violations
 
 
+def abi_version_single_source(header_path, cmake_path):
+    """Returns violations if the library VERSION can drift from the header."""
+    with open(header_path, encoding="utf-8") as f:
+        header = f.read()
+    parts = []
+    for part in ("MAJOR", "MINOR", "PATCH"):
+        m = re.search(rf"^#define FASTOD_VERSION_{part} (\d+)$", header,
+                      re.MULTILINE)
+        if not m:
+            return [f"{os.path.relpath(header_path, REPO)}: "
+                    f"missing FASTOD_VERSION_{part}"]
+        parts.append(m.group(1))
+    header_version = ".".join(parts)
+
+    with open(cmake_path, encoding="utf-8") as f:
+        cmake = f.read()
+    where = os.path.relpath(cmake_path, REPO)
+    props = re.search(r"set_target_properties\(\s*fastod_c\s+PROPERTIES"
+                      r"(.*?)\)", cmake, re.DOTALL)
+    version = props and re.search(r"\bVERSION\s+(\S+)", props.group(1))
+    if not version:
+        return [f"{where}: no VERSION on the fastod_c library"]
+    value = version.group(1)
+    derived = "${FASTOD_C_VERSION}"
+    reads_header = re.search(r"file\(STRINGS\s+\S*src/capi/fastod_c\.h",
+                             cmake)
+    if value == derived and reads_header:
+        return []
+    if value == header_version:
+        return []
+    return [f"{where}: fastod_c VERSION {value} differs from "
+            f"FASTOD_VERSION_* {header_version} in src/capi/fastod_c.h"]
+
+
 def main():
     violations = capi_doc_coverage(CAPI_HEADER)
     violations += link_integrity()
+    violations += abi_version_single_source(CAPI_HEADER, CMAKE_LISTS)
     for v in violations:
         print(v)
     checked = len(markdown_files())
     if violations:
         print(f"\ncheck_docs: FAILED ({len(violations)} violation(s))")
         return 1
-    print(f"check_docs: OK (C ABI documented; links resolve in "
-          f"{checked} markdown file(s))")
+    print(f"check_docs: OK (C ABI documented; ABI version has one "
+          f"source; links resolve in {checked} markdown file(s))")
     return 0
 
 
