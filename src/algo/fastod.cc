@@ -39,6 +39,10 @@ struct Node {
   AttributeSet set;
   AttributeSet cc;            // Cc+(X), subset of R
   std::vector<PairId> cs;     // Cs+(X), sorted
+  // {A ∈ X : X\A -> A holds exactly}, as far as known: the parents' sets
+  // (Augmentation) plus the exact constancy checks at X.
+  AttributeSet determined;
+  bool partition_reused = false;  // Π*_X shares a parent's partition
 };
 
 struct Level {
@@ -73,6 +77,7 @@ struct NodeOutcome {
   int64_t swap_sample_refutes = 0;
   int64_t swap_full_scans = 0;
   int64_t key_prune_hits = 0;
+  int64_t partitions_reused = 0;
 };
 
 // One lattice node of the task-graph path. Dependency tracking and the
@@ -85,6 +90,8 @@ struct TgNode {
   int level = 0;
   AttributeSet cc;
   std::vector<PairId> cs;
+  AttributeSet determined;  // as Node::determined
+  bool partition_reused = false;
   // The node's finished-alive (l-1)-subsets, in finish (arrival) order.
   std::vector<const TgNode*> parents;
   int bumps = 0;  // parents recorded so far; == level ⇒ runnable
@@ -203,20 +210,26 @@ class Run {
     root.cc = full_set_;
     previous_.Add(std::move(root));
     cache_.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(n));
-    // L1 = singletons: copied from the dataset's prebuilt partitions when
-    // available (load-once/discover-many), computed otherwise.
-    const std::vector<StrippedPartition>* prebuilt = singletons_;
-    FASTOD_DCHECK(prebuilt == nullptr ||
-                  static_cast<int>(prebuilt->size()) == m);
     for (int a = 0; a < m; ++a) {
       Node node;
       node.set = AttributeSet::Single(a);
       current_.Add(std::move(node));
-      cache_.Put(1, AttributeSet::Single(a),
-                 prebuilt != nullptr
-                     ? (*prebuilt)[a]
-                     : StrippedPartition::ForAttribute(relation_.codes(a)));
+      cache_.Put(1, AttributeSet::Single(a), SingletonPartition(a));
     }
+  }
+
+  // Π*_{A}: the dataset's prebuilt partition when available (load-once/
+  // discover-many), computed otherwise.
+  PartitionHandle SingletonPartition(int a) const {
+    if (singletons_ == nullptr) {
+      return std::make_shared<const StrippedPartition>(
+          StrippedPartition::ForAttribute(relation_.codes(a)));
+    }
+    FASTOD_DCHECK(static_cast<int>(singletons_->size()) ==
+                  relation_.NumAttributes());
+    // Borrowed, not copied: the dataset owning the prebuilt partitions
+    // outlives the Discover() call, and this run cannot outlive that.
+    return BorrowPartition((*singletons_)[a]);
   }
 
   // Algorithm 3: candidate-set maintenance plus validation at level l.
@@ -272,8 +285,8 @@ class Run {
   }
 
   // Algorithm 2: Apriori-style join of single-attribute-difference blocks,
-  // plus the all-subsets-present check; computes each new node's partition
-  // as the product of its two generating parents (Section 4.6).
+  // plus the all-subsets-present check; derives each new node's partition
+  // from its two generating parents (Section 4.6, PartitionCache::Derive).
   Level CalculateNextLevel(int l) {
     Level next;
     // Block key: the node's set minus its highest attribute. Two nodes in
@@ -304,20 +317,27 @@ class Run {
           const AttributeSet b = current_.nodes[members[j]].set;
           const AttributeSet candidate = a.Union(b);
           if (candidate.Count() != l + 1) continue;
-          // All l-subsets must be live nodes of the current level.
+          // All l-subsets must be live nodes of the current level; their
+          // exact FDs carry over to the candidate (Augmentation).
           bool all_present = true;
+          AttributeSet determined;
           for (int x = candidate.First(); x >= 0 && all_present;
                x = candidate.Next(x)) {
-            if (current_.Find(candidate.Without(x)) == nullptr) {
+            const Node* parent = current_.Find(candidate.Without(x));
+            if (parent == nullptr) {
               all_present = false;
+            } else {
+              determined = determined.Union(parent->determined);
             }
           }
           if (!all_present) continue;
+          PartitionCache::Derived derived = cache_.Derive(a, b, determined);
           Node node;
           node.set = candidate;
+          node.determined = determined;
+          node.partition_reused = derived.reused;
           next.Add(std::move(node));
-          cache_.Put(l + 1, candidate,
-                     cache_.Get(a).Product(cache_.Get(b)));
+          cache_.Put(l + 1, candidate, std::move(derived.partition));
         }
       }
     }
@@ -325,7 +345,7 @@ class Run {
   }
 
   // ===== Task-graph execution (num_threads > 1) ========================
-  // One task per lattice node. A node task builds the node's stripped
+  // One task per lattice node. A node task derives the node's stripped
   // partition from its two canonical parents, derives Cc+/Cs+, validates,
   // then bumps each (l+1)-superset's dependency counter — a child spawns
   // the instant all of its l-subsets have finished alive, with no barrier
@@ -403,24 +423,26 @@ class Run {
     }
     if (!stopped) {
       const int l = node->level;
-      // The node's partition: product of its two canonical parents
-      // (Section 4.6), exactly as the serial join computes it. Both are
-      // cached — a task only becomes ready after every parent finished.
+      // The node's partition, derived from its two canonical parents
+      // exactly as the serial join derives it. Every parent is cached and
+      // its determined set final — a task only becomes ready after every
+      // parent finished.
       if (l == 1) {
-        const int a = node->set.First();
-        cache_.Put(1, node->set,
-                   singletons_ != nullptr
-                       ? (*singletons_)[a]
-                       : StrippedPartition::ForAttribute(relation_.codes(a)));
+        cache_.Put(1, node->set, SingletonPartition(node->set.First()));
       } else {
         int y1 = -1, y2 = -1;  // the two highest attributes, y1 < y2
         for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
           y1 = y2;
           y2 = a;
         }
-        cache_.Put(l, node->set,
-                   cache_.Get(node->set.Without(y2))
-                       .Product(cache_.Get(node->set.Without(y1))));
+        for (const TgNode* p : node->parents) {
+          node->determined = node->determined.Union(p->determined);
+        }
+        PartitionCache::Derived derived =
+            cache_.Derive(node->set.Without(y2), node->set.Without(y1),
+                          node->determined);
+        node->partition_reused = derived.reused;
+        cache_.Put(l, node->set, std::move(derived.partition));
       }
       auto parent_of = [node](AttributeSet set) -> const TgNode* {
         for (const TgNode* p : node->parents) {
@@ -685,8 +707,9 @@ class Run {
     if (options_.minimality_pruning) {
       ValidateNodeMinimal(l, node, parent_of, checker, out);
     } else {
-      ValidateNodeExhaustive(l, node->set, checker, out);
+      ValidateNodeExhaustive(l, node, checker, out);
     }
+    out->partitions_reused += node->partition_reused ? 1 : 0;
     out->swap_sample_refutes += checker->num_sample_refutes() - refutes_before;
     out->swap_full_scans += checker->num_full_scans() - scans_before;
   }
@@ -704,9 +727,10 @@ class Run {
       if (options_.key_pruning && context_partition.IsSuperkey()) {
         valid = true;  // Lemma 12: a superkey context forces constancy.
         ++out->key_prune_hits;
+        node->determined = node->determined.With(a);  // e(X\A) = e(X) = 0
       } else {
         ++out->constancy_checks;
-        valid = ConstancyHolds(context_partition, node_partition, a);
+        valid = ConstancyHolds(context_partition, node_partition, a, node);
       }
       if (valid) {
         RecordConstancy(ConstancyOd{context, a}, out);
@@ -760,13 +784,15 @@ class Run {
 
   // The FASTOD-NoPruning configuration: validate every non-trivial OD at
   // this node and count all valid ones, minimal or not (Exp-5/6).
-  void ValidateNodeExhaustive(int l, AttributeSet set, SwapChecker* checker,
+  template <typename NodeT>
+  void ValidateNodeExhaustive(int l, NodeT* node, SwapChecker* checker,
                               NodeOutcome* out) {
+    const AttributeSet set = node->set;
     const StrippedPartition& node_partition = cache_.Get(set);
     for (int a = set.First(); a >= 0; a = set.Next(a)) {
       const AttributeSet context = set.Without(a);
       ++out->constancy_checks;
-      if (ConstancyHolds(cache_.Get(context), node_partition, a)) {
+      if (ConstancyHolds(cache_.Get(context), node_partition, a, node)) {
         RecordConstancy(ConstancyOd{context, a}, out);
       }
     }
@@ -802,6 +828,8 @@ class Run {
     stats->swap_sample_refutes += o->swap_sample_refutes;
     stats->swap_full_scans += o->swap_full_scans;
     stats->key_prune_hits += o->key_prune_hits;
+    stats->partitions_reused += o->partitions_reused;
+    result_.partitions_reused += o->partitions_reused;
     if (options_.sink != nullptr) {
       for (const ConstancyOd& od : o->constancy) {
         options_.sink->OnConstancy(od);
@@ -824,12 +852,16 @@ class Run {
   }
 
   // Exact validity uses the O(1) partition-error identity of Section 4.6;
-  // approximate validity (max_error > 0) uses the g3 removal errors.
+  // approximate validity (max_error > 0) uses the g3 removal errors. An
+  // exact hit is recorded in node->determined in both modes: the derive
+  // step may only share partitions on exact FDs, never on the threshold.
+  template <typename NodeT>
   bool ConstancyHolds(const StrippedPartition& context_partition,
-                      const StrippedPartition& node_partition, int a) const {
-    if (options_.max_error <= 0.0) {
-      return context_partition.Error() == node_partition.Error();
-    }
+                      const StrippedPartition& node_partition, int a,
+                      NodeT* node) const {
+    const bool exact = context_partition.Error() == node_partition.Error();
+    if (exact) node->determined = node->determined.With(a);
+    if (exact || options_.max_error <= 0.0) return exact;
     return ConstancyError(relation_, context_partition, a) <=
            options_.max_error;
   }

@@ -120,6 +120,10 @@ struct FastodLevelStats {
   int64_t swap_sample_refutes = 0;
   int64_t swap_full_scans = 0;
   int64_t key_prune_hits = 0;     // validations skipped via Lemmas 12-13
+  /// Nodes whose Π*_X shares a parent's partition instead of a product:
+  /// a known exact FD X\A -> A, or a superkey parent (PartitionCache::
+  /// Derive).
+  int64_t partitions_reused = 0;
   int64_t constancy_found = 0;
   int64_t compatibility_found = 0;
   int64_t bidirectional_found = 0;
@@ -157,10 +161,14 @@ struct FastodResult {
   int levels_processed = 0;
   int64_t total_nodes = 0;
   /// PartitionCache traffic of the run: lookups served (gets) vs
-  /// partitions built or copied in (puts) — the reuse ratio the
+  /// partitions built or shared in (puts) — the reuse ratio the
   /// observability layer reports per session.
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
+  /// Of the puts, partitions shared with a parent rather than built by a
+  /// product (sum of FastodLevelStats::partitions_reused; identical at
+  /// every thread count).
+  int64_t partitions_reused = 0;
   /// Task-graph scheduling telemetry (num_threads > 1; all 0 when the
   /// serial path ran). ready counts lattice nodes whose dependencies
   /// resolved (all (l-1)-subsets finished alive), spawned counts tasks
@@ -185,7 +193,7 @@ class Fastod {
   /// `singletons`, when given, are prebuilt level-1 partitions Π*_{A},
   /// one per attribute (data/dataset_store.h builds them once per
   /// dataset; Algorithm::BindDataset passes them here). Level
-  /// initialization copies these instead of recomputing ForAttribute —
+  /// initialization shares these instead of recomputing ForAttribute —
   /// the partition half of load-once/discover-many. Borrowed; must match
   /// the relation exactly and outlive the call.
   FastodResult Discover(

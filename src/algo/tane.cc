@@ -18,6 +18,9 @@ namespace {
 struct Node {
   AttributeSet set;
   AttributeSet cc;  // Cc+(X)
+  // {A ∈ X : X\A -> A holds exactly}, as far as known: the parents' sets
+  // (Augmentation) plus the FDs validated at X.
+  AttributeSet determined;
 };
 
 struct Level {
@@ -103,18 +106,21 @@ class Run {
     root.cc = full_set_;
     previous_.Add(std::move(root));
     cache_.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(n));
-    const std::vector<StrippedPartition>* prebuilt = singletons_;
-    FASTOD_DCHECK(prebuilt == nullptr ||
-                  static_cast<int>(prebuilt->size()) ==
+    FASTOD_DCHECK(singletons_ == nullptr ||
+                  static_cast<int>(singletons_->size()) ==
                       relation_.NumAttributes());
     for (int a = 0; a < relation_.NumAttributes(); ++a) {
       Node node;
       node.set = AttributeSet::Single(a);
       current_.Add(std::move(node));
+      // Prebuilt partitions are borrowed, not copied: the dataset owning
+      // them outlives the Discover() call, and this run cannot outlive it.
       cache_.Put(1, AttributeSet::Single(a),
-                 prebuilt != nullptr
-                     ? (*prebuilt)[a]
-                     : StrippedPartition::ForAttribute(relation_.codes(a)));
+                 singletons_ != nullptr
+                     ? BorrowPartition((*singletons_)[a])
+                     : std::make_shared<const StrippedPartition>(
+                           StrippedPartition::ForAttribute(
+                               relation_.codes(a))));
     }
   }
 
@@ -137,6 +143,7 @@ class Run {
       const StrippedPartition& context_partition = cache_.Get(context);
       if (context_partition.Error() == node_partition.Error()) {
         found->push_back(ConstancyOd{context, a});
+        node->determined = node->determined.With(a);
         node->cc = node->cc.Without(a);
         node->cc = node->cc.Intersect(node->set);
       }
@@ -208,7 +215,8 @@ class Run {
       AttributeSet set;
       AttributeSet parent_a;
       AttributeSet parent_b;
-      StrippedPartition product;
+      AttributeSet determined;
+      PartitionCache::Derived derived;
     };
     std::vector<Pending> pending;
     std::unordered_map<AttributeSet, std::vector<int32_t>, AttributeSetHash>
@@ -235,35 +243,39 @@ class Run {
           const AttributeSet a = current_.nodes[members[i]].set;
           const AttributeSet b = current_.nodes[members[j]].set;
           const AttributeSet candidate = a.Union(b);
+          // Exact FDs of the l-subsets carry over (Augmentation).
           bool all_present = true;
+          AttributeSet determined;
           for (int x = candidate.First(); x >= 0 && all_present;
                x = candidate.Next(x)) {
-            if (current_.Find(candidate.Without(x)) == nullptr) {
+            const Node* parent = current_.Find(candidate.Without(x));
+            if (parent == nullptr) {
               all_present = false;
+            } else {
+              determined = determined.Union(parent->determined);
             }
           }
           if (!all_present) continue;
           Node node;
           node.set = candidate;
+          node.determined = determined;
           next.Add(std::move(node));
-          pending.push_back(Pending{candidate, a, b, {}});
+          pending.push_back(Pending{candidate, a, b, determined, {}});
         }
       }
     }
-    // The products — the bulk of the join's cost at scale — run as tasks;
-    // puts happen afterwards in join order so cache traffic stays
-    // identical to the serial walk.
+    // The derive steps — products are the bulk of the join's cost at
+    // scale — run as tasks; puts happen afterwards in join order so cache
+    // traffic stays identical to the serial walk.
+    auto derive = [this](Pending& p) {
+      p.derived = cache_.Derive(p.parent_a, p.parent_b, p.determined);
+    };
     if (pool_ == nullptr) {
-      for (Pending& p : pending) {
-        p.product = cache_.Get(p.parent_a).Product(cache_.Get(p.parent_b));
-      }
+      for (Pending& p : pending) derive(p);
     } else {
       TaskGraph graph(pool_.get());
       for (Pending& p : pending) {
-        graph.Spawn([this, &p] {
-          p.product =
-              cache_.Get(p.parent_a).Product(cache_.Get(p.parent_b));
-        });
+        graph.Spawn([&derive, &p] { derive(p); });
       }
       graph.Run();
       result_.tasks_ready += static_cast<int64_t>(pending.size());
@@ -271,7 +283,8 @@ class Run {
       result_.tasks_stolen += graph.stolen();
     }
     for (Pending& p : pending) {
-      cache_.Put(l + 1, p.set, std::move(p.product));
+      result_.partitions_reused += p.derived.reused ? 1 : 0;
+      cache_.Put(l + 1, p.set, std::move(p.derived.partition));
     }
     return next;
   }

@@ -66,6 +66,8 @@ struct TaneResult {
   /// PartitionCache traffic (see FastodResult).
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
+  /// Of the puts, partitions shared with a parent (see FastodResult).
+  int64_t partitions_reused = 0;
   /// Task-graph scheduling telemetry (num_threads > 1; see FastodResult).
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;

@@ -35,6 +35,7 @@ obs::EngineStats StatsOf(const FastodResult& result) {
   stats.ods_emitted = result.NumOds();
   stats.partition_cache_gets = result.partition_cache_gets;
   stats.partition_cache_puts = result.partition_cache_puts;
+  stats.partitions_reused = result.partitions_reused;
   stats.tasks_ready = result.tasks_ready;
   stats.tasks_spawned = result.tasks_spawned;
   stats.tasks_stolen = result.tasks_stolen;
@@ -48,6 +49,7 @@ obs::EngineStats StatsOf(const FastodResult& result) {
     l.swap_checks = level.swap_checks;
     l.swap_sample_refutes = level.swap_sample_refutes;
     l.key_prune_hits = level.key_prune_hits;
+    l.partitions_reused = level.partitions_reused;
     l.ods_found = level.constancy_found + level.compatibility_found +
                   level.bidirectional_found;
     l.seconds = level.seconds;
@@ -174,6 +176,7 @@ Status TaneAlgorithm::ExecuteInternal() {
   stats.ods_emitted = result_.num_fds;
   stats.partition_cache_gets = result_.partition_cache_gets;
   stats.partition_cache_puts = result_.partition_cache_puts;
+  stats.partitions_reused = result_.partitions_reused;
   stats.tasks_ready = result_.tasks_ready;
   stats.tasks_spawned = result_.tasks_spawned;
   stats.tasks_stolen = result_.tasks_stolen;

@@ -188,7 +188,8 @@ std::string RenderStatsText(const obs::EngineStats& stats) {
   }
   out += "  partition cache:  " +
          std::to_string(stats.partition_cache_gets) + " gets, " +
-         std::to_string(stats.partition_cache_puts) + " puts\n";
+         std::to_string(stats.partition_cache_puts) + " puts, " +
+         std::to_string(stats.partitions_reused) + " reused\n";
   out += "  ods emitted:      " + std::to_string(stats.ods_emitted) + "\n";
   for (const obs::LevelStats& level : stats.levels) {
     char line[160];

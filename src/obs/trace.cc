@@ -59,6 +59,7 @@ std::string TraceRecorder::ToJson() const {
         .Key("ods_emitted").Int(s.ods_emitted)
         .Key("partition_cache_gets").Int(s.partition_cache_gets)
         .Key("partition_cache_puts").Int(s.partition_cache_puts)
+        .Key("partitions_reused").Int(s.partitions_reused)
         .Key("tasks_ready").Int(s.tasks_ready)
         .Key("tasks_spawned").Int(s.tasks_spawned)
         .Key("tasks_stolen").Int(s.tasks_stolen);
@@ -72,6 +73,7 @@ std::string TraceRecorder::ToJson() const {
           .Key("swap_checks").Int(level.swap_checks)
           .Key("swap_sample_refutes").Int(level.swap_sample_refutes)
           .Key("key_prune_hits").Int(level.key_prune_hits)
+          .Key("partitions_reused").Int(level.partitions_reused)
           .Key("ods_found").Int(level.ods_found)
           .Key("seconds").Double(level.seconds)
           .Key("occupancy").Double(level.occupancy)

@@ -46,6 +46,9 @@ struct LevelStats {
   /// Swap checks refuted by a swap in the witness sample before any full
   /// scan (fastod's kAuto swap method; partition/sorted_partition.h).
   int64_t swap_sample_refutes = 0;
+  /// Nodes whose partition was shared with a parent instead of built by
+  /// a product (partition/partition_cache.h, Derive).
+  int64_t partitions_reused = 0;
 };
 
 /// Engine totals for one Execute(). Engines fill the counters they
@@ -63,6 +66,7 @@ struct EngineStats {
   int64_t ods_emitted = 0;
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
+  int64_t partitions_reused = 0;  // of the puts, see LevelStats
   /// Task-graph scheduling counters (num_threads > 1 runs of fastod /
   /// approximate / tane; zero otherwise). ready counts nodes whose
   /// dependencies completed, spawned counts tasks handed to the

@@ -1,16 +1,20 @@
 // A level-aware cache of stripped partitions keyed by AttributeSet.
 //
-// The level-wise algorithms (FASTOD, TANE) compute Π*_X for every lattice
-// node X as the product of two parent partitions from the previous level
-// (Section 4.6: "only partitions from the previous level are needed").
-// FASTOD's order-compatibility checks additionally read contexts two levels
-// up (X \ {A,B} has |X| - 2 attributes), so the cache retains a sliding
-// window of levels and evicts older ones to bound memory.
+// The level-wise algorithms (FASTOD, TANE) derive Π*_X for every lattice
+// node X from its two generating parents at the previous level (Section
+// 4.6: "only partitions from the previous level are needed"), usually as
+// their product — but when a known exact FD makes Π*_X equal to a
+// parent's partition, the node shares that parent's partition instead
+// (Derive below). FASTOD's order-compatibility checks additionally read
+// contexts two levels up (X \ {A,B} has |X| - 2 attributes), so the cache
+// retains a sliding window of levels and evicts older ones to bound
+// memory.
 #ifndef FASTOD_PARTITION_PARTITION_CACHE_H_
 #define FASTOD_PARTITION_PARTITION_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -19,13 +23,25 @@
 
 namespace fastod {
 
-// Thread-safety: reads (Get/Contains/NumCached/TotalElements) take a
-// shared lock, writes (Put/EvictBelow) an exclusive one, so the
+/// An immutable stripped partition shared by every lattice node whose
+/// partition it is. A handle may also be non-owning (empty control block)
+/// when the partition lives in a longer-lived owner, such as a dataset's
+/// prebuilt level-1 partitions.
+using PartitionHandle = std::shared_ptr<const StrippedPartition>;
+
+/// A non-owning handle to `partition`, which must outlive every reader of
+/// the handle (and of the cache it is put into).
+inline PartitionHandle BorrowPartition(const StrippedPartition& partition) {
+  return PartitionHandle(PartitionHandle(), &partition);
+}
+
+// Thread-safety: reads (Get/Derive/Contains/NumCached/TotalElements) take
+// a shared lock, writes (Put/EvictBelow) an exclusive one, so the
 // task-graph search can insert a node's partition while sibling tasks
-// look parents up. References returned by Get stay valid under
-// concurrent Put (std::unordered_map never invalidates references on
-// insert) and under the engines' eviction discipline: EvictBelow(v-1)
-// is only called once every task that could read a level < v-1
+// look parents up. Values are handles to immutable partitions, and Get
+// returns a reference into the handle's partition: it stays valid under
+// concurrent Put and under the engines' eviction discipline — EvictBelow
+// (v-1) is only called once every task that could read a level < v-1
 // partition has finished (see docs/CONCURRENCY.md). Overwriting an
 // existing key while a reader holds its reference is NOT safe — the
 // level-wise engines never do (each Π*_X is put exactly once).
@@ -36,11 +52,33 @@ class PartitionCache {
   PartitionCache& operator=(const PartitionCache&) = delete;
 
   /// Registers Π*_X at lattice level `level` (= |X|).
-  void Put(int level, AttributeSet set, StrippedPartition partition);
+  void Put(int level, AttributeSet set, PartitionHandle partition);
+  void Put(int level, AttributeSet set, StrippedPartition partition) {
+    Put(level, set,
+        std::make_shared<const StrippedPartition>(std::move(partition)));
+  }
 
   /// Π*_X, which must be present (guaranteed by level-wise construction:
   /// every subset of a live node is a live node of its level).
   const StrippedPartition& Get(AttributeSet set) const;
+
+  struct Derived {
+    PartitionHandle partition;
+    bool reused = false;  // shares a parent's partition, no product built
+  };
+
+  /// The derive step: Π*_X for X = left ∪ right, where `left` and
+  /// `right` are X's two generating parents (both cached). `determined`
+  /// is a set of attributes A ∈ X for which X\A -> A is known to hold
+  /// exactly (e(X\A) = e(X) observed at X or at a subset of X, lifted by
+  /// Augmentation). The rules, in order:
+  ///   1. determined non-empty: X\A -> A means Π*_X = Π*_{X\A}; share
+  ///      Π*_{X\A} for A the lowest attribute of `determined`;
+  ///   2. a superkey parent: Π*_X is empty too; share that parent's;
+  ///   3. otherwise the linear product of the two parents.
+  /// Copies handles; the product (rule 3) runs outside the lock.
+  Derived Derive(AttributeSet left, AttributeSet right,
+                 AttributeSet determined) const;
 
   /// True iff Π*_X is cached.
   bool Contains(AttributeSet set) const {
@@ -56,21 +94,24 @@ class PartitionCache {
     return static_cast<int64_t>(partitions_.size());
   }
 
-  /// Total tuples held across cached partitions (memory telemetry).
+  /// Total tuples held across distinct cached partitions (memory
+  /// telemetry): a partition shared by several keys counts once.
   int64_t TotalElements() const;
 
   /// Lifetime lookup/insert traffic (search telemetry: a Get is a
-  /// partition reuse, a Put is a partition the run had to build or copy).
-  /// Counted with relaxed atomics so concurrent validation scans can
-  /// read partitions without synchronizing on the counters.
+  /// partition read, a Put is a partition the run built or shared). Counted with relaxed atomics so concurrent validation scans
+  /// can read partitions without synchronizing on the counters.
   int64_t gets() const { return gets_.load(std::memory_order_relaxed); }
   int64_t puts() const { return puts_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
     int level;
-    StrippedPartition partition;
+    PartitionHandle partition;
   };
+  // Copies the handle of Π*_X under the shared lock (one get).
+  PartitionHandle Handle(AttributeSet set) const;
+
   mutable std::shared_mutex mutex_;
   std::unordered_map<AttributeSet, Entry, AttributeSetHash> partitions_;
   mutable std::atomic<int64_t> gets_{0};

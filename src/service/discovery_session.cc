@@ -254,9 +254,15 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
       ->Inc(stats.partition_cache_gets);
   registry
       .GetCounter("fastod_partition_cache_puts_total",
-                  "Partitions built or copied into the PartitionCache",
+                  "Partitions built or shared into the PartitionCache",
                   by_algorithm)
       ->Inc(stats.partition_cache_puts);
+  registry
+      .GetCounter("fastod_partition_reuses_total",
+                  "Partitions shared with a parent lattice node instead of "
+                  "built by a product",
+                  by_algorithm)
+      ->Inc(stats.partitions_reused);
   registry
       .GetCounter("fastod_tasks_ready_total",
                   "Lattice nodes whose dependencies completed and that "

@@ -450,6 +450,8 @@ TEST_F(CliTest, DiscoverStatsAppendsSearchCounters) {
   EXPECT_NE(r.output.find("search stats:"), std::string::npos);
   EXPECT_NE(r.output.find("nodes visited"), std::string::npos);
   EXPECT_NE(r.output.find("refuted by a sampled swap"), std::string::npos);
+  EXPECT_NE(r.output.find(" puts, "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(" reused\n"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("level 1:"), std::string::npos);
 
   // Without the flag, no stats block.

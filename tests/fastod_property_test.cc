@@ -10,6 +10,7 @@
 #include "algo/brute_force_discovery.h"
 #include "algo/fastod.h"
 #include "algo/tane.h"
+#include "common/rng.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
@@ -195,6 +196,109 @@ TEST(FastodNanTest, NanColumnIsNotConstantAndMatchesBruteForce) {
   }
   ExpectSameOds(got, BruteForceDiscoverOds(*rel));
 }
+
+// Partition reuse (PartitionCache::Derive) on relations with planted
+// exact FDs: a constant column c, a key column k, a -> b (b = a / 2, also
+// order-compatible), and three random columns. Reuse must fire, leave
+// every engine's output equal to the oracle's, and be decided identically
+// by the serial walk and the task graph.
+class PartitionReuseOracleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static EncodedRelation PlantedRelation(uint64_t seed) {
+    Rng rng(seed);
+    std::string csv = "c,k,a,b,d,e,f\n";
+    for (int t = 0; t < 30; ++t) {
+      const int64_t a = rng.Uniform(5);
+      csv += "7," + std::to_string(t) + "," + std::to_string(a) + "," +
+             std::to_string(a / 2) + "," + std::to_string(rng.Uniform(3)) +
+             "," + std::to_string(rng.Uniform(3)) + "," +
+             std::to_string(rng.Uniform(4)) + "\n";
+    }
+    Result<EncodedRelation> rel = EncodeCsvString(csv);
+    EXPECT_TRUE(rel.ok());
+    return std::move(rel).value();
+  }
+
+  template <typename T>
+  static std::vector<T> Sorted(std::vector<T> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  }
+
+  // Runs `options` at one and four threads; checks both against the
+  // oracle and returns the (thread-independent) reuse count.
+  static int64_t CheckFastod(const EncodedRelation& rel, FastodOptions options,
+                             const BruteForceDiscoveryResult& want) {
+    int64_t reused = -1;
+    for (int threads : {1, 4}) {
+      options.num_threads = threads;
+      FastodResult got = Fastod(options).Discover(rel);
+      EXPECT_EQ(Sorted(got.constancy_ods), Sorted(want.constancy_ods))
+          << "threads=" << threads;
+      EXPECT_EQ(Sorted(got.compatibility_ods), Sorted(want.compatibility_ods))
+          << "threads=" << threads;
+      EXPECT_EQ(Sorted(got.bidirectional_ods), Sorted(want.bidirectional_ods))
+          << "threads=" << threads;
+      int64_t per_level = 0;
+      for (const FastodLevelStats& level : got.level_stats) {
+        per_level += level.partitions_reused;
+      }
+      EXPECT_EQ(per_level, got.partitions_reused);
+      if (reused >= 0) {
+        EXPECT_EQ(got.partitions_reused, reused);
+      }
+      reused = got.partitions_reused;
+    }
+    EXPECT_GT(reused, 0);
+    return reused;
+  }
+};
+
+TEST_P(PartitionReuseOracleTest, ExactDiscoveryMatchesBruteForce) {
+  EncodedRelation rel = PlantedRelation(GetParam());
+  CheckFastod(rel, FastodOptions(), BruteForceDiscoverOds(rel));
+}
+
+TEST_P(PartitionReuseOracleTest, ApproximateDiscoveryMatchesBruteForce) {
+  EncodedRelation rel = PlantedRelation(GetParam());
+  // Threshold-valid but inexact FDs must not share partitions: a shared
+  // Π*_X that is not Π*_X would shift later errors off the oracle's.
+  for (double eps : {0.05, 0.15, 0.4}) {
+    FastodOptions options;
+    options.max_error = eps;
+    CheckFastod(rel, options, BruteForceDiscoverOds(rel, eps));
+  }
+}
+
+TEST_P(PartitionReuseOracleTest, BidirectionalDiscoveryMatchesBruteForce) {
+  EncodedRelation rel = PlantedRelation(GetParam());
+  FastodOptions options;
+  options.discover_bidirectional = true;
+  CheckFastod(rel, options,
+              BruteForceDiscoverOds(rel, /*max_error=*/0.0,
+                                    /*discover_bidirectional=*/true));
+}
+
+TEST_P(PartitionReuseOracleTest, TaneMatchesBruteForce) {
+  EncodedRelation rel = PlantedRelation(GetParam());
+  const std::vector<ConstancyOd> want =
+      Sorted(BruteForceDiscoverOds(rel).constancy_ods);
+  int64_t reused = -1;
+  for (int threads : {1, 4}) {
+    TaneOptions options;
+    options.num_threads = threads;
+    TaneResult got = Tane(options).Discover(rel);
+    EXPECT_EQ(Sorted(got.fds), want) << "threads=" << threads;
+    if (reused >= 0) {
+      EXPECT_EQ(got.partitions_reused, reused);
+    }
+    reused = got.partitions_reused;
+  }
+  EXPECT_GT(reused, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PartitionReuseOracleTest,
+                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 }  // namespace
 }  // namespace fastod

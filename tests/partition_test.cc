@@ -209,5 +209,119 @@ TEST(PartitionCacheTest, TotalElementsTracksEvictionAndStripping) {
   EXPECT_EQ(cache.TotalElements(), 3);
 }
 
+// A relation with planted structure for the derive step: a constant
+// column c, a key column k, a random column a, b = a / 2 (so a -> b), and
+// a random column d.
+class PartitionDeriveTest : public ::testing::Test {
+ protected:
+  enum Attr { kC = 0, kK = 1, kA = 2, kB = 3, kD = 4 };
+  static constexpr int64_t kRows = 40;
+
+  PartitionDeriveTest() {
+    std::vector<int32_t> c(kRows, 0), k(kRows), a(kRows), b(kRows), d(kRows);
+    for (int64_t t = 0; t < kRows; ++t) {
+      k[t] = static_cast<int32_t>(t);
+      a[t] = static_cast<int32_t>((t * 7 + 3) % 6);
+      b[t] = a[t] / 2;
+      d[t] = static_cast<int32_t>((t / 6) % 3);  // independent of a
+    }
+    columns_ = {CodeColumn::FromRanks(c, 1), CodeColumn::FromRanks(k, kRows),
+                CodeColumn::FromRanks(a, 6), CodeColumn::FromRanks(b, 3),
+                CodeColumn::FromRanks(d, 3)};
+    for (int x = 0; x < static_cast<int>(columns_.size()); ++x) {
+      cache_.Put(1, AttributeSet::Single(x),
+                 StrippedPartition::ForAttribute(columns_[x]));
+    }
+  }
+
+  static AttributeSet Set(std::initializer_list<int> attrs) {
+    AttributeSet set;
+    for (int x : attrs) set = set.With(x);
+    return set;
+  }
+
+  StrippedPartition Direct(AttributeSet set) const {
+    std::vector<const CodeColumn*> cols;
+    for (int x = set.First(); x >= 0; x = set.Next(x)) {
+      cols.push_back(&columns_[x]);
+    }
+    return StrippedPartition::FromCodeColumns(cols, kRows);
+  }
+
+  std::vector<CodeColumn> columns_;
+  PartitionCache cache_;
+};
+
+TEST_F(PartitionDeriveTest, DeterminedAttributeSharesTheParentPartition) {
+  // {a} -> b: Π*_{ab} is Π*_{a}, shared rather than rebuilt.
+  PartitionCache::Derived ab =
+      cache_.Derive(Set({kA}), Set({kB}), Set({kB}));
+  EXPECT_TRUE(ab.reused);
+  EXPECT_EQ(ab.partition.get(), &cache_.Get(Set({kA})));
+  EXPECT_EQ(*ab.partition, Direct(Set({kA, kB})));
+  // {} -> c (constant column), so {d} -> c: Π*_{cd} is Π*_{d}.
+  PartitionCache::Derived cd =
+      cache_.Derive(Set({kC}), Set({kD}), Set({kC}));
+  EXPECT_TRUE(cd.reused);
+  EXPECT_EQ(cd.partition.get(), &cache_.Get(Set({kD})));
+  EXPECT_EQ(*cd.partition, Direct(Set({kC, kD})));
+  // One level up: {a} -> b lifts to {a, d} -> b, so Π*_{abd} is
+  // Π*_{ad}.
+  cache_.Put(2, Set({kA, kB}), ab.partition);
+  cache_.Put(2, Set({kA, kD}),
+             cache_.Derive(Set({kA}), Set({kD}), AttributeSet()).partition);
+  PartitionCache::Derived abd =
+      cache_.Derive(Set({kA, kB}), Set({kA, kD}), Set({kB}));
+  EXPECT_TRUE(abd.reused);
+  EXPECT_EQ(abd.partition.get(), &cache_.Get(Set({kA, kD})));
+  EXPECT_EQ(*abd.partition, Direct(Set({kA, kB, kD})));
+}
+
+TEST_F(PartitionDeriveTest, SuperkeyParentIsShared) {
+  for (bool key_left : {true, false}) {
+    PartitionCache::Derived kd =
+        key_left ? cache_.Derive(Set({kK}), Set({kD}), AttributeSet())
+                 : cache_.Derive(Set({kD}), Set({kK}), AttributeSet());
+    EXPECT_TRUE(kd.reused);
+    EXPECT_EQ(kd.partition.get(), &cache_.Get(Set({kK})));
+    EXPECT_TRUE(kd.partition->IsSuperkey());
+    EXPECT_EQ(*kd.partition, Direct(Set({kK, kD})));
+  }
+}
+
+TEST_F(PartitionDeriveTest, NothingKnownFallsBackToTheProduct) {
+  PartitionCache::Derived ad =
+      cache_.Derive(Set({kA}), Set({kD}), AttributeSet());
+  EXPECT_FALSE(ad.reused);
+  EXPECT_NE(ad.partition.get(), &cache_.Get(Set({kA})));
+  EXPECT_NE(ad.partition.get(), &cache_.Get(Set({kD})));
+  EXPECT_EQ(*ad.partition, Direct(Set({kA, kD})));
+  EXPECT_EQ(*ad.partition,
+            cache_.Get(Set({kA})).Product(cache_.Get(Set({kD}))));
+}
+
+TEST_F(PartitionDeriveTest, TotalElementsCountsASharedPartitionOnce) {
+  const int64_t before = cache_.TotalElements();
+  cache_.Put(2, Set({kA, kB}),
+             cache_.Derive(Set({kA}), Set({kB}), Set({kB})).partition);
+  EXPECT_EQ(cache_.NumCached(), 6);
+  EXPECT_EQ(cache_.TotalElements(), before);
+  // Evicting level 1 leaves the shared partition alive under {a, b}.
+  const int64_t a_elements = cache_.Get(Set({kA})).NumElements();
+  cache_.EvictBelow(2);
+  EXPECT_EQ(cache_.TotalElements(), a_elements);
+  EXPECT_EQ(cache_.Get(Set({kA, kB})), Direct(Set({kA, kB})));
+}
+
+TEST(PartitionCacheTest, BorrowedPartitionIsServedInPlace) {
+  const StrippedPartition owned =
+      StrippedPartition::ForAttribute({0, 0, 1, 1}, 2);
+  PartitionCache cache;
+  cache.Put(1, AttributeSet::Single(0), BorrowPartition(owned));
+  EXPECT_EQ(&cache.Get(AttributeSet::Single(0)), &owned);
+  cache.EvictBelow(2);  // dropping a borrowed handle frees nothing
+  EXPECT_EQ(owned.NumElements(), 4);
+}
+
 }  // namespace
 }  // namespace fastod

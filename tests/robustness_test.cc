@@ -407,9 +407,11 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   DiscoveryService service(1);  // one worker: reuse is observable
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  // Large enough that a 50 ms budget cannot finish the lattice walk.
+  // A lattice walk far beyond a 50 ms budget: hepatitis-like 155x16 is
+  // a deep, wide lattice (~0.4 s serially), unlike a row-heavy input
+  // whose products partition reuse can short-cut.
   ASSERT_TRUE(
-      service.LoadTable(*id, GenFlightLike(4000, 14)).ok());
+      service.LoadTable(*id, GenHepatitisLike(155, 16)).ok());
   ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "50").ok());
   WallTimer timer;
   ASSERT_TRUE(service.Submit(*id).ok());

@@ -1303,6 +1303,9 @@ TEST(DiscoveryServerTest, MetricsEndpointExposesPrometheusFamilies) {
   EXPECT_NE(body.find("fastod_swap_sample_refutations_total{algorithm="
                       "\"fastod\"}"),
             std::string::npos) << body;
+  EXPECT_NE(body.find("fastod_partition_reuses_total{algorithm="
+                      "\"fastod\"}"),
+            std::string::npos) << body;
   EXPECT_NE(body.find("# TYPE fastod_dataset_store_resident_bytes gauge"),
             std::string::npos) << body;
   EXPECT_NE(body.find("fastod_service_active_sessions"),

@@ -126,6 +126,10 @@ TEST(SessionTrace, LevelCountersMatchDirectRun) {
             expected.ods_emitted);
   EXPECT_EQ(engine->Find("swap_sample_refutes")->int_value(),
             expected.swap_sample_refutes);
+  // The employee table's FDs let some nodes share a parent's partition.
+  EXPECT_GT(expected.partitions_reused, 0);
+  EXPECT_EQ(engine->Find("partitions_reused")->int_value(),
+            expected.partitions_reused);
   const JsonValue* levels = engine->Find("levels");
   ASSERT_TRUE(levels != nullptr && levels->is_array());
   ASSERT_EQ(levels->array_items().size(), expected.levels.size());
@@ -141,6 +145,8 @@ TEST(SessionTrace, LevelCountersMatchDirectRun) {
               expected.levels[i].swap_checks);
     EXPECT_EQ(level.Find("swap_sample_refutes")->int_value(),
               expected.levels[i].swap_sample_refutes);
+    EXPECT_EQ(level.Find("partitions_reused")->int_value(),
+              expected.levels[i].partitions_reused);
     EXPECT_EQ(level.Find("ods_found")->int_value(),
               expected.levels[i].ods_found);
   }
