@@ -2,13 +2,13 @@
 // on relations where per-level node counts are large enough to keep
 // workers busy. Output is identical across thread counts (tested in
 // tests/parallel_test.cc and tests/task_graph_test.cc); this bench
-// measures the wall-clock effect of the work-stealing task graph that
-// replaced the per-level merge barrier.
+// measures the wall-clock effect of the level walk's parallel batches
+// (one validate task per node, one derive task per child).
 //
 // The "wide" workload is the CI scaling gate's input: many attributes
 // with the level depth capped, so the lattice is broad (thousands of
-// independent node tasks per level) and the task graph's ready-front
-// stays much wider than the worker count. Each record carries threads,
+// independent node tasks per level), so every batch stays much wider
+// than the worker count. Each record carries threads,
 // speedup vs the 1-thread run of the same workload, and the machine's
 // hardware_concurrency so the gate can scale its expectation to the
 // runner it measured on (a 2-core runner cannot show 3x).

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -49,10 +48,6 @@ struct Level {
   std::vector<Node> nodes;
   std::unordered_map<AttributeSet, int32_t, AttributeSetHash> index;
 
-  Node* Find(AttributeSet set) {
-    auto it = index.find(set);
-    return it == index.end() ? nullptr : &nodes[it->second];
-  }
   const Node* Find(AttributeSet set) const {
     auto it = index.find(set);
     return it == index.end() ? nullptr : &nodes[it->second];
@@ -80,40 +75,6 @@ struct NodeOutcome {
   int64_t partitions_reused = 0;
 };
 
-// One lattice node of the task-graph path. Dependency tracking and the
-// bookkeeping fields (bumps, parents) are guarded by Run::tg_mutex_; the
-// candidate sets and outcome are written only by the node's own task and
-// read only after it finished (FinishNodeTask's mutex acquisition is the
-// release/acquire edge).
-struct TgNode {
-  AttributeSet set;
-  int level = 0;
-  AttributeSet cc;
-  std::vector<PairId> cs;
-  AttributeSet determined;  // as Node::determined
-  bool partition_reused = false;
-  // The node's finished-alive (l-1)-subsets, in finish (arrival) order.
-  std::vector<const TgNode*> parents;
-  int bumps = 0;  // parents recorded so far; == level ⇒ runnable
-  bool ran = false;
-  bool alive = false;  // survives Lemma 11 pruning
-  NodeOutcome outcome;
-  double task_seconds = 0.0;
-};
-
-// Per-level progress of the task-graph path (guarded by Run::tg_mutex_,
-// except the emission itself which is serialized by tg_emitting_).
-struct TgLevel {
-  std::vector<TgNode*> order;    // canonical (sequential) emission order
-  std::vector<TgNode*> created;  // every node minted at this level
-  bool structure_known = false;  // membership final; `expected` valid
-  bool emitted = false;
-  int64_t expected = 0;
-  int64_t finished = 0;
-  double start_seconds = 0.0;  // vs run start, for the occupancy gauge
-  double busy_seconds = 0.0;   // summed task execution time
-};
-
 // The whole per-run state of one discovery, so Discover() stays const and
 // re-entrant on the Fastod object.
 class Run {
@@ -125,27 +86,28 @@ class Run {
         singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         sorted_(relation),
-        serial_checker_(&relation, &sorted_, options.swap_method),
         deadline_(options.timeout_seconds > 0.0
                       ? Deadline::After(options.timeout_seconds)
                       : Deadline::Infinite()) {
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1,
-                                           "fastod-od");
+    const int parties = std::max(1, options_.num_threads);
+    if (parties > 1) {
+      pool_ = std::make_unique<ThreadPool>(parties - 1, "fastod-od");
+    }
+    // One checker per party (TaskGraph::CurrentSlot), reused across
+    // levels for its scratch buffers.
+    checkers_.reserve(parties);
+    for (int i = 0; i < parties; ++i) {
+      checkers_.emplace_back(&relation_, &sorted_, options_.swap_method);
     }
   }
 
+  // The level-wise walk (Algorithm 1). Each level validates every node
+  // (one task per node), merges the outcomes in node order, prunes, joins
+  // the next level and derives its partitions (one task per child). The
+  // batches run on the task graph when num_threads > 1 and inline
+  // otherwise; everything between them runs on the calling thread, so
+  // output is identical at every thread count.
   FastodResult Execute() {
-    return pool_ != nullptr ? ExecuteTaskGraph() : ExecuteSerial();
-  }
-
- private:
-  // ===== Serial level-wise walk (num_threads == 1) =====================
-  // The reference implementation: its node order is the canonical order
-  // the task-graph path reproduces, and its output is the equivalence
-  // oracle for every parallel run (tests/parallel_test.cc).
-
-  FastodResult ExecuteSerial() {
     WallTimer total_timer;
     InitializeLevels();
     const int m = relation_.NumAttributes();
@@ -153,19 +115,20 @@ class Run {
     while (!current_.nodes.empty()) {
       if (options_.max_level > 0 && l > options_.max_level) break;
       WallTimer level_timer;
+      level_busy_seconds_ = 0.0;
       FastodLevelStats stats;
       stats.level = l;
       stats.nodes = static_cast<int64_t>(current_.nodes.size());
       result_.total_nodes += stats.nodes;
 
       ComputeOds(l, &stats);
-      if (result_.timed_out || result_.cancelled) {
+      if (Stopped()) {
         FinishLevel(level_timer, &stats);
         break;
       }
       PruneLevels(l, &stats);
       // Skip the apriori join for a level the max_level cap would refuse
-      // anyway (the task-graph path never creates those nodes either).
+      // anyway.
       Level next;
       if (options_.max_level == 0 || l < options_.max_level) {
         next = CalculateNextLevel(l);
@@ -180,19 +143,13 @@ class Run {
       current_ = std::move(next);
       cache_.EvictBelow(l - 1);
       ++l;
-      if (deadline_.Exceeded()) {
-        result_.timed_out = true;
-        break;
-      }
-      if (Cancelled()) {
-        result_.cancelled = true;
-        break;
-      }
+      if (StopRequested()) break;
     }
+    result_.timed_out = timed_out_.load();
+    result_.cancelled = cancelled_.load();
     // A clean finish is 100%; early exits keep the last level's fraction
     // so pollers never see a cancelled/timed-out run as complete.
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
+    if (options_.control != nullptr && !Stopped()) {
       options_.control->ReportProgress(1.0);
     }
     result_.partition_cache_gets = cache_.gets();
@@ -201,6 +158,7 @@ class Run {
     return std::move(result_);
   }
 
+ private:
   void InitializeLevels() {
     const int64_t n = relation_.NumRows();
     const int m = relation_.NumAttributes();
@@ -232,40 +190,62 @@ class Run {
     return BorrowPartition((*singletons_)[a]);
   }
 
-  // Algorithm 3: candidate-set maintenance plus validation at level l.
+  // Runs task(i) for every i in [0, n): inline in index order on a serial
+  // run, else one TaskGraph task per index, adding the tasks' execution
+  // time to the level's busy seconds (the occupancy numerator). Node
+  // batches also feed the tasks_* counters, one task per lattice node.
+  void RunBatch(size_t n, bool node_tasks,
+                const std::function<void(size_t)>& task) {
+    if (pool_ == nullptr) {
+      for (size_t i = 0; i < n; ++i) task(i);
+      return;
+    }
+    TaskGraph graph(pool_.get());
+    std::atomic<double> busy_seconds{0.0};
+    for (size_t i = 0; i < n; ++i) {
+      graph.Spawn([&task, &busy_seconds, i] {
+        WallTimer timer;
+        task(i);
+        busy_seconds.fetch_add(timer.ElapsedSeconds());
+      });
+    }
+    graph.Run();
+    level_busy_seconds_ += busy_seconds.load();
+    if (node_tasks) {
+      result_.tasks_ready += static_cast<int64_t>(n);
+      result_.tasks_spawned += graph.spawned();
+      result_.tasks_stolen += graph.stolen();
+    }
+  }
+
+  // Algorithm 3: candidate-set maintenance plus validation at level l,
+  // one task per node, merged in node order: deterministic output for any
+  // thread count. A sink streams at the merge; emit_ods independently
+  // accumulates the vectors.
   void ComputeOds(int l, FastodLevelStats* stats) {
-    const int64_t num_nodes = static_cast<int64_t>(current_.nodes.size());
-    auto parent_of = [this](AttributeSet set) {
-      return previous_.Find(set);
-    };
-    // Phase 1: derive Cc+ / Cs+ for every node from the previous level.
-    if (options_.minimality_pruning) {
-      for (int64_t i = 0; i < num_nodes; ++i) {
-        ComputeCandidateSets(l, &current_.nodes[i], parent_of);
-      }
-    }
-    // Phase 2: validate every node against the partition cache.
-    std::vector<NodeOutcome> outcomes(num_nodes);
-    for (int64_t i = 0; i < num_nodes; ++i) {
-      if ((i & 0xff) == 0) {
-        if (deadline_.Exceeded()) {
-          result_.timed_out = true;
-          break;
-        }
-        if (Cancelled()) {
-          result_.cancelled = true;
-          break;
-        }
-      }
-      // Serial: reuse the persistent checker's scratch buffers.
-      ValidateNode(l, &current_.nodes[i], parent_of, &serial_checker_,
-                   &outcomes[i]);
-    }
-    // Merge in node order: deterministic output for any thread count. A
-    // sink streams here; emit_ods independently accumulates the vectors.
+    std::vector<NodeOutcome> outcomes(current_.nodes.size());
+    RunBatch(outcomes.size(), /*node_tasks=*/true, [&](size_t i) {
+      ProcessNode(l, &current_.nodes[i], &outcomes[i]);
+    });
     for (NodeOutcome& o : outcomes) {
       MergeOutcome(&o, stats);
     }
+  }
+
+  // One node task. Reads only the finished previous level and the
+  // partition cache; writes only its own node and outcome slot.
+  void ProcessNode(int l, Node* node, NodeOutcome* out) {
+    if (StopRequested()) return;
+    // Task-boundary fault point: "fail" degrades to cooperative
+    // cancellation (the run ends flagged cancelled, like a control stop);
+    // "throw" exercises the TaskGraph exception drain; "sleep" randomizes
+    // completion order for the determinism stress tests.
+    if (FASTOD_FAULT_POINT("task_graph.task")) {
+      cancelled_.store(true);
+      return;
+    }
+    if (options_.minimality_pruning) ComputeCandidateSets(l, node);
+    ValidateNode(l, node, &checkers_[TaskGraph::CurrentSlot()], out);
   }
 
   // Algorithm 4: delete nodes whose candidate sets are both empty.
@@ -289,6 +269,7 @@ class Run {
   // from its two generating parents (Section 4.6, PartitionCache::Derive).
   Level CalculateNextLevel(int l) {
     Level next;
+    std::vector<std::pair<AttributeSet, AttributeSet>> parents;
     // Block key: the node's set minus its highest attribute. Two nodes in
     // the same block share an (l-1)-subset and differ in one attribute.
     std::unordered_map<AttributeSet, std::vector<int32_t>, AttributeSetHash>
@@ -331,332 +312,38 @@ class Run {
             }
           }
           if (!all_present) continue;
-          PartitionCache::Derived derived = cache_.Derive(a, b, determined);
           Node node;
           node.set = candidate;
           node.determined = determined;
-          node.partition_reused = derived.reused;
           next.Add(std::move(node));
-          cache_.Put(l + 1, candidate, std::move(derived.partition));
+          parents.emplace_back(a, b);
         }
       }
+    }
+    // The derive steps — products are the bulk of the join's cost at
+    // scale — run as one batch that only reads the cache; the puts follow
+    // on this thread in join order, so no task ever waits on the cache's
+    // exclusive lock.
+    std::vector<PartitionCache::Derived> derived(parents.size());
+    RunBatch(derived.size(), /*node_tasks=*/false, [&](size_t i) {
+      derived[i] = cache_.Derive(parents[i].first, parents[i].second,
+                                 next.nodes[i].determined);
+    });
+    for (size_t i = 0; i < derived.size(); ++i) {
+      next.nodes[i].partition_reused = derived[i].reused;
+      cache_.Put(l + 1, next.nodes[i].set, std::move(derived[i].partition));
     }
     return next;
   }
 
-  // ===== Task-graph execution (num_threads > 1) ========================
-  // One task per lattice node. A node task derives the node's stripped
-  // partition from its two canonical parents, derives Cc+/Cs+, validates,
-  // then bumps each (l+1)-superset's dependency counter — a child spawns
-  // the instant all of its l-subsets have finished alive, with no barrier
-  // between levels. Determinism is restored at emission: per-node
-  // outcomes are buffered, and when a level completes, the cascade
-  // replays Algorithm 2's join order over the level's alive set (which
-  // depends only on validation results, not scheduling) and merges in
-  // exactly the order the serial walk would have used.
-
-  FastodResult ExecuteTaskGraph() {
-    const int m = relation_.NumAttributes();
-    TaskGraph graph(pool_.get());
-    tg_graph_ = &graph;
-    tg_levels_.resize(m + 2);
-
-    // Level 0: the root is finished and alive by construction.
-    cache_.Put(0, AttributeSet::Empty(),
-               StrippedPartition::Universe(relation_.NumRows()));
-    TgNode* root = FindOrCreateTgNode(AttributeSet::Empty(), 0);
-    root->cc = full_set_;
-    root->ran = true;
-    root->alive = true;
-    TgLevel& l0 = tg_levels_[0];
-    l0.order.push_back(root);
-    l0.structure_known = true;
-    l0.emitted = true;
-    l0.expected = 1;
-    l0.finished = 1;
-
-    // Level 1: all singletons, in attribute order (the canonical order).
-    TgLevel& l1 = tg_levels_[1];
-    l1.structure_known = true;
-    l1.expected = m;
-    tg_next_unemitted_ = 1;
-    for (int a = 0; a < m; ++a) {
-      TgNode* node = FindOrCreateTgNode(AttributeSet::Single(a), 1);
-      node->parents.push_back(root);
-      node->bumps = 1;
-      l1.order.push_back(node);
-    }
-    for (TgNode* node : l1.order) SpawnNodeTask(node);
-    graph.Run();
-
-    if (tg_timed_out_.load()) result_.timed_out = true;
-    if (tg_cancelled_.load()) result_.cancelled = true;
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
-      options_.control->ReportProgress(1.0);
-    }
-    result_.tasks_ready = tg_ready_.load(std::memory_order_relaxed);
-    result_.tasks_spawned = graph.spawned();
-    result_.tasks_stolen = graph.stolen();
-    result_.partition_cache_gets = cache_.gets();
-    result_.partition_cache_puts = cache_.puts();
-    result_.seconds = tg_timer_.ElapsedSeconds();
-    return std::move(result_);
-  }
-
-  void SpawnNodeTask(TgNode* node) {
-    tg_ready_.fetch_add(1, std::memory_order_relaxed);
-    tg_graph_->Spawn([this, node] { RunNodeTask(node); });
-  }
-
-  void RunNodeTask(TgNode* node) {
-    WallTimer timer;
-    bool stopped = tg_stop_.load(std::memory_order_acquire);
-    // Task-boundary fault point: "fail" degrades to cooperative
-    // cancellation (the run ends flagged cancelled, like a control
-    // stop); "throw" exercises the TaskGraph exception drain; "sleep"
-    // randomizes completion order for the determinism stress tests.
-    if (!stopped && FASTOD_FAULT_POINT("task_graph.task")) {
-      tg_cancelled_.store(true);
-      tg_stop_.store(true, std::memory_order_release);
-      stopped = true;
-    }
-    if (!stopped) {
-      const int l = node->level;
-      // The node's partition, derived from its two canonical parents
-      // exactly as the serial join derives it. Every parent is cached and
-      // its determined set final — a task only becomes ready after every
-      // parent finished.
-      if (l == 1) {
-        cache_.Put(1, node->set, SingletonPartition(node->set.First()));
-      } else {
-        int y1 = -1, y2 = -1;  // the two highest attributes, y1 < y2
-        for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
-          y1 = y2;
-          y2 = a;
-        }
-        for (const TgNode* p : node->parents) {
-          node->determined = node->determined.Union(p->determined);
-        }
-        PartitionCache::Derived derived =
-            cache_.Derive(node->set.Without(y2), node->set.Without(y1),
-                          node->determined);
-        node->partition_reused = derived.reused;
-        cache_.Put(l, node->set, std::move(derived.partition));
-      }
-      auto parent_of = [node](AttributeSet set) -> const TgNode* {
-        for (const TgNode* p : node->parents) {
-          if (p->set == set) return p;
-        }
-        return nullptr;
-      };
-      if (options_.minimality_pruning) {
-        ComputeCandidateSets(l, node, parent_of);
-      }
-      SwapChecker checker(&relation_, &sorted_, options_.swap_method);
-      ValidateNode(l, node, parent_of, &checker, &node->outcome);
-      node->ran = true;
-      node->alive = !(options_.minimality_pruning &&
-                      options_.level_pruning && l >= 2 &&
-                      node->cc.IsEmpty() && node->cs.empty());
-      // Safepoints: deadline and cooperative cancellation, checked at
-      // every task boundary (finer-grained than the serial per-level
-      // checks). A stop lets in-flight tasks drain as cheap no-ops.
-      if (deadline_.Exceeded()) {
-        tg_timed_out_.store(true);
-        tg_stop_.store(true, std::memory_order_release);
-      } else if (Cancelled()) {
-        tg_cancelled_.store(true);
-        tg_stop_.store(true, std::memory_order_release);
-      }
-    }
-    node->task_seconds = timer.ElapsedSeconds();
-    FinishNodeTask(node);
-  }
-
-  // Records a finished task, resolves child dependencies, and drives the
-  // in-order emission cascade.
-  void FinishNodeTask(TgNode* node) {
-    const int m = relation_.NumAttributes();
-    std::vector<TgNode*> runnable;
-    std::unique_lock<std::mutex> lock(tg_mutex_);
-    TgLevel& lv = tg_levels_[node->level];
-    ++lv.finished;
-    lv.busy_seconds += node->task_seconds;
-    const int next_l = node->level + 1;
-    if (node->ran && node->alive && next_l <= m &&
-        (options_.max_level == 0 || next_l <= options_.max_level) &&
-        !tg_stop_.load(std::memory_order_relaxed)) {
-      for (int b = 0; b < m; ++b) {
-        if (node->set.Contains(b)) continue;
-        TgNode* child = FindOrCreateTgNode(node->set.With(b), next_l);
-        child->parents.push_back(node);
-        if (++child->bumps == next_l) runnable.push_back(child);
-      }
-    }
-    Cascade(lock);
-    lock.unlock();
-    // Spawn outside the tracker lock: the child may start (and finish)
-    // on another worker immediately.
-    for (TgNode* child : runnable) SpawnNodeTask(child);
-  }
-
-  // Emits every completed level in order. Called with tg_mutex_ held;
-  // releases it around the emission itself (sinks may block on
-  // backpressure) with tg_emitting_ serializing emitters.
-  void Cascade(std::unique_lock<std::mutex>& lock) {
-    while (tg_next_unemitted_ < static_cast<int>(tg_levels_.size())) {
-      TgLevel& lv = tg_levels_[tg_next_unemitted_];
-      if (!lv.structure_known || lv.finished < lv.expected) return;
-      if (tg_emitting_) return;  // the active emitter re-runs the cascade
-      tg_emitting_ = true;
-      const int v = tg_next_unemitted_;
-      lock.unlock();
-      const bool fully_ran = EmitLevel(v);
-      lock.lock();
-      tg_emitting_ = false;
-      lv.emitted = true;
-      ++tg_next_unemitted_;
-      if (lv.expected == 0) return;  // lattice exhausted
-      if (!fully_ran || tg_stop_.load(std::memory_order_relaxed)) return;
-      PrepareNextLevel(v);
-      // Levels ≤ v are fully finished, so running tasks sit at levels
-      // ≥ v+1 and read partitions at levels ≥ v-1 (a node's deepest
-      // read is its grandparent context X\{A,B}); nodes two levels
-      // down are likewise unreachable. Release both.
-      cache_.EvictBelow(v - 1);
-      if (v >= 2) FreeLevel(v - 2);
-    }
-  }
-
-  // Merges one completed level in canonical node order — the only writer
-  // of result_ on the task-graph path, serialized by tg_emitting_.
-  // Returns false if a stop left part of the level unexecuted (the
-  // partial outcomes are still merged, like the serial timeout path).
-  bool EmitLevel(int v) {
-    TgLevel& lv = tg_levels_[v];
-    if (lv.order.empty()) return true;
-    FastodLevelStats stats;
-    stats.level = v;
-    stats.nodes = lv.expected;
-    bool fully_ran = true;
-    for (TgNode* node : lv.order) {
-      if (!node->ran) {
-        fully_ran = false;
-        continue;
-      }
-      if (!node->alive) ++stats.nodes_pruned;
-      MergeOutcome(&node->outcome, &stats);
-    }
-    result_.total_nodes += lv.expected;
-    const int m = relation_.NumAttributes();
-    if (fully_ran) {
-      result_.levels_processed = v;
-      if (options_.control != nullptr && m > 0) {
-        options_.control->ReportProgress(static_cast<double>(v) / m);
-      }
-    }
-    stats.seconds = tg_timer_.ElapsedSeconds() - lv.start_seconds;
-    const int party = pool_->num_threads() + 1;
-    if (stats.seconds > 0.0) {
-      stats.occupancy =
-          std::min(1.0, lv.busy_seconds / (stats.seconds * party));
-    }
-    if (options_.collect_level_stats) result_.level_stats.push_back(stats);
-    return fully_ran;
-  }
-
-  // Fixes level v+1's membership and canonical order by replaying
-  // Algorithm 2's join over level v's alive nodes. Runs under tg_mutex_
-  // once level v has fully finished, so membership is final: every
-  // candidate with all l-subsets alive has already been created (and
-  // spawned) by dependency bumps. Candidates that can never run — some
-  // subset finished dead — are garbage-collected here.
-  void PrepareNextLevel(int v) {
-    TgLevel& lv = tg_levels_[v];
-    TgLevel& next = tg_levels_[v + 1];
-    next.start_seconds = tg_timer_.ElapsedSeconds();
-    std::unordered_map<AttributeSet, std::vector<int32_t>, AttributeSetHash>
-        blocks;
-    std::vector<TgNode*> alive;
-    alive.reserve(lv.order.size());
-    for (TgNode* n : lv.order) {
-      if (n->alive) alive.push_back(n);
-    }
-    for (int32_t i = 0; i < static_cast<int32_t>(alive.size()); ++i) {
-      AttributeSet set = alive[i]->set;
-      int highest = -1;
-      for (int a = set.First(); a >= 0; a = set.Next(a)) highest = a;
-      blocks[set.Without(highest)].push_back(i);
-    }
-    std::vector<AttributeSet> keys;
-    keys.reserve(blocks.size());
-    for (const auto& [key, members] : blocks) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const AttributeSet& key : keys) {
-      std::vector<int32_t>& members = blocks[key];
-      std::sort(members.begin(), members.end(),
-                [&alive](int32_t x, int32_t y) {
-                  return alive[x]->set < alive[y]->set;
-                });
-      for (size_t i = 0; i < members.size(); ++i) {
-        for (size_t j = i + 1; j < members.size(); ++j) {
-          const AttributeSet candidate =
-              alive[members[i]]->set.Union(alive[members[j]]->set);
-          if (candidate.Count() != v + 1) continue;
-          auto it = tg_nodes_.find(candidate);
-          // Fully-bumped ⇔ all (l-1)-subsets finished alive — the same
-          // predicate as the serial all-subsets-present check.
-          if (it == tg_nodes_.end() || it->second->bumps != v + 1) {
-            continue;
-          }
-          next.order.push_back(it->second.get());
-        }
-      }
-    }
-    next.expected = static_cast<int64_t>(next.order.size());
-    next.structure_known = true;
-    // Drop dependency counters that will never fire: level v is done, so
-    // no further bumps can arrive at level v+1.
-    for (TgNode* n : next.created) {
-      if (n->bumps != v + 1) tg_nodes_.erase(n->set);
-    }
-    next.created.clear();
-  }
-
-  // Releases the nodes of an emitted level once nothing can read them:
-  // their children (the only readers of cc/cs via parent links) have all
-  // finished, and their outcomes were merged at emission.
-  void FreeLevel(int v) {
-    for (TgNode* n : tg_levels_[v].order) tg_nodes_.erase(n->set);
-    tg_levels_[v].order.clear();
-  }
-
-  TgNode* FindOrCreateTgNode(AttributeSet set, int level) {
-    auto it = tg_nodes_.find(set);
-    if (it != tg_nodes_.end()) return it->second.get();
-    auto node = std::make_unique<TgNode>();
-    node->set = set;
-    node->level = level;
-    TgNode* raw = node.get();
-    tg_levels_[level].created.push_back(raw);
-    tg_nodes_.emplace(set, std::move(node));
-    return raw;
-  }
-
-  // ===== Shared validation core ========================================
-  // Generic over the node record and parent lookup: the serial path
-  // passes Level::Find over the previous level, the task-graph path a
-  // scan of the node's parent links. Both return a pointer exposing
-  // .cc/.cs, which is all Algorithm 3 needs.
+  // ===== Validation core ================================================
 
   // Cc+(X) and Cs+(X) from the (l-1)-subsets (Lemma 9 / Alg. 3 line 6).
-  template <typename NodeT, typename ParentFn>
-  void ComputeCandidateSets(int l, NodeT* node, const ParentFn& parent_of) {
+  void ComputeCandidateSets(int l, Node* node) {
     // Cc+(X) = ∩_{A∈X} Cc+(X\A)  (Lemma 9).
     AttributeSet cc = full_set_;
     for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
-      const auto* parent = parent_of(node->set.Without(a));
+      const Node* parent = previous_.Find(node->set.Without(a));
       FASTOD_DCHECK(parent != nullptr);
       cc = cc.Intersect(parent->cc);
     }
@@ -674,7 +361,7 @@ class Run {
     //            ∀D ∈ X\{A,B}: {A,B} ∈ Cs+(X\D) }   (Alg. 3 line 6).
     std::vector<PairId> candidates;
     for (int c = node->set.First(); c >= 0; c = node->set.Next(c)) {
-      const auto* parent = parent_of(node->set.Without(c));
+      const Node* parent = previous_.Find(node->set.Without(c));
       FASTOD_DCHECK(parent != nullptr);
       candidates.insert(candidates.end(), parent->cs.begin(),
                         parent->cs.end());
@@ -690,7 +377,7 @@ class Run {
       for (int d = node->set.First(); d >= 0 && in_all;
            d = node->set.Next(d)) {
         if (d == a || d == b) continue;
-        const auto* parent = parent_of(node->set.Without(d));
+        const Node* parent = previous_.Find(node->set.Without(d));
         FASTOD_DCHECK(parent != nullptr);
         if (!SortedContains(parent->cs, p)) in_all = false;
       }
@@ -699,13 +386,12 @@ class Run {
     node->cs = std::move(kept);
   }
 
-  template <typename NodeT, typename ParentFn>
-  void ValidateNode(int l, NodeT* node, const ParentFn& parent_of,
-                    SwapChecker* checker, NodeOutcome* out) {
+  void ValidateNode(int l, Node* node, SwapChecker* checker,
+                    NodeOutcome* out) {
     const int64_t refutes_before = checker->num_sample_refutes();
     const int64_t scans_before = checker->num_full_scans();
     if (options_.minimality_pruning) {
-      ValidateNodeMinimal(l, node, parent_of, checker, out);
+      ValidateNodeMinimal(l, node, checker, out);
     } else {
       ValidateNodeExhaustive(l, node, checker, out);
     }
@@ -714,9 +400,8 @@ class Run {
     out->swap_full_scans += checker->num_full_scans() - scans_before;
   }
 
-  template <typename NodeT, typename ParentFn>
-  void ValidateNodeMinimal(int l, NodeT* node, const ParentFn& parent_of,
-                           SwapChecker* checker, NodeOutcome* out) {
+  void ValidateNodeMinimal(int l, Node* node, SwapChecker* checker,
+                           NodeOutcome* out) {
     const StrippedPartition& node_partition = cache_.Get(node->set);
     // --- Constancy side: X\A: [] -> A for A ∈ X ∩ Cc+(X) (Lemma 7). ---
     AttributeSet fd_candidates = node->set.Intersect(node->cc);
@@ -752,8 +437,8 @@ class Run {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
       // Line 18: drop pairs whose endpoints lost FD-candidacy (Propagate).
-      const auto* parent_xb = parent_of(node->set.Without(b));
-      const auto* parent_xa = parent_of(node->set.Without(a));
+      const Node* parent_xb = previous_.Find(node->set.Without(b));
+      const Node* parent_xa = previous_.Find(node->set.Without(a));
       FASTOD_DCHECK(parent_xb != nullptr && parent_xa != nullptr);
       if (!parent_xb->cc.Contains(a) || !parent_xa->cc.Contains(b)) {
         continue;  // removed from Cs+
@@ -784,8 +469,7 @@ class Run {
 
   // The FASTOD-NoPruning configuration: validate every non-trivial OD at
   // this node and count all valid ones, minimal or not (Exp-5/6).
-  template <typename NodeT>
-  void ValidateNodeExhaustive(int l, NodeT* node, SwapChecker* checker,
+  void ValidateNodeExhaustive(int l, Node* node, SwapChecker* checker,
                               NodeOutcome* out) {
     const AttributeSet set = node->set;
     const StrippedPartition& node_partition = cache_.Get(set);
@@ -814,8 +498,7 @@ class Run {
   }
 
   // Accumulates one node's buffered outcome into the run result, the
-  // level stats, and the sink — the single merge point both execution
-  // paths share, so their emission behavior cannot drift apart.
+  // level stats, and the sink, on the calling thread in node order.
   void MergeOutcome(NodeOutcome* o, FastodLevelStats* stats) {
     result_.num_constancy += o->num_constancy;
     result_.num_compatibility += o->num_compatibility;
@@ -855,10 +538,9 @@ class Run {
   // approximate validity (max_error > 0) uses the g3 removal errors. An
   // exact hit is recorded in node->determined in both modes: the derive
   // step may only share partitions on exact FDs, never on the threshold.
-  template <typename NodeT>
   bool ConstancyHolds(const StrippedPartition& context_partition,
                       const StrippedPartition& node_partition, int a,
-                      NodeT* node) const {
+                      Node* node) const {
     const bool exact = context_partition.Error() == node_partition.Error();
     if (exact) node->determined = node->determined.With(a);
     if (exact || options_.max_error <= 0.0) return exact;
@@ -887,11 +569,27 @@ class Run {
                               /*opposite=*/true) <= options_.max_error;
   }
 
-  // Deadline expiry (the hard timeout-ms armed on the control) stops the
-  // run at the same safepoints as cancellation; Algorithm::Execute turns
-  // it into a kDeadlineExceeded error afterwards.
-  bool Cancelled() const {
-    return options_.control != nullptr && options_.control->StopRequested();
+  // The safepoint, polled at every node task and between levels: latches
+  // the run's own timeout as timed_out and a control stop as cancelled.
+  // Deadline expiry armed on the control (the hard timeout-ms) stops the
+  // run the same way; Algorithm::Execute turns it into a
+  // kDeadlineExceeded error afterwards.
+  bool StopRequested() {
+    if (Stopped()) return true;
+    if (deadline_.Exceeded()) {
+      timed_out_.store(true);
+      return true;
+    }
+    if (options_.control != nullptr && options_.control->StopRequested()) {
+      cancelled_.store(true);
+      return true;
+    }
+    return false;
+  }
+
+  bool Stopped() const {
+    return timed_out_.load() ||
+           cancelled_.load();
   }
 
   // Per-node buffers are needed both to materialize (emit_ods) and to
@@ -917,6 +615,11 @@ class Run {
 
   void FinishLevel(const WallTimer& timer, FastodLevelStats* stats) {
     stats->seconds = timer.ElapsedSeconds();
+    if (pool_ != nullptr && stats->seconds > 0.0) {
+      const int party = pool_->num_threads() + 1;
+      stats->occupancy =
+          std::min(1.0, level_busy_seconds_ / (stats->seconds * party));
+    }
     if (options_.collect_level_stats) result_.level_stats.push_back(*stats);
   }
 
@@ -925,30 +628,17 @@ class Run {
   const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
   SortedPartitions sorted_;
-  SwapChecker serial_checker_;
   Deadline deadline_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // null on a serial run
+  std::vector<SwapChecker> checkers_;  // one per party
   PartitionCache cache_;
-  Level previous_;  // serial path: level l-1 node state (final Cc+/Cs+)
-  Level current_;   // serial path: level l
+  Level previous_;  // level l-1, finished (final Cc+/Cs+)
+  Level current_;   // level l
+  double level_busy_seconds_ = 0.0;  // level l's summed task time
+  // The cross-task stop signal, latched by StopRequested().
+  std::atomic<bool> timed_out_{false};
+  std::atomic<bool> cancelled_{false};
   FastodResult result_;
-
-  // Task-graph state. tg_mutex_ guards the node map, dependency
-  // counters, and level bookkeeping; tg_emitting_ serializes result
-  // emission outside the lock; the atomics are the cross-task stop
-  // signal.
-  TaskGraph* tg_graph_ = nullptr;
-  WallTimer tg_timer_;
-  std::mutex tg_mutex_;
-  std::unordered_map<AttributeSet, std::unique_ptr<TgNode>, AttributeSetHash>
-      tg_nodes_;
-  std::vector<TgLevel> tg_levels_;
-  int tg_next_unemitted_ = 0;
-  bool tg_emitting_ = false;
-  std::atomic<int64_t> tg_ready_{0};
-  std::atomic<bool> tg_stop_{false};
-  std::atomic<bool> tg_timed_out_{false};
-  std::atomic<bool> tg_cancelled_{false};
 };
 
 }  // namespace

@@ -81,14 +81,12 @@ struct FastodOptions {
   /// Record per-level statistics (Exp-7).
   bool collect_level_stats = true;
 
-  /// Number of worker threads. 1 = serial level-wise walk. With more
-  /// threads the run switches to the dependency-tracking task graph
-  /// (common/task_graph.h): one task per lattice node, runnable the
-  /// moment all of the node's (l-1)-subsets have finished alive — its
-  /// parents' stripped partitions then exist — scheduled work-stealing
-  /// with no barrier between levels. Output is bit-identical across all
-  /// thread counts: per-node outcomes are buffered and emitted by the
-  /// level cascade in canonical (sequential) node order.
+  /// Number of worker threads, the calling thread included. The walk
+  /// is level by level at every value: each level validates its nodes
+  /// as one batch of tasks and derives the next level's partitions as
+  /// another (common/task_graph.h), run inline when this is 1. Output
+  /// is bit-identical across all thread counts: per-node outcomes are
+  /// merged on the calling thread in node order.
   int num_threads = 1;
 
   /// Streaming emission target (api/od_sink.h). When set, every
@@ -128,11 +126,10 @@ struct FastodLevelStats {
   int64_t compatibility_found = 0;
   int64_t bidirectional_found = 0;
   double seconds = 0.0;
-  /// Task-graph runs only: fraction [0,1] of the worker-party's wall
-  /// time spent executing this level's node tasks during the level's
-  /// span. Because levels pipeline (a child may start before its
-  /// parents' level finishes emitting), per-level occupancies can sum
-  /// past what a barriered schedule could reach. 0 in serial runs.
+  /// Parallel runs only: fraction [0,1] of the worker party's wall
+  /// time this level's validate and derive tasks were busy, i.e. their
+  /// summed run time over (level seconds × num_threads). 0 when
+  /// num_threads is 1.
   double occupancy = 0.0;
 };
 
@@ -169,12 +166,12 @@ struct FastodResult {
   /// product (sum of FastodLevelStats::partitions_reused; identical at
   /// every thread count).
   int64_t partitions_reused = 0;
-  /// Task-graph scheduling telemetry (num_threads > 1; all 0 when the
-  /// serial path ran). ready counts lattice nodes whose dependencies
-  /// resolved (all (l-1)-subsets finished alive), spawned counts tasks
-  /// enqueued on the graph, stolen counts tasks a worker took from
-  /// another worker's deque. Published to the obs registry as
-  /// fastod_tasks_{ready,spawned,stolen}_total by the engine adapter.
+  /// Scheduling telemetry of the validate batches (all 0 when
+  /// num_threads is 1). ready counts lattice nodes handed to a batch,
+  /// spawned counts tasks enqueued on the graph (one per node), stolen
+  /// counts tasks a worker took from another worker's deque. Published
+  /// to the obs registry as fastod_tasks_{ready,spawned,stolen}_total
+  /// by the engine adapter.
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;

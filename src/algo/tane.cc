@@ -1,11 +1,13 @@
 #include "algo/tane.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "api/od_sink.h"
+#include "common/fault.h"
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "od/attribute_set.h"
@@ -63,12 +65,14 @@ class Run {
       if (options_.max_level > 0 && l > options_.max_level) break;
       result_.total_nodes += static_cast<int64_t>(current_.nodes.size());
       ComputeDependencies(l);
+      if (faulted_.load()) break;
       Prune();
       // Skip the join for a level the max_level cap would refuse anyway.
       Level next;
       if (options_.max_level == 0 || l < options_.max_level) {
         next = CalculateNextLevel(l);
       }
+      if (faulted_.load()) break;
       result_.levels_processed = l;
       if (options_.control != nullptr && m > 0) {
         options_.control->ReportProgress(static_cast<double>(l) / m);
@@ -86,6 +90,7 @@ class Run {
         break;
       }
     }
+    if (faulted_.load()) result_.cancelled = true;
     // Early exits keep the last level's fraction; only a clean finish
     // reports 100%.
     if (options_.control != nullptr && !result_.timed_out &&
@@ -129,6 +134,7 @@ class Run {
   // partition cache; writes only its own node and `found` slot — safe to
   // run for all nodes concurrently.
   void ProcessNode(Node* node, std::vector<ConstancyOd>* found) {
+    if (TaskFaulted()) return;
     AttributeSet cc = full_set_;
     for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
       Node* parent = previous_.Find(node->set.Without(a));
@@ -173,7 +179,7 @@ class Run {
       result_.tasks_stolen += graph.stolen();
     }
     // Merge in node order: deterministic FD emission for any thread
-    // count (the same discipline as FASTOD's level cascade).
+    // count (the same discipline as FASTOD's level walk).
     for (const std::vector<ConstancyOd>& f : found) {
       for (const ConstancyOd& fd : f) EmitFd(fd);
     }
@@ -268,6 +274,7 @@ class Run {
     // scale — run as tasks; puts happen afterwards in join order so cache
     // traffic stays identical to the serial walk.
     auto derive = [this](Pending& p) {
+      if (TaskFaulted()) return;
       p.derived = cache_.Derive(p.parent_a, p.parent_b, p.determined);
     };
     if (pool_ == nullptr) {
@@ -282,11 +289,23 @@ class Run {
       result_.tasks_spawned += graph.spawned();
       result_.tasks_stolen += graph.stolen();
     }
+    if (faulted_.load()) return next;
     for (Pending& p : pending) {
       result_.partitions_reused += p.derived.reused ? 1 : 0;
       cache_.Put(l + 1, p.set, std::move(p.derived.partition));
     }
     return next;
+  }
+
+  // The task-boundary fault point, hit by every node and derive task with
+  // FASTOD's semantics: "fail" ends the run cancelled (the batch's
+  // remaining tasks skip), "throw" surfaces through TaskGraph::Run, and
+  // "sleep" perturbs completion order for the determinism stress test.
+  bool TaskFaulted() {
+    if (faulted_.load()) return true;
+    if (!FASTOD_FAULT_POINT("task_graph.task")) return false;
+    faulted_.store(true);
+    return true;
   }
 
   void EmitFd(const ConstancyOd& fd) {
@@ -308,6 +327,7 @@ class Run {
   PartitionCache cache_;
   Level previous_;
   Level current_;
+  std::atomic<bool> faulted_{false};  // a "fail" fault point tripped
   TaneResult result_;
 };
 

@@ -45,8 +45,8 @@ struct TaneOptions {
   /// validations and partition products run as tasks on the shared
   /// work-stealing scheduler (common/task_graph.h); per-node FD lists
   /// are merged in node order, so output is bit-identical across thread
-  /// counts. Unlike FASTOD, TANE keeps a barrier at its pruning step:
-  /// key-node minimality (X -> A minimal iff A survives in every
+  /// counts. The pruning step between levels is a barrier, as in
+  /// FASTOD: key-node minimality (X -> A minimal iff A survives in every
   /// same-level sibling's Cc+) reads sibling state that is only final
   /// once the whole level validated.
   int num_threads = 1;

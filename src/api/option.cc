@@ -52,7 +52,7 @@ void OptionRegistry::AddBool(const std::string& name, bool* target,
                              const std::string& description) {
   OptionInfo info{name, OptionKind::kBool, "bool", description,
                   *target ? "true" : "false",
-                  {}};
+                  {}, {}};
   Add(std::move(info), [name, target](const std::string& value) {
     // An empty value mirrors a bare --flag on the command line.
     if (value.empty() || value == "true" || value == "1" || value == "on") {
@@ -72,7 +72,7 @@ void OptionRegistry::AddInt(const std::string& name, int* target,
                             int max_value) {
   OptionInfo info{name, OptionKind::kInt, "int", description,
                   std::to_string(*target),
-                  {}};
+                  {}, {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<int64_t> parsed = ParseInt(value);
@@ -92,7 +92,7 @@ void OptionRegistry::AddInt64(const std::string& name, int64_t* target,
                               int64_t min_value, int64_t max_value) {
   OptionInfo info{name, OptionKind::kInt, "int", description,
                   std::to_string(*target),
-                  {}};
+                  {}, {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<int64_t> parsed = ParseInt(value);
@@ -112,7 +112,7 @@ void OptionRegistry::AddDouble(const std::string& name, double* target,
                                double min_value, double max_value) {
   OptionInfo info{name, OptionKind::kDouble, "double", description,
                   RenderDouble(*target),
-                  {}};
+                  {}, {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<double> parsed = ParseDouble(value);
@@ -131,7 +131,7 @@ void OptionRegistry::AddString(const std::string& name, std::string* target,
                                const std::string& description) {
   OptionInfo info{name, OptionKind::kString, "string", description,
                   *target,
-                  {}};
+                  {}, {}};
   Add(std::move(info), [target](const std::string& value) {
     *target = value;
     return Status::Ok();
@@ -144,7 +144,7 @@ void OptionRegistry::AddEnum(const std::string& name, int* target,
                              const std::string& default_repr) {
   OptionInfo info{name, OptionKind::kEnum, "enum", description,
                   default_repr,
-                  {}};
+                  {}, {}};
   for (const auto& [spelling, unused] : values) {
     info.enum_values.push_back(spelling);
   }

@@ -29,7 +29,7 @@
  * independent; they share only the scheduler's worker pool.
  *
  * Thread affinity: the "threads" option parallelizes the engine
- * internally (a work-stealing task graph over the lattice search); it
+ * internally (parallel batches within each level of the lattice walk); it
  * never changes this API's contract. Results are byte-identical across
  * thread counts, callbacks do not exist at this layer, and the internal
  * workers (named "fastod-od-N" / "fastod-fd-N" in debuggers and

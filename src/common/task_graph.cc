@@ -23,6 +23,8 @@ TaskGraph::TaskGraph(ThreadPool* pool) : pool_(pool) {
   }
 }
 
+int TaskGraph::CurrentSlot() { return tls_slot; }
+
 void TaskGraph::Spawn(std::function<void()> task) {
   int slot;
   if (tls_graph == this) {

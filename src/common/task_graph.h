@@ -1,13 +1,8 @@
-// A dynamic task graph scheduler with per-worker work-stealing deques,
-// layered on ThreadPool.
-//
-// ParallelFor (thread_pool.h) is the right tool for a fixed iteration
-// space known up front. The lattice search is not that shape: a node
-// becomes runnable the moment its parents' stripped partitions exist,
-// which happens at unpredictable times as sibling subtrees race ahead.
-// TaskGraph models exactly that — tasks are spawned dynamically (often
-// from inside other tasks, as dependency counters hit zero) and executed
-// by a fixed party of workers until the graph drains.
+// A task scheduler with per-worker work-stealing deques, layered on
+// ThreadPool: the batch executor of the lattice engines. FASTOD and TANE
+// run each level's node tasks, and then its partition-derive tasks, as
+// one graph each (algo/fastod.cc, algo/tane.cc). Tasks may also spawn
+// more tasks while the graph runs; the engines do not.
 //
 // Scheduling discipline is classic work-stealing:
 //   - each worker owns a deque; Spawn() from inside a task pushes onto
@@ -21,13 +16,14 @@
 // Determinism contract: TaskGraph guarantees nothing about execution
 // order — callers that need deterministic output must buffer per-task
 // results and merge them in a canonical order themselves (see
-// algo/fastod.cc's level emission cascade, and docs/CONCURRENCY.md).
+// algo/fastod.cc's per-level merge, and docs/CONCURRENCY.md).
 //
 // Exceptions: the first exception thrown by a task is captured; the
 // remaining queued tasks are discarded (popped but not run) so the graph
 // still drains, and Run() rethrows the captured exception on the calling
-// thread. This mirrors how ParallelFor callers see failures and keeps the
-// session error path (Status out of Algorithm::Execute) intact.
+// thread. Run() is the exception boundary: ThreadPool::ParallelFor, which
+// it runs on, requires a body that never throws. This keeps the session
+// error path (Status out of Algorithm::Execute) intact.
 #ifndef FASTOD_COMMON_TASK_GRAPH_H_
 #define FASTOD_COMMON_TASK_GRAPH_H_
 
@@ -70,6 +66,11 @@ class TaskGraph {
   /// may be reused: seed with Spawn() and Run() again after Run()
   /// returns (never concurrently).
   void Run();
+
+  /// The slot of the party running the calling task, in [0, parties):
+  /// tasks running at the same time on one graph see distinct slots, so
+  /// a caller can index per-worker scratch by it. 0 outside any task.
+  static int CurrentSlot();
 
   /// Scheduling telemetry, stable after Run() returns.
   int64_t spawned() const { return spawned_.load(std::memory_order_relaxed); }

@@ -1,15 +1,14 @@
 // A minimal fixed-size thread pool for the discovery algorithms and for
 // session scheduling in the service layer.
 //
-// Two execution shapes are built on these workers. ParallelFor covers
-// fixed iteration spaces (batch partition products, per-node loops in
-// the serial engines). For the dependency-driven lattice search — where
-// a node becomes runnable the moment its parents' partitions exist —
-// common/task_graph.h layers a work-stealing dynamic task scheduler on
-// top of the same pool; see docs/CONCURRENCY.md for the combined
-// thread-safety contract. Results are merged in canonical node order by
-// the engines, keeping output deterministic regardless of thread count
-// (verified by tests/parallel_test.cc).
+// Two execution shapes are built on these workers. ParallelFor runs a
+// fixed iteration space with the caller participating; its one user is
+// common/task_graph.h, the work-stealing scheduler that runs the lattice
+// engines' per-level batches of node and derive tasks. See
+// docs/CONCURRENCY.md for the combined thread-safety contract. The
+// engines merge task results in canonical node order, keeping output
+// deterministic regardless of thread count (verified by
+// tests/parallel_test.cc).
 //
 // Submit() adds fire-and-forget task scheduling on the same workers: the
 // DiscoveryService (service/discovery_service.h) queues whole discovery
@@ -50,7 +49,10 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [0, count), distributing dynamically in
   /// chunks; blocks until all iterations finish. The calling thread
-  /// participates. body must be safe to call concurrently for distinct i.
+  /// participates. body must be safe to call concurrently for distinct i
+  /// and must not throw: nothing catches on the worker threads, so an
+  /// escaping exception terminates the process. TaskGraph::Run, the one
+  /// caller, catches its tasks' exceptions inside each worker loop.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& body);
 
   /// Enqueues a task for execution on the next free worker and returns

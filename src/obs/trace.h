@@ -40,8 +40,9 @@ struct LevelStats {
   int64_t key_prune_hits = 0;    // validations skipped via Lemmas 12-13
   int64_t ods_found = 0;
   double seconds = 0.0;
-  /// Worker-busy fraction while the task graph processed this level,
-  /// in [0, 1]; 0 for serial runs and engines without a task graph.
+  /// Worker-busy fraction while the parallel batches processed this
+  /// level, in [0, 1]; 0 for threads=1 runs and engines that do not
+  /// measure it.
   double occupancy = 0.0;
   /// Swap checks refuted by a swap in the witness sample before any full
   /// scan (fastod's kAuto swap method; partition/sorted_partition.h).
@@ -68,9 +69,9 @@ struct EngineStats {
   int64_t partition_cache_puts = 0;
   int64_t partitions_reused = 0;  // of the puts, see LevelStats
   /// Task-graph scheduling counters (num_threads > 1 runs of fastod /
-  /// approximate / tane; zero otherwise). ready counts nodes whose
-  /// dependencies completed, spawned counts tasks handed to the
-  /// scheduler, stolen counts cross-worker deque steals.
+  /// approximate / tane; zero otherwise). ready counts nodes handed to
+  /// a batch, spawned counts tasks handed to the scheduler, stolen
+  /// counts cross-worker deque steals.
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;

@@ -36,15 +36,14 @@ inline PartitionHandle BorrowPartition(const StrippedPartition& partition) {
 }
 
 // Thread-safety: reads (Get/Derive/Contains/NumCached/TotalElements) take
-// a shared lock, writes (Put/EvictBelow) an exclusive one, so the
-// task-graph search can insert a node's partition while sibling tasks
-// look parents up. Values are handles to immutable partitions, and Get
-// returns a reference into the handle's partition: it stays valid under
-// concurrent Put and under the engines' eviction discipline — EvictBelow
-// (v-1) is only called once every task that could read a level < v-1
-// partition has finished (see docs/CONCURRENCY.md). Overwriting an
-// existing key while a reader holds its reference is NOT safe — the
-// level-wise engines never do (each Π*_X is put exactly once).
+// a shared lock, writes (Put/EvictBelow) an exclusive one. The level-wise
+// engines read from parallel tasks and write only from the calling
+// thread between task batches (see docs/CONCURRENCY.md). Values are
+// handles to immutable partitions, and Get returns a reference into the
+// handle's partition: it stays valid under concurrent Put and until its
+// level is evicted. Overwriting an existing key while a reader holds its
+// reference is NOT safe — the level-wise engines never do (each Π*_X is
+// put exactly once).
 class PartitionCache {
  public:
   PartitionCache() = default;

@@ -265,8 +265,7 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
       ->Inc(stats.partitions_reused);
   registry
       .GetCounter("fastod_tasks_ready_total",
-                  "Lattice nodes whose dependencies completed and that "
-                  "became runnable on the task graph",
+                  "Lattice nodes handed to a parallel validate batch",
                   by_algorithm)
       ->Inc(stats.tasks_ready);
   registry
@@ -281,7 +280,7 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
                   by_algorithm)
       ->Inc(stats.tasks_stolen);
   // Worker-busy fraction per lattice level, from the most recent
-  // task-graph run of this algorithm (gauge semantics: last run wins).
+  // parallel run of this algorithm (gauge semantics: last run wins).
   for (const obs::LevelStats& level : stats.levels) {
     if (level.occupancy <= 0.0) continue;
     registry

@@ -208,5 +208,26 @@ TEST(ParallelFastodTest, LevelStatsConsistent) {
   EXPECT_EQ(found, r.NumOds());
 }
 
+TEST(ParallelFastodTest, LevelOccupancyReportedOnlyInParallelRuns) {
+  Table t = GenDbtesmaLike(400, 9, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  FastodOptions opt;
+  opt.num_threads = 4;
+  FastodResult r = Fastod(opt).Discover(*rel);
+  ASSERT_GT(r.level_stats.size(), 1u);
+  bool any_busy = false;
+  for (const FastodLevelStats& s : r.level_stats) {
+    EXPECT_GE(s.occupancy, 0.0) << "level " << s.level;
+    EXPECT_LE(s.occupancy, 1.0) << "level " << s.level;
+    if (s.occupancy > 0.0) any_busy = true;
+  }
+  EXPECT_TRUE(any_busy);
+  FastodResult serial = Fastod().Discover(*rel);
+  for (const FastodLevelStats& s : serial.level_stats) {
+    EXPECT_EQ(s.occupancy, 0.0) << "level " << s.level;
+  }
+}
+
 }  // namespace
 }  // namespace fastod

@@ -155,6 +155,30 @@ TEST(TaskGraphTest, StealsHappenUnderSkewedLoad) {
   EXPECT_EQ(graph.executed(), 32);
 }
 
+TEST(TaskGraphTest, CurrentSlotIsDistinctPerParty) {
+  ThreadPool pool(3);
+  TaskGraph graph(&pool);
+  const int parties = pool.num_threads() + 1;
+  std::vector<std::atomic<int>> busy(parties);
+  std::atomic<bool> ok{true};
+  for (int i = 0; i < 64; ++i) {
+    graph.Spawn([&] {
+      const int slot = TaskGraph::CurrentSlot();
+      if (slot < 0 || slot >= parties) {
+        ok = false;
+        return;
+      }
+      // Two tasks running at once never share a slot.
+      if (busy[slot].fetch_add(1) != 0) ok = false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      busy[slot].fetch_sub(1);
+    });
+  }
+  graph.Run();
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(TaskGraph::CurrentSlot(), 0);
+}
+
 // ------------------------------------------- randomized stress (50x)
 
 // Latency injection at the per-task fault point scrambles completion
@@ -176,6 +200,7 @@ TEST(TaskGraphStressTest, FiftySeedsDeterministicUnderRandomLatency) {
     FastodOptions opt;
     opt.num_threads = 1 + static_cast<int>(seed % 4) + 1;  // 2..5
     FastodResult parallel = Fastod(opt).Discover(*rel);
+    EXPECT_GT(fault::Hits("task_graph.task"), 0) << "seed " << seed;
 
     EXPECT_EQ(serial.constancy_ods, parallel.constancy_ods)
         << "seed " << seed;
@@ -201,6 +226,7 @@ TEST(TaskGraphStressTest, TaneDeterministicUnderRandomLatency) {
     TaneOptions opt;
     opt.num_threads = 4;
     TaneResult parallel = Tane(opt).Discover(*rel);
+    EXPECT_GT(fault::Hits("task_graph.task"), 0) << "seed " << seed;
 
     EXPECT_EQ(serial.fds, parallel.fds) << "seed " << seed;
     EXPECT_EQ(serial.num_fds, parallel.num_fds) << "seed " << seed;
@@ -215,12 +241,16 @@ TEST(TaskGraphFaultTest, FailActionCancelsTheRunCleanly) {
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
   ASSERT_TRUE(rel.ok());
-  ASSERT_TRUE(fault::SetSchedule("task_graph.task:fail:4"));
-  FastodOptions opt;
-  opt.num_threads = 4;
-  FastodResult r = Fastod(opt).Discover(*rel);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_GE(fault::Hits("task_graph.task"), 4);
+  // The safepoint sits in the level walk's node task, so the serial
+  // walk honours it too.
+  for (int threads : {1, 4}) {
+    ASSERT_TRUE(fault::SetSchedule("task_graph.task:fail:4"));
+    FastodOptions opt;
+    opt.num_threads = threads;
+    FastodResult r = Fastod(opt).Discover(*rel);
+    EXPECT_TRUE(r.cancelled) << threads << " threads";
+    EXPECT_GE(fault::Hits("task_graph.task"), 4) << threads << " threads";
+  }
 }
 
 TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
