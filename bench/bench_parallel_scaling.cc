@@ -3,7 +3,8 @@
 // workers busy. Output is identical across thread counts (tested in
 // tests/parallel_test.cc and tests/task_graph_test.cc); this bench
 // measures the wall-clock effect of the level walk's parallel batches
-// (one validate task per node, one derive task per child).
+// (ThreadPool::ParallelFor loops: one validate task per node, one derive
+// task per child).
 //
 // The "wide" workload is the CI scaling gate's input: many attributes
 // with the level depth capped, so the lattice is broad (thousands of

@@ -10,7 +10,6 @@
 #include "algo/approximate.h"
 #include "api/od_sink.h"
 #include "common/fault.h"
-#include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "partition/partition_cache.h"
 
@@ -93,7 +92,7 @@ class Run {
     if (parties > 1) {
       pool_ = std::make_unique<ThreadPool>(parties - 1, "fastod-od");
     }
-    // One checker per party (TaskGraph::CurrentSlot), reused across
+    // One checker per party (ThreadPool::CurrentParty), reused across
     // levels for its scratch buffers.
     checkers_.reserve(parties);
     for (int i = 0; i < parties; ++i) {
@@ -104,7 +103,7 @@ class Run {
   // The level-wise walk (Algorithm 1). Each level validates every node
   // (one task per node), merges the outcomes in node order, prunes, joins
   // the next level and derives its partitions (one task per child). The
-  // batches run on the task graph when num_threads > 1 and inline
+  // batches run on the thread pool when num_threads > 1 and inline
   // otherwise; everything between them runs on the calling thread, so
   // output is identical at every thread count.
   FastodResult Execute() {
@@ -191,30 +190,27 @@ class Run {
   }
 
   // Runs task(i) for every i in [0, n): inline in index order on a serial
-  // run, else one TaskGraph task per index, adding the tasks' execution
-  // time to the level's busy seconds (the occupancy numerator). Node
-  // batches also feed the tasks_* counters, one task per lattice node.
+  // run, else on the pool, adding the tasks' execution time to the
+  // level's busy seconds (the occupancy numerator). Node batches also
+  // feed the tasks_* counters, one task per lattice node.
   void RunBatch(size_t n, bool node_tasks,
                 const std::function<void(size_t)>& task) {
     if (pool_ == nullptr) {
       for (size_t i = 0; i < n; ++i) task(i);
       return;
     }
-    TaskGraph graph(pool_.get());
     std::atomic<double> busy_seconds{0.0};
-    for (size_t i = 0; i < n; ++i) {
-      graph.Spawn([&task, &busy_seconds, i] {
-        WallTimer timer;
-        task(i);
-        busy_seconds.fetch_add(timer.ElapsedSeconds());
-      });
-    }
-    graph.Run();
+    std::atomic<int64_t> on_workers{0};
+    pool_->ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
+      WallTimer timer;
+      task(static_cast<size_t>(i));
+      busy_seconds.fetch_add(timer.ElapsedSeconds());
+      if (ThreadPool::CurrentParty() != 0) on_workers.fetch_add(1);
+    });
     level_busy_seconds_ += busy_seconds.load();
     if (node_tasks) {
-      result_.tasks_ready += static_cast<int64_t>(n);
-      result_.tasks_spawned += graph.spawned();
-      result_.tasks_stolen += graph.stolen();
+      result_.tasks_spawned += static_cast<int64_t>(n);
+      result_.tasks_stolen += on_workers.load();
     }
   }
 
@@ -238,14 +234,14 @@ class Run {
     if (StopRequested()) return;
     // Task-boundary fault point: "fail" degrades to cooperative
     // cancellation (the run ends flagged cancelled, like a control stop);
-    // "throw" exercises the TaskGraph exception drain; "sleep" randomizes
+    // "throw" exercises ParallelFor's exception drain; "sleep" randomizes
     // completion order for the determinism stress tests.
     if (FASTOD_FAULT_POINT("task_graph.task")) {
       cancelled_.store(true);
       return;
     }
     if (options_.minimality_pruning) ComputeCandidateSets(l, node);
-    ValidateNode(l, node, &checkers_[TaskGraph::CurrentSlot()], out);
+    ValidateNode(l, node, &checkers_[ThreadPool::CurrentParty()], out);
   }
 
   // Algorithm 4: delete nodes whose candidate sets are both empty.

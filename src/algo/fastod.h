@@ -84,7 +84,7 @@ struct FastodOptions {
   /// Number of worker threads, the calling thread included. The walk
   /// is level by level at every value: each level validates its nodes
   /// as one batch of tasks and derives the next level's partitions as
-  /// another (common/task_graph.h), run inline when this is 1. Output
+  /// another (ThreadPool::ParallelFor), run inline when this is 1. Output
   /// is bit-identical across all thread counts: per-node outcomes are
   /// merged on the calling thread in node order.
   int num_threads = 1;
@@ -166,13 +166,11 @@ struct FastodResult {
   /// product (sum of FastodLevelStats::partitions_reused; identical at
   /// every thread count).
   int64_t partitions_reused = 0;
-  /// Scheduling telemetry of the validate batches (all 0 when
-  /// num_threads is 1). ready counts lattice nodes handed to a batch,
-  /// spawned counts tasks enqueued on the graph (one per node), stolen
-  /// counts tasks a worker took from another worker's deque. Published
-  /// to the obs registry as fastod_tasks_{ready,spawned,stolen}_total
-  /// by the engine adapter.
-  int64_t tasks_ready = 0;
+  /// Scheduling telemetry of the validate batches (both 0 when
+  /// num_threads is 1). spawned counts node tasks (one per lattice
+  /// node), stolen those a pool worker ran rather than the calling
+  /// thread. Published to the obs registry as
+  /// fastod_tasks_{spawned,stolen}_total by the engine adapter.
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;
   double seconds = 0.0;

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "api/od_sink.h"
 #include "common/fault.h"
-#include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "od/attribute_set.h"
 #include "partition/partition_cache.h"
@@ -64,7 +64,7 @@ class Run {
     while (!current_.nodes.empty()) {
       if (options_.max_level > 0 && l > options_.max_level) break;
       result_.total_nodes += static_cast<int64_t>(current_.nodes.size());
-      ComputeDependencies(l);
+      ComputeDependencies();
       if (faulted_.load()) break;
       Prune();
       // Skip the join for a level the max_level cap would refuse anyway.
@@ -156,28 +156,33 @@ class Run {
     }
   }
 
-  void ComputeDependencies(int l) {
-    (void)l;
-    const size_t n = current_.nodes.size();
-    std::vector<std::vector<ConstancyOd>> found(n);
+  // Runs task(i) for every i in [0, n): inline in index order on a serial
+  // run, else on the pool. Node batches feed the tasks_* counters, one
+  // task per lattice node.
+  void RunBatch(size_t n, bool node_tasks,
+                const std::function<void(size_t)>& task) {
     if (pool_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        ProcessNode(&current_.nodes[i], &found[i]);
-      }
-    } else {
-      // One task per node on the work-stealing scheduler; intra-level
-      // only — Prune() below is a genuine barrier (see tane.h).
-      TaskGraph graph(pool_.get());
-      for (size_t i = 0; i < n; ++i) {
-        graph.Spawn([this, i, &found] {
-          ProcessNode(&current_.nodes[i], &found[i]);
-        });
-      }
-      graph.Run();
-      result_.tasks_ready += static_cast<int64_t>(n);
-      result_.tasks_spawned += graph.spawned();
-      result_.tasks_stolen += graph.stolen();
+      for (size_t i = 0; i < n; ++i) task(i);
+      return;
     }
+    std::atomic<int64_t> on_workers{0};
+    pool_->ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
+      task(static_cast<size_t>(i));
+      if (ThreadPool::CurrentParty() != 0) on_workers.fetch_add(1);
+    });
+    if (node_tasks) {
+      result_.tasks_spawned += static_cast<int64_t>(n);
+      result_.tasks_stolen += on_workers.load();
+    }
+  }
+
+  // One task per node, intra-level only — Prune() below is a genuine
+  // barrier (see tane.h).
+  void ComputeDependencies() {
+    std::vector<std::vector<ConstancyOd>> found(current_.nodes.size());
+    RunBatch(found.size(), /*node_tasks=*/true, [&](size_t i) {
+      ProcessNode(&current_.nodes[i], &found[i]);
+    });
     // Merge in node order: deterministic FD emission for any thread
     // count (the same discipline as FASTOD's level walk).
     for (const std::vector<ConstancyOd>& f : found) {
@@ -271,24 +276,13 @@ class Run {
       }
     }
     // The derive steps — products are the bulk of the join's cost at
-    // scale — run as tasks; puts happen afterwards in join order so cache
-    // traffic stays identical to the serial walk.
-    auto derive = [this](Pending& p) {
+    // scale — run as one batch; puts happen afterwards in join order so
+    // cache traffic stays identical to the serial walk.
+    RunBatch(pending.size(), /*node_tasks=*/false, [&](size_t i) {
       if (TaskFaulted()) return;
+      Pending& p = pending[i];
       p.derived = cache_.Derive(p.parent_a, p.parent_b, p.determined);
-    };
-    if (pool_ == nullptr) {
-      for (Pending& p : pending) derive(p);
-    } else {
-      TaskGraph graph(pool_.get());
-      for (Pending& p : pending) {
-        graph.Spawn([&derive, &p] { derive(p); });
-      }
-      graph.Run();
-      result_.tasks_ready += static_cast<int64_t>(pending.size());
-      result_.tasks_spawned += graph.spawned();
-      result_.tasks_stolen += graph.stolen();
-    }
+    });
     if (faulted_.load()) return next;
     for (Pending& p : pending) {
       result_.partitions_reused += p.derived.reused ? 1 : 0;
@@ -299,7 +293,7 @@ class Run {
 
   // The task-boundary fault point, hit by every node and derive task with
   // FASTOD's semantics: "fail" ends the run cancelled (the batch's
-  // remaining tasks skip), "throw" surfaces through TaskGraph::Run, and
+  // remaining tasks skip), "throw" surfaces through ParallelFor, and
   // "sleep" perturbs completion order for the determinism stress test.
   bool TaskFaulted() {
     if (faulted_.load()) return true;

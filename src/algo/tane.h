@@ -42,8 +42,8 @@ struct TaneOptions {
   /// Cooperative cancellation + progress, polled at level boundaries.
   ExecutionControl* control = nullptr;
   /// Worker threads. 1 = serial. With more threads, each level's node
-  /// validations and partition products run as tasks on the shared
-  /// work-stealing scheduler (common/task_graph.h); per-node FD lists
+  /// validations and partition products run as two batches on a thread
+  /// pool (ThreadPool::ParallelFor); per-node FD lists
   /// are merged in node order, so output is bit-identical across thread
   /// counts. The pruning step between levels is a barrier, as in
   /// FASTOD: key-node minimality (X -> A minimal iff A survives in every
@@ -68,8 +68,8 @@ struct TaneResult {
   int64_t partition_cache_puts = 0;
   /// Of the puts, partitions shared with a parent (see FastodResult).
   int64_t partitions_reused = 0;
-  /// Task-graph scheduling telemetry (num_threads > 1; see FastodResult).
-  int64_t tasks_ready = 0;
+  /// Validate-batch scheduling telemetry (num_threads > 1; see
+  /// FastodResult).
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;
   double seconds = 0.0;

@@ -36,7 +36,6 @@ obs::EngineStats StatsOf(const FastodResult& result) {
   stats.partition_cache_gets = result.partition_cache_gets;
   stats.partition_cache_puts = result.partition_cache_puts;
   stats.partitions_reused = result.partitions_reused;
-  stats.tasks_ready = result.tasks_ready;
   stats.tasks_spawned = result.tasks_spawned;
   stats.tasks_stolen = result.tasks_stolen;
   stats.levels.reserve(result.level_stats.size());
@@ -177,7 +176,6 @@ Status TaneAlgorithm::ExecuteInternal() {
   stats.partition_cache_gets = result_.partition_cache_gets;
   stats.partition_cache_puts = result_.partition_cache_puts;
   stats.partitions_reused = result_.partitions_reused;
-  stats.tasks_ready = result_.tasks_ready;
   stats.tasks_spawned = result_.tasks_spawned;
   stats.tasks_stolen = result_.tasks_stolen;
   return Status::Ok();

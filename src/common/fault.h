@@ -21,9 +21,9 @@
 // a latency fault: from the Nth hit onward, every hit stalls the calling
 // thread for a short pseudo-random duration derived deterministically
 // from the hit index — it never trips the site's failure path. The
-// scheduler stress tests use it to randomize task completion order at
-// "task_graph.task" and then assert output is order-independent
-// (tests/task_graph_test.cc).
+// determinism stress tests use it to randomize the completion order of
+// the lattice engines' batch tasks at "task_graph.task" and then assert
+// output is order-independent (tests/task_graph_test.cc).
 //
 // With no schedule installed — every production run — a fault point is
 // one relaxed atomic load and a never-taken branch. The registry itself

@@ -25,6 +25,11 @@ void NameCurrentThread(const std::string& name) {
 #endif
 }
 
+// The party of the ParallelFor body running on this thread; see
+// CurrentParty(). Saved and restored around each drain so a body that
+// runs a loop on another pool sees its own party again afterwards.
+thread_local int tls_party = 0;
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads, const char* name_prefix) {
@@ -58,6 +63,7 @@ void ThreadPool::WorkerMain() {
   uint64_t seen_generation = 0;
   while (true) {
     ForLoop* loop = nullptr;
+    int party = 0;
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -76,6 +82,7 @@ void ThreadPool::WorkerMain() {
         seen_generation = generation_;
         loop = active_;
         ++loop->refs;  // the loop object stays alive while refs > 0
+        party = loop->next_party++;
       }
     }
     if (task) {
@@ -89,7 +96,7 @@ void ThreadPool::WorkerMain() {
       }
       continue;
     }
-    DrainLoop(loop);
+    DrainLoop(loop, party);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --loop->refs;
@@ -110,16 +117,28 @@ bool ThreadPool::Submit(std::function<void()> task) {
   return true;
 }
 
-void ThreadPool::DrainLoop(ForLoop* loop) {
+int ThreadPool::CurrentParty() { return tls_party; }
+
+void ThreadPool::DrainLoop(ForLoop* loop, int party) {
+  const int saved_party = tls_party;
+  tls_party = party;
   while (true) {
-    int64_t begin = loop->next.fetch_add(loop->chunk);
-    if (begin >= loop->count) break;
-    int64_t end = std::min(begin + loop->chunk, loop->count);
-    for (int64_t i = begin; i < end; ++i) {
-      (*loop->body)(i);
+    const int64_t i = loop->next.fetch_add(1);
+    if (i >= loop->count) break;
+    // After the first exception the remaining claims are skipped, not
+    // run: the loop drains quickly and the caller rethrows.
+    if (!loop->failed.load(std::memory_order_relaxed)) {
+      try {
+        (*loop->body)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (loop->error == nullptr) loop->error = std::current_exception();
+        loop->failed.store(true, std::memory_order_relaxed);
+      }
     }
-    loop->done.fetch_add(end - begin);
+    loop->done.fetch_add(1);
   }
+  tls_party = saved_party;
 }
 
 void ThreadPool::ParallelFor(int64_t count,
@@ -127,10 +146,6 @@ void ThreadPool::ParallelFor(int64_t count,
   if (count <= 0) return;
   ForLoop loop;
   loop.count = count;
-  // Chunks sized for ~8 claims per worker to balance scheduling overhead
-  // against skew in per-node costs.
-  loop.chunk = std::max<int64_t>(
-      1, count / (static_cast<int64_t>(workers_.size() + 1) * 8));
   loop.body = &body;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -138,7 +153,8 @@ void ThreadPool::ParallelFor(int64_t count,
     ++generation_;
   }
   work_ready_.notify_all();
-  DrainLoop(&loop);  // the caller works too
+  DrainLoop(&loop, 0);  // the caller works too
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // The loop may be destroyed only when every iteration has run AND no
@@ -147,7 +163,9 @@ void ThreadPool::ParallelFor(int64_t count,
       return loop.done.load() == loop.count && loop.refs == 0;
     });
     active_ = nullptr;
+    error = loop.error;
   }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace fastod

@@ -2,12 +2,12 @@
 // session scheduling in the service layer.
 //
 // Two execution shapes are built on these workers. ParallelFor runs a
-// fixed iteration space with the caller participating; its one user is
-// common/task_graph.h, the work-stealing scheduler that runs the lattice
-// engines' per-level batches of node and derive tasks. See
-// docs/CONCURRENCY.md for the combined thread-safety contract. The
-// engines merge task results in canonical node order, keeping output
-// deterministic regardless of thread count (verified by
+// fixed iteration space with the caller participating: it is the batch
+// executor of the lattice engines, which run each level's node tasks and
+// then its partition-derive tasks as one loop each (algo/fastod.cc,
+// algo/tane.cc). See docs/CONCURRENCY.md for the combined thread-safety
+// contract. The engines merge task results in canonical node order,
+// keeping output deterministic regardless of thread count (verified by
 // tests/parallel_test.cc).
 //
 // Submit() adds fire-and-forget task scheduling on the same workers: the
@@ -23,6 +23,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -47,13 +48,23 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs body(i) for every i in [0, count), distributing dynamically in
-  /// chunks; blocks until all iterations finish. The calling thread
-  /// participates. body must be safe to call concurrently for distinct i
-  /// and must not throw: nothing catches on the worker threads, so an
-  /// escaping exception terminates the process. TaskGraph::Run, the one
-  /// caller, catches its tasks' exceptions inside each worker loop.
+  /// Runs body(i) for every i in [0, count) and blocks until all
+  /// iterations finish. Each claim takes one index; the calling thread
+  /// participates, so a busy or stopped pool degrades to running the
+  /// whole loop on the caller. body must be safe to call concurrently
+  /// for distinct i. No execution order is guaranteed.
+  ///
+  /// Exceptions: the first exception a body throws is captured, every
+  /// later claim is skipped (the loop still drains), and ParallelFor
+  /// rethrows it on the calling thread. One loop at a time per pool.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& body);
+
+  /// The party running the calling ParallelFor body: 0 on the loop's
+  /// caller and outside any loop, and a distinct value in
+  /// [1, num_threads()] for each worker that joined the loop. Bodies
+  /// running at the same time see distinct parties, so a caller can
+  /// index per-party scratch by it.
+  static int CurrentParty();
 
   /// Enqueues a task for execution on the next free worker and returns
   /// immediately. Tasks run in submission order (one worker each) and may
@@ -77,16 +88,18 @@ class ThreadPool {
  private:
   struct ForLoop {
     int64_t count = 0;
-    int64_t chunk = 1;
     std::atomic<int64_t> next{0};
     std::atomic<int64_t> done{0};
-    int refs = 0;  // workers currently draining; guarded by mutex_
+    int refs = 0;        // workers currently draining; guarded by mutex_
+    int next_party = 1;  // the next joining worker's; guarded by mutex_
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  // first body exception; guarded by mutex_
     const std::function<void(int64_t)>* body = nullptr;
   };
 
   void WorkerMain();
-  // Claims and runs chunks of the active loop; returns when exhausted.
-  void DrainLoop(ForLoop* loop);
+  // Claims and runs indexes of `loop` as `party` until it is exhausted.
+  void DrainLoop(ForLoop* loop, int party);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

@@ -60,7 +60,6 @@ std::string TraceRecorder::ToJson() const {
         .Key("partition_cache_gets").Int(s.partition_cache_gets)
         .Key("partition_cache_puts").Int(s.partition_cache_puts)
         .Key("partitions_reused").Int(s.partitions_reused)
-        .Key("tasks_ready").Int(s.tasks_ready)
         .Key("tasks_spawned").Int(s.tasks_spawned)
         .Key("tasks_stolen").Int(s.tasks_stolen);
     w.Key("levels").BeginArray();

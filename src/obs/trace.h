@@ -68,11 +68,10 @@ struct EngineStats {
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   int64_t partitions_reused = 0;  // of the puts, see LevelStats
-  /// Task-graph scheduling counters (num_threads > 1 runs of fastod /
-  /// approximate / tane; zero otherwise). ready counts nodes handed to
-  /// a batch, spawned counts tasks handed to the scheduler, stolen
-  /// counts cross-worker deque steals.
-  int64_t tasks_ready = 0;
+  /// Validate-batch scheduling counters (num_threads > 1 runs of
+  /// fastod / approximate / tane; zero otherwise). spawned counts node
+  /// tasks (one per lattice node), stolen those a pool worker ran
+  /// rather than the calling thread.
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;
   std::vector<LevelStats> levels;

@@ -104,13 +104,13 @@ Status DiscoverySession::MarkQueued() {
 }
 
 void DiscoverySession::FailQueued(Status status) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != SessionState::kQueued) return;
-    state_ = SessionState::kFailed;
-    status_ = std::move(status);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_ != SessionState::kQueued) return;
+  // Recorded before the state flips, as in Finish: a poller that sees
+  // the terminal state also sees its metrics and trace.
   RecordObservability(SessionState::kFailed);
+  state_ = SessionState::kFailed;
+  status_ = std::move(status);
 }
 
 void DiscoverySession::Run() {
@@ -188,14 +188,15 @@ void DiscoverySession::Finish(SessionState terminal, Status status) {
     json = algorithm_->ResultJson();
     text = algorithm_->ResultText();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_ = terminal;
-    status_ = std::move(status);
-    result_json_ = std::move(json);
-    result_text_ = std::move(text);
-  }
+  // Record first, then publish: a poller that sees the terminal state
+  // can already scrape the session's metric families and read its
+  // engine stats in the trace.
   RecordObservability(terminal);
+  std::lock_guard<std::mutex> lock(mutex_);
+  state_ = terminal;
+  status_ = std::move(status);
+  result_json_ = std::move(json);
+  result_text_ = std::move(text);
 }
 
 void DiscoverySession::RecordObservability(SessionState terminal) {
@@ -264,19 +265,15 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
                   by_algorithm)
       ->Inc(stats.partitions_reused);
   registry
-      .GetCounter("fastod_tasks_ready_total",
-                  "Lattice nodes handed to a parallel validate batch",
-                  by_algorithm)
-      ->Inc(stats.tasks_ready);
-  registry
       .GetCounter("fastod_tasks_spawned_total",
-                  "Tasks handed to the work-stealing scheduler",
+                  "Node tasks run by a parallel validate batch, one per "
+                  "lattice node",
                   by_algorithm)
       ->Inc(stats.tasks_spawned);
   registry
       .GetCounter("fastod_tasks_stolen_total",
-                  "Tasks executed by a worker other than the one whose "
-                  "deque received them",
+                  "Node tasks of a parallel validate batch that a pool "
+                  "worker ran rather than the calling thread",
                   by_algorithm)
       ->Inc(stats.tasks_stolen);
   // Worker-busy fraction per lattice level, from the most recent
@@ -285,8 +282,8 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
     if (level.occupancy <= 0.0) continue;
     registry
         .GetGauge("fastod_task_graph_level_occupancy_permille",
-                  "Worker-busy fraction (in 1/1000ths) while the task "
-                  "graph processed one lattice level (most recent run)",
+                  "Worker-busy fraction (in 1/1000ths) while the thread "
+                  "pool processed one lattice level (most recent run)",
                   {{"algorithm", algorithm},
                    {"level", std::to_string(level.level)}})
         ->Set(static_cast<int64_t>(level.occupancy * 1000.0));

@@ -128,7 +128,8 @@ class DiscoverySession {
   Status BindableLocked() const;
   void Finish(SessionState terminal, Status status);
   /// Publishes the terminal transition to the global metrics registry
-  /// and copies the engine's counters into the trace.
+  /// and copies the engine's counters into the trace. Runs before the
+  /// terminal state is stored, so a poller that sees it sees both.
   void RecordObservability(SessionState terminal);
 
   std::unique_ptr<Algorithm> algorithm_;

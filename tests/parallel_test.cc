@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "algo/fastod.h"
@@ -100,6 +102,85 @@ TEST(ThreadPoolTest, UnevenWorkloadsFinish) {
   EXPECT_EQ(sum.load(), 64);
 }
 
+TEST(ThreadPoolTest, FirstBodyExceptionRethrownAfterDrain) {
+  ThreadPool pool(3);
+  // Park every worker in a task, so the caller claims every index in
+  // order: index 0 throws, and no later body may run.
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  for (int w = 0; w < pool.num_threads(); ++w) {
+    ASSERT_TRUE(pool.Submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    }));
+  }
+  while (parked.load() < pool.num_threads()) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelFor(200,
+                                [&](int64_t i) {
+                                  if (i == 0) {
+                                    throw std::runtime_error("body boom");
+                                  }
+                                  ran.fetch_add(1);
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 0);
+  release.store(true);
+
+  // With the workers joining, a body's exception still reaches the
+  // caller once the loop has drained.
+  EXPECT_THROW(pool.ParallelFor(200,
+                                [](int64_t i) {
+                                  if (i == 100) throw std::logic_error("x");
+                                }),
+               std::logic_error);
+  // The same pool then completes a normal loop and a submitted task.
+  std::atomic<int> count{0};
+  pool.ParallelFor(100, [&](int64_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
+  std::atomic<bool> submitted{false};
+  ASSERT_TRUE(pool.Submit([&] { submitted.store(true); }));
+  pool.Stop();  // drains the queue
+  EXPECT_TRUE(submitted.load());
+}
+
+TEST(ThreadPoolTest, CurrentPartyDistinctAndBounded) {
+  ThreadPool pool(3);
+  const int parties = pool.num_threads() + 1;
+  std::vector<std::atomic<int>> busy(parties);
+  std::atomic<bool> ok{true};
+  EXPECT_EQ(ThreadPool::CurrentParty(), 0);
+  pool.ParallelFor(64, [&](int64_t) {
+    const int party = ThreadPool::CurrentParty();
+    if (party < 0 || party >= parties) {
+      ok = false;
+      return;
+    }
+    // Two bodies running at once never share a party.
+    if (busy[party].fetch_add(1) != 0) ok = false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    busy[party].fetch_sub(1);
+  });
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(ThreadPool::CurrentParty(), 0);
+}
+
+TEST(ThreadPoolTest, StoppedPoolParallelForRunsOnCaller) {
+  // A pool whose workers are gone must degrade ParallelFor to running
+  // every index on the calling thread, never block waiting for workers
+  // that will not come.
+  ThreadPool pool(2);
+  pool.Stop();
+  std::atomic<int> ran{0};
+  std::atomic<bool> on_caller{true};
+  pool.ParallelFor(50, [&](int64_t) {
+    if (ThreadPool::CurrentParty() != 0) on_caller = false;
+    ran.fetch_add(1);
+  });
+  EXPECT_EQ(ran.load(), 50);
+  EXPECT_TRUE(on_caller.load());
+}
+
 struct ParallelParam {
   int threads;
   uint64_t seed;
@@ -174,8 +255,10 @@ TEST(ParallelTaneTest, OutputIdenticalToSerialAcrossThreadCounts) {
     EXPECT_EQ(serial.num_fds, parallel.num_fds);
     EXPECT_EQ(serial.total_nodes, parallel.total_nodes);
     EXPECT_EQ(serial.levels_processed, parallel.levels_processed);
-    EXPECT_GT(parallel.tasks_spawned, 0);
+    // One node task per lattice node.
+    EXPECT_EQ(parallel.tasks_spawned, parallel.total_nodes);
   }
+  EXPECT_EQ(serial.tasks_spawned, 0);
 }
 
 TEST(ParallelFastodTest, TaskCountersPopulatedInParallelRuns) {
@@ -185,12 +268,13 @@ TEST(ParallelFastodTest, TaskCountersPopulatedInParallelRuns) {
   FastodOptions opt;
   opt.num_threads = 4;
   FastodResult r = Fastod(opt).Discover(*rel);
-  // Every lattice node became ready exactly once and ran as a task.
-  EXPECT_EQ(r.tasks_ready, r.total_nodes);
+  // Every lattice node ran exactly once as a task.
   EXPECT_EQ(r.tasks_spawned, r.total_nodes);
+  EXPECT_GE(r.tasks_stolen, 0);
+  EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
   FastodResult serial = Fastod().Discover(*rel);
   EXPECT_EQ(serial.tasks_spawned, 0);
-  EXPECT_EQ(serial.tasks_ready, 0);
+  EXPECT_EQ(serial.tasks_stolen, 0);
 }
 
 TEST(ParallelFastodTest, LevelStatsConsistent) {

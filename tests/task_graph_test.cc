@@ -1,11 +1,13 @@
-// The work-stealing task graph (common/task_graph.h) and the
-// determinism guarantee of the engines built on it.
+// The determinism guarantee of the lattice engines' parallel level walk,
+// whose batches run on ThreadPool::ParallelFor, and its failure paths.
+// (ParallelFor's own contract is unit-tested in tests/parallel_test.cc.)
 //
 // Three layers of coverage:
 //
-//  * TaskGraph unit tests — drain semantics, spawn-from-task, reuse,
-//    exception rethrow, and the degraded inline mode on a null or
-//    stopped pool (no deadlock, same results);
+//  * level-walk basics — every node task runs exactly once, inline on
+//    the caller when there is no pool, a reused engine gives the same
+//    run each time, a throwing task surfaces from Discover() after the
+//    batch drained, and pool workers take a share of the node tasks;
 //  * scheduler stress — 50 seeds of random tables run under the
 //    "task_graph.task:sleep:1" latency fault, which perturbs task
 //    completion order on every hit; output must stay bit-identical to
@@ -14,23 +16,17 @@
 //  * fault points and shutdown — "fail" lands on the engine's
 //    cancellation path, "throw" surfaces through the session as a
 //    failed Status, and a service Submit() racing Shutdown() during a
-//    live task-graph run fails the session kUnavailable instead of
+//    live parallel run fails the session kUnavailable instead of
 //    deadlocking.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <memory>
-#include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "algo/fastod.h"
 #include "algo/tane.h"
 #include "common/fault.h"
 #include "common/status.h"
-#include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "data/encode.h"
 #include "gen/generators.h"
 #include "gen/random_table.h"
@@ -43,140 +39,126 @@ struct ScheduleGuard {
   ~ScheduleGuard() { fault::Clear(); }
 };
 
-// ------------------------------------------------- TaskGraph basics
+// ------------------------------------------------ level-walk basics
 
-TEST(TaskGraphTest, DrainsEverySeededTask) {
-  ThreadPool pool(3);
-  TaskGraph graph(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 200; ++i) {
-    graph.Spawn([&] { ran.fetch_add(1); });
-  }
-  graph.Run();
-  EXPECT_EQ(ran.load(), 200);
-  EXPECT_EQ(graph.spawned(), 200);
-  EXPECT_EQ(graph.executed(), 200);
-  EXPECT_GE(graph.stolen(), 0);
+// Counts hits at the node-task fault point without ever sleeping: a
+// "sleep" schedule only stalls from hit N onward.
+constexpr char kCountTasksOnly[] = "task_graph.task:sleep:1000000000";
+
+void ExpectSameOds(const FastodResult& a, const FastodResult& b) {
+  EXPECT_EQ(a.constancy_ods, b.constancy_ods);
+  EXPECT_EQ(a.compatibility_ods, b.compatibility_ods);
+  EXPECT_EQ(a.total_nodes, b.total_nodes);
+  EXPECT_EQ(a.levels_processed, b.levels_processed);
 }
 
-TEST(TaskGraphTest, TasksSpawnTasksUntilDependenciesResolve) {
-  // A binary fan-out four levels deep, spawned from inside running
-  // tasks — the lattice-search shape in miniature.
-  ThreadPool pool(4);
-  TaskGraph graph(&pool);
-  std::atomic<int> ran{0};
-  std::function<void(int)> expand = [&](int depth) {
-    ran.fetch_add(1);
-    if (depth == 0) return;
-    graph.Spawn([&, depth] { expand(depth - 1); });
-    graph.Spawn([&, depth] { expand(depth - 1); });
-  };
-  graph.Spawn([&] { expand(4); });
-  graph.Run();
-  EXPECT_EQ(ran.load(), 31);  // 1 + 2 + 4 + 8 + 16
-  EXPECT_EQ(graph.executed(), 31);
+TEST(TaskGraphTest, DrainsEverySeededTask) {
+  ScheduleGuard guard;
+  Table t = GenFlightLike(300, 8, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
+  FastodOptions opt;
+  opt.num_threads = 4;
+  FastodResult r = Fastod(opt).Discover(*rel);
+  // One node task per lattice node, each run exactly once.
+  EXPECT_GT(r.total_nodes, 0);
+  EXPECT_EQ(fault::Hits("task_graph.task"), r.total_nodes);
+  EXPECT_EQ(r.tasks_spawned, r.total_nodes);
+  EXPECT_GE(r.tasks_stolen, 0);
+  EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
+  EXPECT_FALSE(r.cancelled);
 }
 
 TEST(TaskGraphTest, NullPoolRunsInline) {
-  TaskGraph graph(nullptr);
-  std::atomic<int> ran{0};
-  graph.Spawn([&] {
-    ran.fetch_add(1);
-    graph.Spawn([&] { ran.fetch_add(1); });
-  });
-  graph.Run();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(TaskGraphTest, StoppedPoolRunsInlineWithoutDeadlock) {
-  // A pool that refuses work must degrade the graph to inline
-  // execution on the calling thread, never block waiting for workers
-  // that will not come.
-  ThreadPool pool(2);
-  pool.Stop();
-  TaskGraph graph(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) {
-    graph.Spawn([&] { ran.fetch_add(1); });
+  ScheduleGuard guard;
+  Table t = GenFlightLike(300, 8, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  // A serial run builds no pool: every node task still runs, on the
+  // calling thread, and no scheduling telemetry is recorded.
+  ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
+  FastodResult serial = Fastod().Discover(*rel);
+  EXPECT_EQ(fault::Hits("task_graph.task"), serial.total_nodes);
+  EXPECT_EQ(serial.tasks_spawned, 0);
+  EXPECT_EQ(serial.tasks_stolen, 0);
+  for (const FastodLevelStats& level : serial.level_stats) {
+    EXPECT_EQ(level.occupancy, 0.0) << "level " << level.level;
   }
-  graph.Run();
-  EXPECT_EQ(ran.load(), 50);
+
+  fault::Clear();
+  FastodOptions opt;
+  opt.num_threads = 4;
+  ExpectSameOds(serial, Fastod(opt).Discover(*rel));
 }
 
 TEST(TaskGraphTest, ReusableAcrossSequentialRuns) {
-  ThreadPool pool(2);
-  TaskGraph graph(&pool);
-  int64_t total = 0;
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int64_t> sum{0};
-    for (int i = 0; i < 64; ++i) {
-      graph.Spawn([&sum, i] { sum.fetch_add(i); });
-    }
-    graph.Run();
-    total += sum.load();
+  Table t = GenFlightLike(300, 8, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  FastodResult serial = Fastod().Discover(*rel);
+  // One engine object, many runs: each Discover() owns its pool and
+  // per-run state, so repeated runs neither leak state nor drift.
+  FastodOptions opt;
+  opt.num_threads = 3;
+  const Fastod engine(opt);
+  for (int round = 0; round < 10; ++round) {
+    FastodResult r = engine.Discover(*rel);
+    ExpectSameOds(serial, r);
+    EXPECT_EQ(r.tasks_spawned, r.total_nodes) << "round " << round;
   }
-  EXPECT_EQ(total, 20 * (63 * 64 / 2));
-  EXPECT_EQ(graph.spawned(), 20 * 64);
-  EXPECT_EQ(graph.executed(), 20 * 64);
 }
 
 TEST(TaskGraphTest, FirstExceptionRethrownAfterDrain) {
-  ThreadPool pool(4);
-  TaskGraph graph(&pool);
-  std::atomic<int> ran{0};
-  graph.Spawn([] { throw std::runtime_error("task boom"); });
-  for (int i = 0; i < 100; ++i) {
-    graph.Spawn([&] { ran.fetch_add(1); });
-  }
-  EXPECT_THROW(graph.Run(), std::runtime_error);
-  // The graph drained (Run returned) and is reusable afterwards.
-  graph.Spawn([&] { ran.fetch_add(1); });
-  graph.Run();
-  EXPECT_GE(ran.load(), 1);
+  ScheduleGuard guard;
+  Table t = GenFlightLike(300, 8, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  FastodResult serial = Fastod().Discover(*rel);
+  TaneResult tane_serial = Tane().Discover(*rel);
+
+  // A node task throwing on a pool worker or the caller reaches the
+  // Discover() caller once its batch drained.
+  FastodOptions opt;
+  opt.num_threads = 4;
+  const Fastod fastod(opt);
+  ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
+  EXPECT_THROW(fastod.Discover(*rel), fault::FaultInjected);
+  EXPECT_GE(fault::Hits("task_graph.task"), 4);
+
+  TaneOptions tane_opt;
+  tane_opt.num_threads = 4;
+  const Tane tane(tane_opt);
+  ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
+  EXPECT_THROW(tane.Discover(*rel), fault::FaultInjected);
+
+  // The same engines then complete normal runs.
+  fault::Clear();
+  ExpectSameOds(serial, fastod.Discover(*rel));
+  TaneResult tane_after = tane.Discover(*rel);
+  EXPECT_EQ(tane_serial.fds, tane_after.fds);
+  EXPECT_EQ(tane_serial.num_fds, tane_after.num_fds);
 }
 
 TEST(TaskGraphTest, StealsHappenUnderSkewedLoad) {
-  // External spawns distribute round-robin; a worker that finishes its
-  // own deque must steal the long tasks parked on other deques. Steal
-  // counts are scheduling-dependent, so assert only the invariant that
-  // every task ran exactly once while steals were possible.
-  ThreadPool pool(4);
-  TaskGraph graph(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    graph.Spawn([&ran, i] {
-      volatile int64_t x = 0;
-      for (int64_t k = 0; k < (i % 4) * 20000; ++k) x = x + 1;
-      ran.fetch_add(1);
-    });
-  }
-  graph.Run();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_EQ(graph.executed(), 32);
-}
-
-TEST(TaskGraphTest, CurrentSlotIsDistinctPerParty) {
-  ThreadPool pool(3);
-  TaskGraph graph(&pool);
-  const int parties = pool.num_threads() + 1;
-  std::vector<std::atomic<int>> busy(parties);
-  std::atomic<bool> ok{true};
-  for (int i = 0; i < 64; ++i) {
-    graph.Spawn([&] {
-      const int slot = TaskGraph::CurrentSlot();
-      if (slot < 0 || slot >= parties) {
-        ok = false;
-        return;
-      }
-      // Two tasks running at once never share a slot.
-      if (busy[slot].fetch_add(1) != 0) ok = false;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      busy[slot].fetch_sub(1);
-    });
-  }
-  graph.Run();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(TaskGraph::CurrentSlot(), 0);
+  ScheduleGuard guard;
+  Table t = GenFlightLike(300, 8, 5);
+  auto rel = EncodedRelation::FromTable(t);
+  ASSERT_TRUE(rel.ok());
+  FastodResult serial = Fastod().Discover(*rel);
+  // Every node task stalls for a different sub-millisecond time, so a
+  // level takes far longer than a worker needs to wake: the workers
+  // must claim node tasks alongside the caller, and every task still
+  // runs exactly once.
+  ASSERT_TRUE(fault::SetSchedule("task_graph.task:sleep:1"));
+  FastodOptions opt;
+  opt.num_threads = 4;
+  FastodResult r = Fastod(opt).Discover(*rel);
+  EXPECT_EQ(fault::Hits("task_graph.task"), r.total_nodes);
+  EXPECT_EQ(r.tasks_spawned, r.total_nodes);
+  EXPECT_GT(r.tasks_stolen, 0);
+  EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
+  ExpectSameOds(serial, r);
 }
 
 // ------------------------------------------- randomized stress (50x)
@@ -284,7 +266,7 @@ TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
 // --------------------------------------- Submit racing pool shutdown
 
 // Regression: a Submit() landing after Shutdown() began — while a
-// multi-threaded task-graph session still runs on the only worker —
+// multi-threaded session still runs on the only worker —
 // must fail that session kUnavailable, not queue it forever (the
 // pre-Shutdown service had no way to observe the stopped pool short of
 // destruction).

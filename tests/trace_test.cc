@@ -173,6 +173,39 @@ TEST(SessionTrace, DeferredCsvSessionRecordsPhaseSpans) {
   EXPECT_NE(trace.find("\"level[1]\""), std::string::npos) << trace;
 }
 
+// A poller that sees kDone must already find the session's engine stats
+// in its trace and its terminal transition in the metrics registry: the
+// session records both before it publishes the terminal state.
+TEST(SessionTrace, DoneStateImpliesTraceAndMetricsRecorded) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  obs::Counter* done = obs::Registry::Global().GetCounter(
+      "fastod_sessions_total",
+      "Discovery sessions reaching a terminal state",
+      {{"algorithm", "fastod"}, {"state", "done"}});
+  const int64_t before = done->Value();
+  DiscoveryService service(2);
+  for (int i = 0; i < 20; ++i) {
+    Result<SessionId> id = service.Create("fastod");
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+    ASSERT_TRUE(service.Submit(*id).ok());
+    SessionState state = SessionState::kQueued;
+    while (!IsTerminal(state)) {
+      Result<DiscoveryService::PollInfo> info = service.Poll(*id);
+      ASSERT_TRUE(info.ok());
+      state = info->state;
+    }
+    // The counter first: it is the last thing the session records.
+    EXPECT_EQ(done->Value(), before + i + 1) << "session " << i;
+    ASSERT_EQ(state, SessionState::kDone) << "session " << i;
+    Result<std::string> trace = service.TraceJson(*id);
+    ASSERT_TRUE(trace.ok());
+    EXPECT_NE(trace->find("\"nodes_visited\""), std::string::npos)
+        << "session " << i << ": " << *trace;
+  }
+}
+
 TEST(SessionTrace, DisabledMetricsLeaveTraceEmpty) {
   EnabledGuard guard;
   obs::SetEnabled(false);
