@@ -22,6 +22,7 @@
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
+#include "common/json.h"
 #include "common/timer.h"
 #include "data/encode.h"
 #include "report/report.h"

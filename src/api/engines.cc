@@ -6,6 +6,7 @@
 
 #include "api/od_sink.h"
 #include "api/registry.h"
+#include "common/json.h"
 #include "incremental/incremental_engine.h"
 #include "common/timer.h"
 #include "report/report.h"
@@ -362,31 +363,23 @@ std::string ConditionalAlgorithm::ResultText() const {
 
 std::string ConditionalAlgorithm::ResultJson() const {
   const Schema& schema = relation().schema();
-  std::string out = ReportHeaderJson("conditional", Info(relation()),
-                                     seconds_, /*timed_out=*/false);
-  out += "  \"conditional_ods\": [\n";
-  for (size_t i = 0; i < result_.size(); ++i) {
-    const ConditionalOd& c = result_[i];
-    char support_buf[32];
-    std::snprintf(support_buf, sizeof(support_buf), "%.6f", c.support);
-    out += "    {\"condition\": \"" +
-           JsonEscape(schema.name(c.condition_attribute)) +
-           "\", \"bindings\": [";
-    for (size_t j = 0; j < c.binding_ranks.size(); ++j) {
-      if (j > 0) out += ",";
-      out += '"';
-      out += JsonEscape(
-          BindingValue(c.condition_attribute, c.binding_ranks[j]));
-      out += '"';
+  JsonWriter w;
+  w.BeginObject();
+  WriteReportHeader(&w, "conditional", Info(relation()), seconds_,
+                    /*timed_out=*/false, /*cancelled=*/false);
+  w.Key("conditional_ods").BeginArray();
+  for (const ConditionalOd& c : result_) {
+    std::vector<std::string> bindings;
+    bindings.reserve(c.binding_ranks.size());
+    for (int32_t rank : c.binding_ranks) {
+      bindings.push_back(BindingValue(c.condition_attribute, rank));
     }
-    out += "], \"od\": \"" +
-           JsonEscape(CanonicalOdToString(c.od, schema)) +
-           "\", \"support\": " + support_buf + "}";
-    if (i + 1 < result_.size()) out += ",";
-    out += "\n";
+    w.BeginObject();
+    WriteOdMembers(&w, c, schema, &bindings);
+    w.EndObject();
   }
-  out += "  ]\n}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.str() + "\n";
 }
 
 // ----------------------------------------------------------- registry

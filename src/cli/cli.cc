@@ -14,6 +14,7 @@
 #include "api/algorithm.h"
 #include "api/registry.h"
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "data/csv.h"
 #include "data/dataset_store.h"
@@ -308,10 +309,7 @@ CliResult Discover(const std::vector<std::string>& args) {
     }
     trace.SetEngineStats((*algo)->stats());
     if (output == "json") {
-      size_t brace = result.output.rfind('}');
-      if (brace != std::string::npos) {
-        result.output.insert(brace, ",\"trace\":" + trace.ToJson());
-      }
+      SpliceJsonMember(&result.output, "trace", trace.ToJson());
     } else {
       result.output += RenderStatsText((*algo)->stats());
     }
@@ -657,7 +655,8 @@ CliResult Batch(const std::vector<std::string>& args) {
 
   CliResult result;
   bool any_failed = false;
-  std::string json_rows;
+  JsonWriter json;
+  json.BeginObject().Key("jobs").BeginArray();
   for (size_t i = 0; i < jobs.size(); ++i) {
     const BatchJob& job = jobs[i];
     std::string state = "failed";
@@ -678,21 +677,15 @@ CliResult Batch(const std::vector<std::string>& args) {
     }
     if (state != "done") any_failed = true;
     if (output == "json") {
-      char seconds_buf[32];
-      std::snprintf(seconds_buf, sizeof(seconds_buf), "%.6f", seconds);
-      std::string row = "  {\"job\": " + std::to_string(i + 1) +
-                        ", \"csv\": \"" + JsonEscape(job.csv) +
-                        "\", \"algorithm\": \"" + JsonEscape(job.algorithm) +
-                        "\", \"state\": \"" + state + "\", \"seconds\": " +
-                        seconds_buf;
-      if (!error.empty()) row += ", \"error\": \"" + JsonEscape(error) + "\"";
+      json.BeginObject().Key("job").Int(static_cast<int64_t>(i + 1));
+      json.Key("csv").String(job.csv).Key("algorithm").String(job.algorithm);
+      json.Key("state").String(state).Key("seconds").Double(seconds);
+      if (!error.empty()) json.Key("error").String(error);
+      // The per-job report is itself the stable JSON shape; inline it.
       if (!rendered.empty()) {
-        // The per-job report is itself the stable JSON shape; inline it.
-        std::string inlined(Trim(rendered));
-        row += ", \"result\": " + inlined;
+        json.Key("result").Raw(std::string(Trim(rendered)));
       }
-      row += "}";
-      json_rows += (json_rows.empty() ? "" : ",\n") + row;
+      json.EndObject();
     } else {
       char line[64];
       std::snprintf(line, sizeof(line), " (%.3fs)", seconds);
@@ -708,7 +701,8 @@ CliResult Batch(const std::vector<std::string>& args) {
     }
   }
   if (output == "json") {
-    result.output = "{\"jobs\": [\n" + json_rows + "\n]}\n";
+    json.EndArray().EndObject();
+    result.output = json.str() + "\n";
   }
   result.exit_code = any_failed ? 1 : 0;
   return result;

@@ -42,6 +42,17 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+void SpliceJsonMember(std::string* object, const std::string& key,
+                      const std::string& value_json) {
+  size_t brace = object->rfind('}');
+  if (brace == std::string::npos || brace == 0) return;
+  size_t last = object->find_last_not_of(" \t\n\r", brace - 1);
+  const char* lead = last != std::string::npos && (*object)[last] == '{'
+                         ? "\""
+                         : ",\"";
+  object->insert(brace, lead + JsonEscape(key) + "\":" + value_json);
+}
+
 // ------------------------------------------------------------- writer
 
 void JsonWriter::BeforeValue() {

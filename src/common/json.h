@@ -6,9 +6,9 @@
 // third-party dependency, this header provides the two small pieces every
 // frontend needs:
 //
-//   * JsonEscape / JsonWriter — append-only construction of valid JSON
-//     text. The writer tracks nesting and comma placement so call sites
-//     read like the document they produce:
+//   * JsonWriter — append-only construction of valid JSON text, the one
+//     way the library builds JSON. The writer tracks nesting and comma
+//     placement so call sites read like the document they produce:
 //
 //       JsonWriter w;
 //       w.BeginObject().Key("id").Int(7).Key("tags").BeginArray()
@@ -34,6 +34,12 @@ namespace fastod {
 
 /// Escapes a string for inclusion inside JSON double quotes.
 std::string JsonEscape(const std::string& s);
+
+/// Adds `"key":value_json` as the last member of a rendered JSON object
+/// (e.g. a trace spliced into a cached report); text after the object's
+/// closing brace is kept. A no-op when `object` has no closing brace.
+void SpliceJsonMember(std::string* object, const std::string& key,
+                      const std::string& value_json);
 
 /// Append-only JSON text builder. Misuse (e.g. a value where a key is
 /// required) is a programming error and fires FASTOD_CHECK in debug use;

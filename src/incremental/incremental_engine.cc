@@ -55,6 +55,18 @@ Result<PriorOds> ParsePriorReport(const std::string& json,
   if (!parsed->is_object()) {
     return Status::InvalidArgument("prior report must be a JSON object");
   }
+  // A partial prior would pass its missing ODs off as absent, and the
+  // incremental result built on it would be silently incomplete.
+  if (const JsonValue* stats = parsed->Find("stats"); stats != nullptr) {
+    for (const char* flag : {"timed_out", "cancelled"}) {
+      const JsonValue* value = stats->Find(flag);
+      if (value != nullptr && value->is_bool() && value->bool_value()) {
+        return Status::InvalidArgument(
+            std::string("prior report is partial (stats.") + flag +
+            " is true); rerun the prior discovery to completion");
+      }
+    }
+  }
   const JsonValue* bidi = parsed->Find("bidirectional_ods");
   if (bidi != nullptr && bidi->is_array() && !bidi->array_items().empty()) {
     return Status::InvalidArgument(

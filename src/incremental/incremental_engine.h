@@ -35,7 +35,8 @@ namespace fastod {
 /// Parses a report-shaped prior result ({"constancy_ods": [...],
 /// "compatibility_ods": [...]}) against `schema`. Rejects reports with
 /// bidirectional or list-shaped dependencies (the incremental engine
-/// covers the two canonical shapes) and unknown attribute names.
+/// covers the two canonical shapes), unknown attribute names, and partial
+/// reports (stats.timed_out or stats.cancelled true).
 Result<PriorOds> ParsePriorReport(const std::string& json,
                                   const Schema& schema);
 

@@ -1,111 +1,179 @@
 #include "report/report.h"
 
 #include <cstdio>
+#include <type_traits>
+#include <variant>
 
+#include "common/json.h"
 #include "common/macros.h"
 
 namespace fastod {
 
 namespace {
 
-std::string AttrName(const RelationInfo& info, int attr) {
-  FASTOD_CHECK(info.schema != nullptr);
-  return info.schema->name(attr);
+void WriteNames(JsonWriter* w, AttributeSet attrs, const Schema& schema) {
+  w->BeginArray();
+  for (int a = attrs.First(); a >= 0; a = attrs.Next(a)) {
+    w->String(schema.name(a));
+  }
+  w->EndArray();
 }
 
-std::string ContextJson(const RelationInfo& info, AttributeSet context) {
-  std::string out = "[";
-  bool first = true;
-  for (int a = context.First(); a >= 0; a = context.Next(a)) {
-    if (!first) out += ",";
-    first = false;
-    out += '"';
-    out += JsonEscape(AttrName(info, a));
-    out += '"';
-  }
-  out += "]";
-  return out;
+void WriteNames(JsonWriter* w, const OrderSpec& spec, const Schema& schema) {
+  w->BeginArray();
+  for (int a : spec) w->String(schema.name(a));
+  w->EndArray();
 }
 
-std::string HeaderJson(const char* algorithm, const RelationInfo& info,
-                       double seconds, bool timed_out) {
-  std::string out = "{\n  \"algorithm\": \"";
-  out += algorithm;
-  out += "\",\n  \"relation\": {\"rows\": " + std::to_string(info.rows) +
-         ", \"attributes\": [";
-  for (int i = 0; i < info.schema->NumAttributes(); ++i) {
-    if (i > 0) out += ",";
-    out += '"';
-    out += JsonEscape(info.schema->name(i));
-    out += '"';
+const char* TypeName(const ConstancyOd&) { return "constancy"; }
+const char* TypeName(const CompatibilityOd&) { return "compatibility"; }
+const char* TypeName(const BidiCompatibilityOd&) { return "bidirectional"; }
+const char* TypeName(const ListOd&) { return "list"; }
+const char* TypeName(const ConditionalOd&) { return "conditional"; }
+
+template <typename Od>
+void WriteOdArray(JsonWriter* w, const char* key, const std::vector<Od>& ods,
+                  const Schema& schema) {
+  w->Key(key).BeginArray();
+  for (const Od& od : ods) {
+    w->BeginObject();
+    WriteOdMembers(w, od, schema);
+    w->EndObject();
   }
-  char seconds_buf[32];
-  std::snprintf(seconds_buf, sizeof(seconds_buf), "%.6f", seconds);
-  out += "]},\n  \"stats\": {\"seconds\": ";
-  out += seconds_buf;
-  out += ", \"timed_out\": ";
-  out += timed_out ? "true" : "false";
-  out += "},\n";
-  return out;
+  w->EndArray();
+}
+
+/// Opens a report document and writes its header members.
+JsonWriter BeginReport(const std::string& algorithm, const RelationInfo& info,
+                       double seconds, bool timed_out, bool cancelled) {
+  JsonWriter w;
+  w.BeginObject();
+  WriteReportHeader(&w, algorithm, info, seconds, timed_out, cancelled);
+  return w;
+}
+
+/// Closes a report document: one compact line.
+std::string EndReport(JsonWriter* w) {
+  w->EndObject();
+  return w->str() + "\n";
 }
 
 }  // namespace
 
-std::string ReportHeaderJson(const std::string& algorithm,
-                             const RelationInfo& info, double seconds,
-                             bool timed_out) {
-  return HeaderJson(algorithm.c_str(), info, seconds, timed_out);
+void WriteReportHeader(JsonWriter* w, const std::string& algorithm,
+                       const RelationInfo& info, double seconds,
+                       bool timed_out, bool cancelled) {
+  FASTOD_CHECK(info.schema != nullptr);
+  w->Key("algorithm").String(algorithm);
+  w->Key("relation").BeginObject().Key("rows").Int(info.rows);
+  w->Key("attributes").BeginArray();
+  for (int i = 0; i < info.schema->NumAttributes(); ++i) {
+    w->String(info.schema->name(i));
+  }
+  w->EndArray().EndObject();
+  w->Key("stats").BeginObject().Key("seconds").Double(seconds);
+  w->Key("timed_out").Bool(timed_out).Key("cancelled").Bool(cancelled);
+  w->EndObject();
+}
+
+void WriteOdMembers(JsonWriter* w, const ConstancyOd& od,
+                    const Schema& schema) {
+  w->Key("context");
+  WriteNames(w, od.context, schema);
+  w->Key("attribute").String(schema.name(od.attribute));
+}
+
+void WriteOdMembers(JsonWriter* w, const CompatibilityOd& od,
+                    const Schema& schema) {
+  w->Key("context");
+  WriteNames(w, od.context, schema);
+  w->Key("a").String(schema.name(od.a));
+  w->Key("b").String(schema.name(od.b));
+}
+
+void WriteOdMembers(JsonWriter* w, const BidiCompatibilityOd& od,
+                    const Schema& schema) {
+  w->Key("context");
+  WriteNames(w, od.context, schema);
+  w->Key("a").String(schema.name(od.a));
+  w->Key("b").String(schema.name(od.b));
+  w->Key("polarity").String("opposite");
+}
+
+void WriteOdMembers(JsonWriter* w, const ListOd& od, const Schema& schema) {
+  w->Key("lhs");
+  WriteNames(w, od.lhs, schema);
+  w->Key("rhs");
+  WriteNames(w, od.rhs, schema);
+}
+
+void WriteOdMembers(JsonWriter* w, const ConditionalOd& od,
+                    const Schema& schema,
+                    const std::vector<std::string>* binding_values) {
+  w->Key("condition").String(schema.name(od.condition_attribute));
+  w->Key("bindings").BeginArray();
+  if (binding_values != nullptr) {
+    for (const std::string& value : *binding_values) w->String(value);
+  } else {
+    for (int32_t rank : od.binding_ranks) w->Int(rank);
+  }
+  w->EndArray();
+  w->Key("od").String(CanonicalOdToString(od.od, schema));
+  w->Key("support").Double(od.support);
+}
+
+std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
+  JsonWriter w;
+  w.BeginObject();
+  std::visit(
+      [&](const auto& od) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(od)>,
+                                     RevokedOd>) {
+          // A retraction of a previously streamed/reported OD; od_type +
+          // the shape's usual members identify which one.
+          w.Key("type").String("revoked");
+          std::visit(
+              [&](const auto& revoked) {
+                w.Key("od_type").String(TypeName(revoked));
+                WriteOdMembers(&w, revoked, schema);
+              },
+              od.od);
+        } else {
+          w.Key("type").String(TypeName(od));
+          WriteOdMembers(&w, od, schema);
+        }
+      },
+      event);
+  w.EndObject();
+  return w.str() + "\n";
 }
 
 std::string FastodResultToJson(const FastodResult& result,
                                const RelationInfo& info,
                                const std::string& algorithm) {
-  std::string out =
-      HeaderJson(algorithm.c_str(), info, result.seconds, result.timed_out);
-  out += "  \"constancy_ods\": [\n";
-  for (size_t i = 0; i < result.constancy_ods.size(); ++i) {
-    const ConstancyOd& od = result.constancy_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"attribute\": \"" + JsonEscape(AttrName(info, od.attribute)) +
-           "\"}";
-    if (i + 1 < result.constancy_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ],\n  \"compatibility_ods\": [\n";
-  for (size_t i = 0; i < result.compatibility_ods.size(); ++i) {
-    const CompatibilityOd& od = result.compatibility_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, od.a)) + "\", \"b\": \"" +
-           JsonEscape(AttrName(info, od.b)) + "\"}";
-    if (i + 1 < result.compatibility_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ],\n  \"bidirectional_ods\": [\n";
-  for (size_t i = 0; i < result.bidirectional_ods.size(); ++i) {
-    const BidiCompatibilityOd& od = result.bidirectional_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, od.a)) + "\", \"b\": \"" +
-           JsonEscape(AttrName(info, od.b)) +
-           "\", \"polarity\": \"opposite\"}";
-    if (i + 1 < result.bidirectional_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
+  JsonWriter w = BeginReport(algorithm, info, result.seconds,
+                             result.timed_out, result.cancelled);
+  WriteOdArray(&w, "constancy_ods", result.constancy_ods, *info.schema);
+  WriteOdArray(&w, "compatibility_ods", result.compatibility_ods,
+               *info.schema);
+  WriteOdArray(&w, "bidirectional_ods", result.bidirectional_ods,
+               *info.schema);
+  return EndReport(&w);
 }
 
 std::string FastodResultToText(const FastodResult& result,
                                const RelationInfo& info,
                                const std::string& label) {
-  char buf[192];
+  char buf[208];
   std::snprintf(buf, sizeof(buf),
                 "%s: %lld ODs (%lld constancy + %lld compatibility + "
-                "%lld bidirectional) in %.3fs%s\n", label.c_str(),
+                "%lld bidirectional) in %.3fs%s%s\n", label.c_str(),
                 static_cast<long long>(result.NumOds()),
                 static_cast<long long>(result.num_constancy),
                 static_cast<long long>(result.num_compatibility),
                 static_cast<long long>(result.num_bidirectional),
-                result.seconds, result.timed_out ? " [TIMED OUT]" : "");
+                result.seconds, result.timed_out ? " [TIMED OUT]" : "",
+                result.cancelled ? " [CANCELLED]" : "");
   std::string out = buf;
   for (const ConstancyOd& od : result.constancy_ods) {
     out += "  " + od.ToString(*info.schema) + "\n";
@@ -121,68 +189,49 @@ std::string FastodResultToText(const FastodResult& result,
 
 std::string TaneResultToJson(const TaneResult& result,
                              const RelationInfo& info) {
-  std::string out = HeaderJson("tane", info, result.seconds,
-                               result.timed_out);
-  out += "  \"fds\": [\n";
-  for (size_t i = 0; i < result.fds.size(); ++i) {
-    const ConstancyOd& od = result.fds[i];
-    out += "    {\"lhs\": " + ContextJson(info, od.context) +
-           ", \"rhs\": \"" + JsonEscape(AttrName(info, od.attribute)) +
-           "\"}";
-    if (i + 1 < result.fds.size()) out += ",";
-    out += "\n";
+  JsonWriter w = BeginReport("tane", info, result.seconds, result.timed_out,
+                             result.cancelled);
+  // FDs keep TANE's lhs/rhs vocabulary rather than the constancy shape.
+  w.Key("fds").BeginArray();
+  for (const ConstancyOd& fd : result.fds) {
+    w.BeginObject().Key("lhs");
+    WriteNames(&w, fd.context, *info.schema);
+    w.Key("rhs").String(info.schema->name(fd.attribute)).EndObject();
   }
-  out += "  ]\n}\n";
-  return out;
+  w.EndArray();
+  return EndReport(&w);
 }
 
 std::string TaneResultToText(const TaneResult& result,
                              const RelationInfo& info) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "TANE: %lld minimal FDs in %.3fs%s\n",
+  char buf[112];
+  std::snprintf(buf, sizeof(buf), "TANE: %lld minimal FDs in %.3fs%s%s\n",
                 static_cast<long long>(result.num_fds), result.seconds,
-                result.timed_out ? " [TIMED OUT]" : "");
+                result.timed_out ? " [TIMED OUT]" : "",
+                result.cancelled ? " [CANCELLED]" : "");
   std::string out = buf;
   for (const ConstancyOd& od : result.fds) {
     out += "  " + od.context.ToString(*info.schema) + " -> " +
-           AttrName(info, od.attribute) + "\n";
+           info.schema->name(od.attribute) + "\n";
   }
   return out;
 }
 
 std::string OrderResultToJson(const OrderResult& result,
                               const RelationInfo& info) {
-  std::string out = HeaderJson("order", info, result.seconds,
-                               result.timed_out);
-  out += "  \"ods\": [\n";
-  for (size_t i = 0; i < result.ods.size(); ++i) {
-    const ListOd& od = result.ods[i];
-    auto spec_json = [&](const OrderSpec& spec) {
-      std::string s = "[";
-      for (size_t j = 0; j < spec.size(); ++j) {
-        if (j > 0) s += ",";
-        s += '"';
-        s += JsonEscape(AttrName(info, spec[j]));
-        s += '"';
-      }
-      s += "]";
-      return s;
-    };
-    out += "    {\"lhs\": " + spec_json(od.lhs) +
-           ", \"rhs\": " + spec_json(od.rhs) + "}";
-    if (i + 1 < result.ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
+  JsonWriter w = BeginReport("order", info, result.seconds, result.timed_out,
+                             result.cancelled);
+  WriteOdArray(&w, "ods", result.ods, *info.schema);
+  return EndReport(&w);
 }
 
 std::string OrderResultToText(const OrderResult& result,
                               const RelationInfo& info) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "ORDER: %lld list ODs in %.3fs%s\n",
+  char buf[112];
+  std::snprintf(buf, sizeof(buf), "ORDER: %lld list ODs in %.3fs%s%s\n",
                 static_cast<long long>(result.ods.size()), result.seconds,
-                result.timed_out ? " [TIMED OUT]" : "");
+                result.timed_out ? " [TIMED OUT]" : "",
+                result.cancelled ? " [CANCELLED]" : "");
   std::string out = buf;
   for (const ListOd& od : result.ods) {
     out += "  " + od.ToString(*info.schema) + "\n";
@@ -190,67 +239,29 @@ std::string OrderResultToText(const OrderResult& result,
   return out;
 }
 
-namespace {
-
-std::string ConstancyArrayJson(const RelationInfo& info,
-                               const std::vector<ConstancyOd>& ods) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < ods.size(); ++i) {
-    out += "    {\"context\": " + ContextJson(info, ods[i].context) +
-           ", \"attribute\": \"" +
-           JsonEscape(AttrName(info, ods[i].attribute)) + "\"}";
-    if (i + 1 < ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]";
-  return out;
-}
-
-std::string CompatibilityArrayJson(const RelationInfo& info,
-                                   const std::vector<CompatibilityOd>& ods) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < ods.size(); ++i) {
-    out += "    {\"context\": " + ContextJson(info, ods[i].context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, ods[i].a)) +
-           "\", \"b\": \"" + JsonEscape(AttrName(info, ods[i].b)) + "\"}";
-    if (i + 1 < ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]";
-  return out;
-}
-
-}  // namespace
-
 std::string IncrementalResultToJson(const IncrementalResult& result,
                                     const RelationInfo& info, double seconds,
                                     int64_t base_rows) {
-  std::string out = HeaderJson("incremental", info, seconds, false);
-  out += "  \"constancy_ods\": " +
-         ConstancyArrayJson(info, result.constancy_ods);
-  out += ",\n  \"compatibility_ods\": " +
-         CompatibilityArrayJson(info, result.compatibility_ods);
-  out += ",\n  \"bidirectional_ods\": [\n  ]";
-  out += ",\n  \"revoked_constancy_ods\": " +
-         ConstancyArrayJson(info, result.revoked_constancy);
-  out += ",\n  \"revoked_compatibility_ods\": " +
-         CompatibilityArrayJson(info, result.revoked_compatibility);
-  out += ",\n  \"incremental\": {\"base_rows\": " +
-         std::to_string(base_rows) +
-         ", \"delta_rows\": " + std::to_string(info.rows - base_rows) +
-         ", \"revalidated\": " + std::to_string(result.revalidated) +
-         ", \"revoked\": " +
-         std::to_string(result.revoked_constancy.size() +
-                        result.revoked_compatibility.size()) +
-         ", \"new_ods\": " +
-         std::to_string(result.new_constancy + result.new_compatibility) +
-         ", \"escalations\": " + std::to_string(result.escalations) +
-         ", \"nodes_searched\": " + std::to_string(result.nodes_searched) +
-         ", \"cancelled\": " + (result.cancelled ? "true" : "false") + "}";
-  out += "\n}\n";
-  return out;
+  const Schema& schema = *info.schema;
+  JsonWriter w = BeginReport("incremental", info, seconds,
+                             /*timed_out=*/false, result.cancelled);
+  WriteOdArray(&w, "constancy_ods", result.constancy_ods, schema);
+  WriteOdArray(&w, "compatibility_ods", result.compatibility_ods, schema);
+  w.Key("bidirectional_ods").BeginArray().EndArray();
+  WriteOdArray(&w, "revoked_constancy_ods", result.revoked_constancy, schema);
+  WriteOdArray(&w, "revoked_compatibility_ods", result.revoked_compatibility,
+               schema);
+  w.Key("incremental").BeginObject().Key("base_rows").Int(base_rows);
+  w.Key("delta_rows").Int(info.rows - base_rows);
+  w.Key("revalidated").Int(result.revalidated);
+  w.Key("revoked").Int(static_cast<int64_t>(
+      result.revoked_constancy.size() + result.revoked_compatibility.size()));
+  w.Key("new_ods").Int(result.new_constancy + result.new_compatibility);
+  w.Key("escalations").Int(result.escalations);
+  w.Key("nodes_searched").Int(result.nodes_searched);
+  w.Key("cancelled").Bool(result.cancelled).EndObject();
+  return EndReport(&w);
 }
-
 std::string IncrementalResultToText(const IncrementalResult& result,
                                     const RelationInfo& info,
                                     double seconds) {

@@ -1,43 +1,68 @@
 // Rendering of discovery results for humans (text) and machines (JSON).
 //
-// The JSON shape is stable and documented here so downstream tooling can
-// rely on it:
+// This file owns the JSON shape of every OD, for the /result reports and
+// the /stream NDJSON lines alike. Reports are one compact JSON line (pipe
+// through `jq .` to read them); the shape is stable and documented here so
+// downstream tooling can rely on it:
 // {
 //   "algorithm": "fastod",
 //   "relation": {"rows": N, "attributes": [names...]},
-//   "stats": {"seconds": ..., "levels": ..., "nodes": ..., "timed_out": b},
-//   "constancy_ods":     [{"context": ["a","b"], "attribute": "c"}, ...],
+//   "stats": {"seconds": ..., "timed_out": b, "cancelled": b},
+//   "constancy_ods":     [{"context": ["a", "b"], "attribute": "c"}, ...],
 //   "compatibility_ods": [{"context": [...], "a": ..., "b": ...}, ...],
 //   "bidirectional_ods": [{"context": [...], "a": ..., "b": ...,
 //                          "polarity": "opposite"}, ...]
 // }
+// "timed_out" or "cancelled" true marks a partial result: the run stopped
+// early and the OD set is incomplete.
 #ifndef FASTOD_REPORT_REPORT_H_
 #define FASTOD_REPORT_REPORT_H_
 
 #include <string>
+#include <vector>
 
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
-#include "common/json.h"  // JsonEscape, used by every renderer below
+#include "api/od_sink.h"
 #include "data/schema.h"
 #include "incremental/incremental.h"
 
 namespace fastod {
 
-struct RelationInfo;
-
-/// The shared "algorithm"/"relation"/"stats" JSON prefix (everything up to
-/// and including the stats line), for renderers outside this file that
-/// emit the same stable shape.
-std::string ReportHeaderJson(const std::string& algorithm,
-                             const RelationInfo& info, double seconds,
-                             bool timed_out);
+class JsonWriter;
 
 struct RelationInfo {
   int64_t rows = 0;
   const Schema* schema = nullptr;  // must outlive the call
 };
+
+/// Writes the shared "algorithm"/"relation"/"stats" members into the
+/// open object, for renderers outside this file that emit the same
+/// stable shape.
+void WriteReportHeader(JsonWriter* w, const std::string& algorithm,
+                       const RelationInfo& info, double seconds,
+                       bool timed_out, bool cancelled);
+
+/// Write one OD's members into the open object: the single definition of
+/// each OD's JSON shape, shared by the report arrays and the stream
+/// lines. A conditional OD's bindings render as `binding_values` when
+/// given, else as the condition attribute's ranks.
+void WriteOdMembers(JsonWriter* w, const ConstancyOd& od,
+                    const Schema& schema);
+void WriteOdMembers(JsonWriter* w, const CompatibilityOd& od,
+                    const Schema& schema);
+void WriteOdMembers(JsonWriter* w, const BidiCompatibilityOd& od,
+                    const Schema& schema);
+void WriteOdMembers(JsonWriter* w, const ListOd& od, const Schema& schema);
+void WriteOdMembers(JsonWriter* w, const ConditionalOd& od,
+                    const Schema& schema,
+                    const std::vector<std::string>* binding_values = nullptr);
+
+/// One streamed OD as a single NDJSON line (trailing '\n'): a "type"
+/// member, then the OD's members as in the reports. A retraction is
+/// {"type": "revoked", "od_type": ..., <the revoked OD's members>}.
+std::string EventJsonLine(const OdEvent& event, const Schema& schema);
 
 /// `algorithm` / `label` let adapters that reuse the FASTOD result shape
 /// (brute-force oracle, approximate discovery) render under their own

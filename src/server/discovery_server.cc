@@ -8,7 +8,6 @@
 #include <optional>
 #include <thread>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/json.h"
@@ -17,7 +16,7 @@
 #include "data/encode.h"
 #include "data/schema.h"
 #include "obs/metrics.h"
-#include "od/attribute_set.h"
+#include "report/report.h"
 
 namespace fastod {
 
@@ -120,80 +119,6 @@ Result<std::string> OptionValueToString(const std::string& name,
           "option '" + name +
           "' must be a string, number, or boolean, got " + value.Dump());
   }
-}
-
-void AppendContext(JsonWriter* w, AttributeSet context,
-                   const Schema& schema) {
-  w->BeginArray();
-  for (int a = context.First(); a >= 0; a = context.Next(a)) {
-    w->String(schema.name(a));
-  }
-  w->EndArray();
-}
-
-void AppendSpec(JsonWriter* w, const OrderSpec& spec, const Schema& schema) {
-  w->BeginArray();
-  for (int a : spec) w->String(schema.name(a));
-  w->EndArray();
-}
-
-/// One streamed OD as a single NDJSON line. Field names match the
-/// /result report shapes so clients parse both with one schema.
-std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
-  JsonWriter w;
-  w.BeginObject();
-  std::visit(
-      [&](const auto& od) {
-        using T = std::decay_t<decltype(od)>;
-        if constexpr (std::is_same_v<T, ConstancyOd>) {
-          w.Key("type").String("constancy").Key("context");
-          AppendContext(&w, od.context, schema);
-          w.Key("attribute").String(schema.name(od.attribute));
-        } else if constexpr (std::is_same_v<T, CompatibilityOd>) {
-          w.Key("type").String("compatibility").Key("context");
-          AppendContext(&w, od.context, schema);
-          w.Key("a").String(schema.name(od.a));
-          w.Key("b").String(schema.name(od.b));
-        } else if constexpr (std::is_same_v<T, BidiCompatibilityOd>) {
-          w.Key("type").String("bidirectional").Key("context");
-          AppendContext(&w, od.context, schema);
-          w.Key("a").String(schema.name(od.a));
-          w.Key("b").String(schema.name(od.b));
-          w.Key("polarity").String("opposite");
-        } else if constexpr (std::is_same_v<T, ListOd>) {
-          w.Key("type").String("list").Key("lhs");
-          AppendSpec(&w, od.lhs, schema);
-          w.Key("rhs");
-          AppendSpec(&w, od.rhs, schema);
-        } else if constexpr (std::is_same_v<T, ConditionalOd>) {
-          w.Key("type").String("conditional");
-          w.Key("condition").String(schema.name(od.condition_attribute));
-          w.Key("bindings").BeginArray();
-          for (int32_t rank : od.binding_ranks) w.Int(rank);
-          w.EndArray();
-          w.Key("od").String(CanonicalOdToString(od.od, schema));
-          w.Key("support").Double(od.support);
-        } else if constexpr (std::is_same_v<T, RevokedOd>) {
-          // A retraction of a previously streamed/reported OD; od_type +
-          // the shape's usual fields identify which one.
-          w.Key("type").String("revoked");
-          if (std::holds_alternative<ConstancyOd>(od.od)) {
-            const ConstancyOd& c = std::get<ConstancyOd>(od.od);
-            w.Key("od_type").String("constancy").Key("context");
-            AppendContext(&w, c.context, schema);
-            w.Key("attribute").String(schema.name(c.attribute));
-          } else {
-            const CompatibilityOd& c = std::get<CompatibilityOd>(od.od);
-            w.Key("od_type").String("compatibility").Key("context");
-            AppendContext(&w, c.context, schema);
-            w.Key("a").String(schema.name(c.a));
-            w.Key("b").String(schema.name(c.b));
-          }
-        }
-      },
-      event);
-  w.EndObject();
-  return w.str() + "\n";
 }
 
 /// Parses a {"csv_options": {...}} object into CsvOptions.
@@ -1138,10 +1063,7 @@ void DiscoveryServer::HandleResult(SessionId id,
     // cached report: timings differ per run, and the cached report must
     // stay byte-identical across sessions over the same data.
     Result<std::string> trace = service_.TraceJson(id);
-    size_t brace = body.rfind('}');
-    if (trace.ok() && brace != std::string::npos) {
-      body.insert(brace, ",\"trace\":" + *trace);
-    }
+    if (trace.ok()) SpliceJsonMember(&body, "trace", *trace);
   }
   SendJson(writer, 200, body);
 }

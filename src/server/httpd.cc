@@ -365,8 +365,9 @@ void HttpServer::HandleConnection(int fd, std::string peer) {
       }
     } catch (const std::exception& e) {
       if (!writer.started()) {
-        writer.Send(500, "application/json",
-                    "{\"error\": \"" + JsonEscape(e.what()) + "\"}\n");
+        JsonWriter body;
+        body.BeginObject().Key("error").String(e.what()).EndObject();
+        writer.Send(500, "application/json", body.str() + "\n");
       }
     } catch (...) {
       if (!writer.started()) {

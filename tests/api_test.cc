@@ -22,6 +22,7 @@
 #include "api/engines.h"
 #include "api/od_sink.h"
 #include "api/registry.h"
+#include "common/json.h"
 #include "gen/generators.h"
 
 namespace fastod {
@@ -475,16 +476,35 @@ TEST_F(ApiEquivalenceTest, OrderSinkTeesListOds) {
 // --------------------------------------------------------- cancellation
 
 TEST_F(ApiEquivalenceTest, PreCancelledControlStopsEarly) {
+  for (const char* name : {"fastod", "tane", "order"}) {
+    SCOPED_TRACE(name);
+    ExecutionControl control;
+    control.RequestCancel();
+    auto algo = AlgorithmRegistry::Default().Create(name);
+    ASSERT_TRUE(algo.ok());
+    (*algo)->SetControl(&control);
+    ASSERT_TRUE((*algo)->LoadData(table_).ok());
+    ASSERT_TRUE((*algo)->Execute().ok());  // cancellation is not an error
+    // At most the first level ran, and progress must not read as complete.
+    EXPECT_LE((*algo)->stats().levels_processed, 1);
+    EXPECT_LT(control.Progress(), 1.0);
+    // The report says it is partial.
+    Result<JsonValue> report = ParseJson((*algo)->ResultJson());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const JsonValue* stats = report->Find("stats");
+    ASSERT_NE(stats, nullptr);
+    const JsonValue* cancelled = stats->Find("cancelled");
+    ASSERT_NE(cancelled, nullptr);
+    EXPECT_TRUE(cancelled->is_bool() && cancelled->bool_value());
+    EXPECT_NE((*algo)->ResultText().find("[CANCELLED]"), std::string::npos);
+  }
+  FastodAlgorithm fastod;
   ExecutionControl control;
   control.RequestCancel();
-  FastodAlgorithm algo;
-  algo.SetControl(&control);
-  ASSERT_TRUE(algo.LoadData(table_).ok());
-  ASSERT_TRUE(algo.Execute().ok());  // cancellation is not an error
-  EXPECT_TRUE(algo.result().cancelled);
-  // At most the first level ran, and progress must not read as complete.
-  EXPECT_LE(algo.result().levels_processed, 1);
-  EXPECT_LT(control.Progress(), 1.0);
+  fastod.SetControl(&control);
+  ASSERT_TRUE(fastod.LoadData(table_).ok());
+  ASSERT_TRUE(fastod.Execute().ok());
+  EXPECT_TRUE(fastod.result().cancelled);
 }
 
 TEST_F(ApiEquivalenceTest, ControlReportsCompletion) {

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 
 #include "algo/conditional.h"
+#include "api/engines.h"
+#include "api/registry.h"
+#include "common/json.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
@@ -128,6 +133,38 @@ TEST(ConditionalTest, AllBindingsPassingIsNotConditional) {
       EXPECT_FALSE(p.a == 1 && p.b == 2);
     }
   }
+}
+
+// Supports of k/3 have no short decimal form: the report must carry the
+// full double, the same value a /stream line carries.
+TEST(ConditionalTest, ReportSupportKeepsFullPrecision) {
+  auto t = ReadCsvString(
+      "region,a,b\n"
+      "0,1,10\n0,2,20\n"
+      "1,1,30\n1,2,20\n"
+      "2,1,30\n2,2,10\n");
+  ASSERT_TRUE(t.ok());
+  auto algo = AlgorithmRegistry::Default().Create("conditional");
+  ASSERT_TRUE(algo.ok());
+  ASSERT_TRUE((*algo)->SetOption("min-support", "0").ok());
+  ASSERT_TRUE((*algo)->LoadData(*t).ok());
+  ASSERT_TRUE((*algo)->Execute().ok());
+  const auto& result =
+      static_cast<ConditionalAlgorithm*>(algo->get())->result();
+  Result<JsonValue> report = ParseJson((*algo)->ResultJson());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const JsonValue* ods = report->Find("conditional_ods");
+  ASSERT_NE(ods, nullptr);
+  ASSERT_EQ(ods->array_items().size(), result.size());
+  bool saw_long_fraction = false;
+  for (size_t i = 0; i < result.size(); ++i) {
+    double support = ods->array_items()[i].Find("support")->number_value();
+    EXPECT_NEAR(support, result[i].support, 1e-12);
+    saw_long_fraction |=
+        std::abs(result[i].support -
+                 std::round(result[i].support * 1e6) / 1e6) > 1e-12;
+  }
+  EXPECT_TRUE(saw_long_fraction);
 }
 
 TEST(ConditionalTest, ToStringRendersBindingsAndSupport) {

@@ -344,6 +344,44 @@ TEST(IncrementalEngineTest, RequiresPriorAndValidBaseRows) {
   // the contract is vacuous here and the run simply returns empty.
 }
 
+// A timed-out or cancelled report holds only part of the OD set; as a
+// prior it would make the incremental result silently incomplete.
+TEST(IncrementalEngineTest, ParsePriorRejectsPartialReports) {
+  Table table = GenRandomTable(40, 4, 4, 71);
+  Result<EncodedRelation> relation = EncodedRelation::FromTable(table);
+  ASSERT_TRUE(relation.ok());
+  RelationInfo info{relation->NumRows(), &relation->schema()};
+  FastodResult complete = Fastod().Discover(*relation);
+  ASSERT_FALSE(complete.timed_out || complete.cancelled);
+  Result<PriorOds> ok =
+      ParsePriorReport(FastodResultToJson(complete, info), table.schema());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->constancy, complete.constancy_ods);
+
+  FastodResult timed_out = complete;
+  timed_out.timed_out = true;
+  Result<PriorOds> rejected =
+      ParsePriorReport(FastodResultToJson(timed_out, info), table.schema());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("timed_out"), std::string::npos)
+      << rejected.status().ToString();
+
+  // A cancelled run through the adapter, as a cancelled session renders.
+  auto fastod = AlgorithmRegistry::Default().Create("fastod");
+  ASSERT_TRUE(fastod.ok());
+  ExecutionControl control;
+  control.RequestCancel();
+  (*fastod)->SetControl(&control);
+  ASSERT_TRUE((*fastod)->LoadData(table).ok());
+  ASSERT_TRUE((*fastod)->Execute().ok());
+  rejected = ParsePriorReport((*fastod)->ResultJson(), table.schema());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("cancelled"), std::string::npos)
+      << rejected.status().ToString();
+}
+
 TEST(IncrementalEngineTest, ParsePriorRejectsMalformedReports) {
   Schema schema({{"x", DataType::kInt}, {"y", DataType::kInt}});
   EXPECT_FALSE(ParsePriorReport("not json", schema).ok());

@@ -50,6 +50,20 @@ TEST(JsonWriterTest, RawSplicesPrerenderedJson) {
   EXPECT_EQ(w.str(), "{\"result\": {\"a\": 1}}");
 }
 
+TEST(JsonWriterTest, SpliceAddsTheLastMember) {
+  std::string report = "{\"a\": [1]}\n";
+  SpliceJsonMember(&report, "trace", "{\"spans\": []}");
+  EXPECT_EQ(report, "{\"a\": [1],\"trace\":{\"spans\": []}}\n");
+  std::string empty = "{}";
+  SpliceJsonMember(&empty, "k\"", "1");
+  Result<JsonValue> parsed = ParseJson(empty);
+  ASSERT_TRUE(parsed.ok()) << empty;
+  EXPECT_EQ(parsed->Find("k\"")->int_value(), 1);
+  std::string not_object = "[1]";
+  SpliceJsonMember(&not_object, "k", "1");
+  EXPECT_EQ(not_object, "[1]");
+}
+
 TEST(JsonParseTest, RoundTripsScalarsAndContainers) {
   auto value = ParseJson(
       " {\"a\": [1, 2.5, -3e2], \"b\": {\"c\": null, \"d\": false}, "
