@@ -22,18 +22,33 @@ size_t PairIndex(uint64_t mask, int a, int b, int m) {
 BruteForceDiscoveryResult BruteForceDiscoverOds(
     const EncodedRelation& relation, double max_error,
     bool discover_bidirectional,
-    const std::vector<StrippedPartition>* singletons) {
+    const std::vector<StrippedPartition>* singletons,
+    ExecutionControl* control) {
   const int m = relation.NumAttributes();
   FASTOD_CHECK(m <= 16);
   // The bidirectional oracle is implemented for exact validity only.
   FASTOD_CHECK(!(discover_bidirectional && max_error > 0.0));
   const uint64_t num_contexts = uint64_t{1} << m;
+  // Polled before each context of each validity pass.
+  const double total_contexts = static_cast<double>(num_contexts) *
+                                (discover_bidirectional ? 2.0 : 1.0);
+  auto stop = [&](uint64_t contexts_checked) {
+    if (control == nullptr) return false;
+    control->ReportProgress(static_cast<double>(contexts_checked) /
+                            total_contexts);
+    return control->StopRequested();
+  };
+  BruteForceDiscoveryResult result;
 
   // Phase 1: validity of every candidate, straight from the definitions
   // (exact mode) or from the g3 removal errors (approximate mode).
   std::vector<uint8_t> const_valid(num_contexts * m, 0);
   std::vector<uint8_t> compat_valid(num_contexts * m * m, 0);
   for (uint64_t mask = 0; mask < num_contexts; ++mask) {
+    if (stop(mask)) {
+      result.cancelled = true;
+      return result;
+    }
     AttributeSet context(mask);
     StrippedPartition partition;
     if (max_error > 0.0) {
@@ -72,6 +87,10 @@ BruteForceDiscoveryResult BruteForceDiscoverOds(
   if (discover_bidirectional) {
     desc_valid.assign(num_contexts * m * m, 0);
     for (uint64_t mask = 0; mask < num_contexts; ++mask) {
+      if (stop(num_contexts + mask)) {
+        result.cancelled = true;
+        return result;
+      }
       AttributeSet context(mask);
       for (int a = 0; a < m; ++a) {
         for (int b = a + 1; b < m; ++b) {
@@ -83,7 +102,6 @@ BruteForceDiscoveryResult BruteForceDiscoverOds(
   }
 
   // Phase 2: minimality per Section 4.1.
-  BruteForceDiscoveryResult result;
   for (uint64_t mask = 0; mask < num_contexts; ++mask) {
     AttributeSet context(mask);
     for (int a = 0; a < m; ++a) {
@@ -142,6 +160,7 @@ BruteForceDiscoveryResult BruteForceDiscoverOds(
       }
     }
   }
+  if (control != nullptr) control->ReportProgress(1.0);
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "data/encode.h"
 #include "od/bidirectional.h"
 #include "od/canonical_od.h"
@@ -37,6 +38,10 @@ struct BruteForceDiscoveryResult {
   /// for cross-checking the no-pruning ablation.
   int64_t all_valid_constancy = 0;
   int64_t all_valid_compatibility = 0;
+  /// The control asked to stop before every context was checked. The
+  /// minimality phase needs the whole validity table, so a cancelled run
+  /// reports no ODs.
+  bool cancelled = false;
 };
 
 /// Requires relation.NumAttributes() <= 16 (2^16 contexts already stretch
@@ -50,10 +55,13 @@ struct BruteForceDiscoveryResult {
 /// a small context is never re-reported ascending at a larger one.)
 /// `singletons`, when given, are prebuilt level-1 partitions used for
 /// single-attribute contexts in approximate mode (see Fastod::Discover).
+/// `control`, when given, is polled once per context and receives the
+/// fraction of contexts checked as progress.
 BruteForceDiscoveryResult BruteForceDiscoverOds(
     const EncodedRelation& relation, double max_error = 0.0,
     bool discover_bidirectional = false,
-    const std::vector<StrippedPartition>* singletons = nullptr);
+    const std::vector<StrippedPartition>* singletons = nullptr,
+    ExecutionControl* control = nullptr);
 
 }  // namespace fastod
 

@@ -150,8 +150,20 @@ std::vector<ConditionalOd> ConditionalOdFinder::DiscoverConditional(
   const int m = rel.NumAttributes();
   OdValidator validator(relation_, singletons_);
   std::vector<ConditionalOd> results;
+  cancelled_ = false;
+  // m(m-1)/2 compatibility pairs plus m(m-1) FDs.
+  const double num_candidates = 1.5 * m * (m - 1);
+  int64_t considered = 0;
 
   auto consider = [&](const CanonicalOd& od) {
+    if (cancelled_) return;
+    if (options.control != nullptr) {
+      options.control->ReportProgress(considered++ / num_candidates);
+      if (options.control->StopRequested()) {
+        cancelled_ = true;
+        return;
+      }
+    }
     if (validator.Holds(od)) return;  // unconditional; nothing to refine
     for (int c = 0; c < m; ++c) {
       if (OdAttributes(od).Contains(c)) continue;
@@ -186,6 +198,9 @@ std::vector<ConditionalOd> ConditionalOdFinder::DiscoverConditional(
                    });
   if (static_cast<int64_t>(results.size()) > options.max_results) {
     results.resize(options.max_results);
+  }
+  if (options.control != nullptr && !cancelled_) {
+    options.control->ReportProgress(1.0);
   }
   return results;
 }

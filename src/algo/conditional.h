@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "data/encode.h"
 #include "od/canonical_od.h"
 #include "partition/stripped_partition.h"
@@ -53,6 +54,9 @@ struct ConditionalOdOptions {
   int32_t max_condition_cardinality = 64;
   /// Upper bound on results from DiscoverConditional.
   int64_t max_results = 100;
+  /// Cooperative cancellation + progress, polled by DiscoverConditional
+  /// before each candidate OD. Must outlive the call.
+  ExecutionControl* control = nullptr;
 };
 
 class ConditionalOdFinder {
@@ -75,13 +79,19 @@ class ConditionalOdFinder {
   /// Scans the natural small candidates — {}: A ~ B pairs and {A}: [] -> B
   /// FDs that fail globally — against every viable condition attribute.
   /// Results are sorted by support (descending), deduplicated per
-  /// (od, condition) with maximal bindings by construction.
+  /// (od, condition) with maximal bindings by construction. When
+  /// options.control stops the scan, the results found so far are
+  /// returned and cancelled() is true.
   std::vector<ConditionalOd> DiscoverConditional(
       const ConditionalOdOptions& options = ConditionalOdOptions());
+
+  /// True iff the last DiscoverConditional stopped early.
+  bool cancelled() const { return cancelled_; }
 
  private:
   const EncodedRelation* relation_;
   const std::vector<StrippedPartition>* singletons_;
+  bool cancelled_ = false;
 };
 
 }  // namespace fastod

@@ -316,14 +316,14 @@ class Run {
         }
       }
     }
-    // The derive steps — products are the bulk of the join's cost at
+    // The derive steps — refinements are the bulk of the join's cost at
     // scale — run as one batch that only reads the cache; the puts follow
     // on this thread in join order, so no task ever waits on the cache's
     // exclusive lock.
     std::vector<PartitionCache::Derived> derived(parents.size());
     RunBatch(derived.size(), /*node_tasks=*/false, [&](size_t i) {
-      derived[i] = cache_.Derive(parents[i].first, parents[i].second,
-                                 next.nodes[i].determined);
+      derived[i] = cache_.Derive(relation_, parents[i].first,
+                                 parents[i].second, next.nodes[i].determined);
     });
     for (size_t i = 0; i < derived.size(); ++i) {
       next.nodes[i].partition_reused = derived[i].reused;

@@ -118,7 +118,7 @@ struct FastodLevelStats {
   int64_t swap_sample_refutes = 0;
   int64_t swap_full_scans = 0;
   int64_t key_prune_hits = 0;     // validations skipped via Lemmas 12-13
-  /// Nodes whose Π*_X shares a parent's partition instead of a product:
+  /// Nodes whose Π*_X shares a parent's partition instead of being built:
   /// a known exact FD X\A -> A, or a superkey parent (PartitionCache::
   /// Derive).
   int64_t partitions_reused = 0;
@@ -163,7 +163,7 @@ struct FastodResult {
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   /// Of the puts, partitions shared with a parent rather than built by a
-  /// product (sum of FastodLevelStats::partitions_reused; identical at
+  /// refinement (sum of FastodLevelStats::partitions_reused; identical at
   /// every thread count).
   int64_t partitions_reused = 0;
   /// Scheduling telemetry of the validate batches (both 0 when

@@ -275,13 +275,14 @@ class Run {
         }
       }
     }
-    // The derive steps — products are the bulk of the join's cost at
+    // The derive steps — refinements are the bulk of the join's cost at
     // scale — run as one batch; puts happen afterwards in join order so
     // cache traffic stays identical to the serial walk.
     RunBatch(pending.size(), /*node_tasks=*/false, [&](size_t i) {
       if (TaskFaulted()) return;
       Pending& p = pending[i];
-      p.derived = cache_.Derive(p.parent_a, p.parent_b, p.determined);
+      p.derived =
+          cache_.Derive(relation_, p.parent_a, p.parent_b, p.determined);
     });
     if (faulted_.load()) return next;
     for (Pending& p : pending) {

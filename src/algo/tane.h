@@ -42,7 +42,7 @@ struct TaneOptions {
   /// Cooperative cancellation + progress, polled at level boundaries.
   ExecutionControl* control = nullptr;
   /// Worker threads. 1 = serial. With more threads, each level's node
-  /// validations and partition products run as two batches on a thread
+  /// validations and partition refinements run as two batches on a thread
   /// pool (ThreadPool::ParallelFor); per-node FD lists
   /// are merged in node order, so output is bit-identical across thread
   /// counts. The pruning step between levels is a barrier, as in

@@ -97,11 +97,12 @@ class Algorithm {
   bool has_data() const {
     return relation_.has_value() || dataset_ != nullptr;
   }
-  /// The loaded relation's schema, or nullptr before LoadData. Stable for
-  /// the algorithm's lifetime once data is bound — frontends that render
-  /// streamed ODs (attribute indices) back to names hold onto it.
-  const Schema* schema() const {
-    return has_data() ? &relation().schema() : nullptr;
+  /// The loaded relation, or nullptr before LoadData. Stable for the
+  /// algorithm's lifetime once data is bound — frontends that render
+  /// streamed ODs (attribute indices, binding codes) back to names and
+  /// values hold onto it.
+  const EncodedRelation* loaded_relation() const {
+    return has_data() ? &relation() : nullptr;
   }
 
   /// Runs the engine on the loaded data. Requires LoadData; may be called

@@ -247,7 +247,7 @@ Status BruteForceAlgorithm::ExecuteInternal() {
   }
   WallTimer timer;
   result_ = BruteForceDiscoverOds(relation(), max_error_, bidirectional_,
-                                  prebuilt_singletons());
+                                  prebuilt_singletons(), control());
   seconds_ = timer.ElapsedSeconds();
   mutable_stats().ods_emitted =
       static_cast<int64_t>(result_.constancy_ods.size() +
@@ -279,6 +279,7 @@ FastodResult BruteForceAlgorithm::AsFastodResult() const {
   shaped.num_bidirectional =
       static_cast<int64_t>(result_.bidirectional_ods.size());
   shaped.seconds = seconds_;
+  shaped.cancelled = result_.cancelled;
   return shaped;
 }
 
@@ -316,8 +317,10 @@ Status ConditionalAlgorithm::ExecuteInternal() {
   ConditionalOdOptions run = opts_;
   run.max_condition_cardinality =
       static_cast<int32_t>(max_condition_cardinality_);
+  run.control = control();
   ConditionalOdFinder finder(&relation(), prebuilt_singletons());
   result_ = finder.DiscoverConditional(run);
+  cancelled_ = finder.cancelled();
   seconds_ = timer.ElapsedSeconds();
   mutable_stats().ods_emitted = static_cast<int64_t>(result_.size());
   if (sink() != nullptr) {
@@ -326,27 +329,20 @@ Status ConditionalAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string ConditionalAlgorithm::BindingValue(int attr,
-                                               int32_t rank) const {
-  // The interned dictionary entry for this code *is* the original value
-  // (every encoder interns the first-row representative).
-  const ValueDictionary& dict = relation().dictionary(attr);
-  if (rank >= 0 && rank < dict.size()) return dict.ToString(rank);
-  return "#" + std::to_string(rank);
-}
-
 std::string ConditionalAlgorithm::ResultText() const {
   const Schema& schema = relation().schema();
   std::string out = std::to_string(result_.size()) +
                     " conditional OD(s) at support >= " +
-                    std::to_string(opts_.min_support) + "\n";
+                    std::to_string(opts_.min_support) +
+                    (cancelled_ ? " [CANCELLED]" : "") + "\n";
   for (const ConditionalOd& c : result_) {
     std::string line = "  (";
     line += schema.name(c.condition_attribute);
     line += " in {";
     for (size_t i = 0; i < c.binding_ranks.size(); ++i) {
       if (i > 0) line += ",";
-      line += BindingValue(c.condition_attribute, c.binding_ranks[i]);
+      line += BindingValue(relation(), c.condition_attribute,
+                           c.binding_ranks[i]);
     }
     char support_buf[32];
     std::snprintf(support_buf, sizeof(support_buf), "%.0f%%",
@@ -362,20 +358,14 @@ std::string ConditionalAlgorithm::ResultText() const {
 }
 
 std::string ConditionalAlgorithm::ResultJson() const {
-  const Schema& schema = relation().schema();
   JsonWriter w;
   w.BeginObject();
   WriteReportHeader(&w, "conditional", Info(relation()), seconds_,
-                    /*timed_out=*/false, /*cancelled=*/false);
+                    /*timed_out=*/false, cancelled_);
   w.Key("conditional_ods").BeginArray();
   for (const ConditionalOd& c : result_) {
-    std::vector<std::string> bindings;
-    bindings.reserve(c.binding_ranks.size());
-    for (int32_t rank : c.binding_ranks) {
-      bindings.push_back(BindingValue(c.condition_attribute, rank));
-    }
     w.BeginObject();
-    WriteOdMembers(&w, c, schema, &bindings);
+    WriteOdMembers(&w, c, relation());
     w.EndObject();
   }
   w.EndArray().EndObject();

@@ -143,15 +143,12 @@ class ConditionalAlgorithm : public Algorithm {
   Status ExecuteInternal() override;
 
  private:
-  /// Renders a binding rank as the original cell value when the raw table
-  /// is available (LoadData(Table)), "#rank" otherwise.
-  std::string BindingValue(int attr, int32_t rank) const;
-
   ConditionalOdOptions opts_;
   /// Staging for the int32_t ConditionalOdOptions field; narrowed at
   /// Execute time.
   int64_t max_condition_cardinality_;
   std::vector<ConditionalOd> result_;
+  bool cancelled_ = false;
   double seconds_ = 0.0;
 };
 

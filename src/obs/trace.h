@@ -48,7 +48,7 @@ struct LevelStats {
   /// scan (fastod's kAuto swap method; partition/sorted_partition.h).
   int64_t swap_sample_refutes = 0;
   /// Nodes whose partition was shared with a parent instead of built by
-  /// a product (partition/partition_cache.h, Derive).
+  /// a refinement (partition/partition_cache.h, Derive).
   int64_t partitions_reused = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "partition/partition_cache.h"
 
+#include "data/encode.h"
+
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -15,35 +17,50 @@ void PartitionCache::Put(int level, AttributeSet set,
 }
 
 const StrippedPartition& PartitionCache::Get(AttributeSet set) const {
-  gets_.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = partitions_.find(set);
-  FASTOD_CHECK(it != partitions_.end());
-  return *it->second.partition;
+  return *Lookup(set);
 }
 
-PartitionHandle PartitionCache::Handle(AttributeSet set) const {
+const PartitionHandle& PartitionCache::Lookup(AttributeSet set) const {
   gets_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = partitions_.find(set);
   FASTOD_CHECK(it != partitions_.end());
   return it->second.partition;
 }
 
-PartitionCache::Derived PartitionCache::Derive(AttributeSet left,
+PartitionCache::Derived PartitionCache::Derive(const EncodedRelation& relation,
+                                               AttributeSet left,
                                                AttributeSet right,
                                                AttributeSet determined) const {
   const AttributeSet set = left.Union(right);
   FASTOD_DCHECK(set.ContainsAll(determined));
+  std::shared_lock<std::shared_mutex> lock(mutex_);
   if (!determined.IsEmpty()) {
-    return Derived{Handle(set.Without(determined.First())), true};
+    return Derived{Lookup(set.Without(determined.First())), true};
   }
-  PartitionHandle left_partition = Handle(left);
+  const PartitionHandle& left_partition = Lookup(left);
   if (left_partition->IsSuperkey()) return Derived{left_partition, true};
-  PartitionHandle right_partition = Handle(right);
+  const PartitionHandle& right_partition = Lookup(right);
   if (right_partition->IsSuperkey()) return Derived{right_partition, true};
+  // Refinement costs one pass over the parent's elements, so start from
+  // the smallest l-subset, which need not be a generating parent.
+  const PartitionHandle* smallest = nullptr;
+  int refine_by = -1;
+  for (int a = set.First(); a >= 0; a = set.Next(a)) {
+    const AttributeSet subset = set.Without(a);
+    const PartitionHandle& candidate = subset == left    ? left_partition
+                                       : subset == right ? right_partition
+                                                         : Lookup(subset);
+    if (smallest == nullptr ||
+        candidate->NumElements() < (*smallest)->NumElements()) {
+      smallest = &candidate;
+      refine_by = a;
+    }
+  }
+  const PartitionHandle parent = *smallest;
+  lock.unlock();
   return Derived{std::make_shared<const StrippedPartition>(
-                     left_partition->Product(*right_partition)),
+                     parent->Refine(relation.codes(refine_by))),
                  false};
 }
 

@@ -1,13 +1,13 @@
 // A level-aware cache of stripped partitions keyed by AttributeSet.
 //
 // The level-wise algorithms (FASTOD, TANE) derive Π*_X for every lattice
-// node X from its two generating parents at the previous level (Section
-// 4.6: "only partitions from the previous level are needed"), usually as
-// their product — but when a known exact FD makes Π*_X equal to a
-// parent's partition, the node shares that parent's partition instead
-// (Derive below). FASTOD's order-compatibility checks additionally read
-// contexts two levels up (X \ {A,B} has |X| - 2 attributes), so the cache
-// retains a sliding window of levels and evicts older ones to bound
+// node X from the previous level (Section 4.6: "only partitions from the
+// previous level are needed"), usually by refining the smallest cached
+// Π*_{X\A} by the codes of A — but when a known exact FD makes Π*_X
+// equal to a parent's partition, the node shares that parent's partition
+// instead (Derive below). FASTOD's order-compatibility checks additionally
+// read contexts two levels up (X \ {A,B} has |X| - 2 attributes), so the
+// cache retains a sliding window of levels and evicts older ones to bound
 // memory.
 #ifndef FASTOD_PARTITION_PARTITION_CACHE_H_
 #define FASTOD_PARTITION_PARTITION_CACHE_H_
@@ -22,6 +22,8 @@
 #include "partition/stripped_partition.h"
 
 namespace fastod {
+
+class EncodedRelation;
 
 /// An immutable stripped partition shared by every lattice node whose
 /// partition it is. A handle may also be non-owning (empty control block)
@@ -63,21 +65,24 @@ class PartitionCache {
 
   struct Derived {
     PartitionHandle partition;
-    bool reused = false;  // shares a parent's partition, no product built
+    bool reused = false;  // shares a parent's partition, none built
   };
 
   /// The derive step: Π*_X for X = left ∪ right, where `left` and
-  /// `right` are X's two generating parents (both cached). `determined`
+  /// `right` are X's two generating parents and every |X|-1 subset of X
+  /// is cached (level-wise construction guarantees both). `determined`
   /// is a set of attributes A ∈ X for which X\A -> A is known to hold
   /// exactly (e(X\A) = e(X) observed at X or at a subset of X, lifted by
   /// Augmentation). The rules, in order:
   ///   1. determined non-empty: X\A -> A means Π*_X = Π*_{X\A}; share
   ///      Π*_{X\A} for A the lowest attribute of `determined`;
   ///   2. a superkey parent: Π*_X is empty too; share that parent's;
-  ///   3. otherwise the linear product of the two parents.
-  /// Copies handles; the product (rule 3) runs outside the lock.
-  Derived Derive(AttributeSet left, AttributeSet right,
-                 AttributeSet determined) const;
+  ///   3. otherwise refine the cached Π*_{X\A} with the fewest elements
+  ///      (ties to the lowest A) by the codes of A in `relation`.
+  /// Looks everything up under one shared lock and copies one handle; the
+  /// refinement (rule 3) runs outside the lock.
+  Derived Derive(const EncodedRelation& relation, AttributeSet left,
+                 AttributeSet right, AttributeSet determined) const;
 
   /// True iff Π*_X is cached.
   bool Contains(AttributeSet set) const {
@@ -108,8 +113,9 @@ class PartitionCache {
     int level;
     PartitionHandle partition;
   };
-  // Copies the handle of Π*_X under the shared lock (one get).
-  PartitionHandle Handle(AttributeSet set) const;
+  // The handle of Π*_X, which must be present (one get). The caller holds
+  // the lock.
+  const PartitionHandle& Lookup(AttributeSet set) const;
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<AttributeSet, Entry, AttributeSetHash> partitions_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 namespace fastod {
 
@@ -134,55 +135,70 @@ StrippedPartition StrippedPartition::FromCodeColumns(
   return builder.Build();
 }
 
+template <typename Key>
+StrippedPartition StrippedPartition::RefineByKeys(const Key* keys,
+                                                  int32_t num_keys) const {
+  // One slot per key: it counts the key's members in the current class,
+  // then becomes the write cursor of the key's group (-1 for a singleton
+  // group, which is stripped). Only the slots a class touched are reset,
+  // so the loop is linear in the parent's elements.
+  std::vector<int32_t> slot(num_keys, 0);
+  std::vector<Key> touched;     // keys of the current class, first seen
+  std::vector<Key> class_keys;  // keys of the current class, by member
+  StrippedPartition result;
+  result.num_rows_ = num_rows_;
+  result.elements_.resize(elements_.size());
+  int32_t written = 0;
+  for (int32_t c = 0; c < NumClasses(); ++c) {
+    const auto cls = Class(c);
+    class_keys.resize(cls.size());
+    touched.clear();
+    for (size_t i = 0; i < cls.size(); ++i) {
+      const Key key = keys[cls[i]];
+      class_keys[i] = key;
+      if constexpr (std::is_signed_v<Key>) {
+        if (key < 0) continue;
+      }
+      if (slot[key]++ == 0) touched.push_back(key);
+    }
+    for (Key key : touched) {
+      const int32_t count = slot[key];
+      if (count < 2) {
+        slot[key] = -1;
+        continue;
+      }
+      slot[key] = written;
+      written += count;
+      result.offsets_.push_back(written);
+    }
+    // Scatter in member order, so every group stays ascending.
+    for (size_t i = 0; i < cls.size(); ++i) {
+      const Key key = class_keys[i];
+      if constexpr (std::is_signed_v<Key>) {
+        if (key < 0) continue;
+      }
+      if (slot[key] >= 0) result.elements_[slot[key]++] = cls[i];
+    }
+    for (Key key : touched) slot[key] = 0;
+  }
+  // Cached partitions live for up to three levels: keep no slack.
+  result.elements_.resize(written);
+  result.elements_.shrink_to_fit();
+  result.offsets_.shrink_to_fit();
+  return result;
+}
+
+StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
+  FASTOD_DCHECK(codes.size() == num_rows_);
+  return RefineByKeys(codes.data(), codes.num_distinct());
+}
+
 StrippedPartition StrippedPartition::Product(
     const StrippedPartition& other) const {
   FASTOD_DCHECK(num_rows_ == other.num_rows_);
-  // TANE-style linear product. Mark membership of `*this` classes in a
-  // probe array, then split each class of `other` by probe value — two
-  // flat passes per class (count, then scatter into one buffer), no
-  // per-class vectors.
-  std::vector<int32_t> probe(num_rows_, -1);
-  for (int32_t c = 0; c < NumClasses(); ++c) {
-    for (int32_t t : Class(c)) probe[t] = c;
-  }
-  std::vector<int32_t> counts(NumClasses(), 0);
-  std::vector<int32_t> starts(NumClasses(), 0);
-  std::vector<int32_t> buffer;
-  std::vector<int32_t> touched;
-  PartitionBuilder builder(num_rows_);
-  for (int32_t oc = 0; oc < other.NumClasses(); ++oc) {
-    auto other_class = other.Class(oc);
-    touched.clear();
-    for (int32_t t : other_class) {
-      int32_t pc = probe[t];
-      if (pc < 0) continue;  // singleton in *this: cannot form a pair
-      if (counts[pc]++ == 0) touched.push_back(pc);
-    }
-    // Emit classes in ascending first-class index for determinism.
-    std::sort(touched.begin(), touched.end());
-    int32_t total = 0;
-    for (int32_t pc : touched) {
-      starts[pc] = total;
-      total += counts[pc];
-    }
-    buffer.resize(total);
-    for (int32_t t : other_class) {
-      int32_t pc = probe[t];
-      if (pc < 0) continue;
-      buffer[starts[pc]++] = t;  // members stay ascending (class order)
-    }
-    int32_t begin = 0;
-    for (int32_t pc : touched) {
-      builder.BeginClass();
-      for (int32_t i = begin; i < begin + counts[pc]; ++i) {
-        builder.AddTuple(buffer[i]);
-      }
-      builder.EndClass();
-      begin += counts[pc];
-      counts[pc] = 0;
-    }
-  }
-  return builder.Build();
+  std::vector<int32_t> class_of;
+  other.FillClassIndex(&class_of);
+  return RefineByKeys(class_of.data(), other.NumClasses());
 }
 
 void StrippedPartition::FillClassIndex(std::vector<int32_t>* class_of) const {

@@ -43,14 +43,23 @@ class StrippedPartition {
   /// Builds Π*_X directly from the code columns of the attributes of X:
   /// an LSD radix sort (one stable counting pass per column, last to
   /// first) followed by adjacent-run grouping, so classes appear in
-  /// ascending lexicographic key order with ascending members. Used by
-  /// validators and one-off constructions; the level-wise algorithms use
-  /// Product() instead.
+  /// ascending lexicographic key order with ascending members. Used for
+  /// one-off constructions and as the test oracle; the level-wise
+  /// algorithms and the validators derive partitions with Refine().
   static StrippedPartition FromCodeColumns(
       const std::vector<const CodeColumn*>& columns, int64_t num_rows);
 
-  /// The partition product Π*_{X∪Y} = Π*_X · Π*_Y (linear time, the TANE
-  /// product): intersects classes of `*this` with classes of `other`.
+  /// Π*_{X∪{A}} from `*this` = Π*_X and the code column of A: splits
+  /// every class by its members' codes (the probing-table refinement of
+  /// the TANE/HyFD family), in one pass per class through a slot array of
+  /// size num_distinct(A). Classes keep the parent's class order and,
+  /// within a class, first-seen code order; members stay ascending. The
+  /// result is sized exactly.
+  StrippedPartition Refine(const CodeColumn& codes) const;
+
+  /// The partition product Π*_{X∪Y} = Π*_X · Π*_Y: refines `*this` by
+  /// `other`'s class index (its stripped singletons drop out). Kept for
+  /// callers holding two partitions rather than a code column.
   StrippedPartition Product(const StrippedPartition& other) const;
 
   int64_t num_rows() const { return num_rows_; }
@@ -89,6 +98,11 @@ class StrippedPartition {
   std::string ToString() const;
 
  private:
+  // The grouping loop behind Refine and Product: splits every class by
+  // `keys[t]` in [0, num_keys); tuples with a negative key are dropped.
+  template <typename Key>
+  StrippedPartition RefineByKeys(const Key* keys, int32_t num_keys) const;
+
   int64_t num_rows_ = 0;
   std::vector<int32_t> elements_;
   std::vector<int32_t> offsets_{0};

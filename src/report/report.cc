@@ -108,27 +108,38 @@ void WriteOdMembers(JsonWriter* w, const ListOd& od, const Schema& schema) {
 }
 
 void WriteOdMembers(JsonWriter* w, const ConditionalOd& od,
-                    const Schema& schema,
-                    const std::vector<std::string>* binding_values) {
+                    const EncodedRelation& relation) {
+  const Schema& schema = relation.schema();
   w->Key("condition").String(schema.name(od.condition_attribute));
   w->Key("bindings").BeginArray();
-  if (binding_values != nullptr) {
-    for (const std::string& value : *binding_values) w->String(value);
-  } else {
-    for (int32_t rank : od.binding_ranks) w->Int(rank);
+  for (int32_t rank : od.binding_ranks) {
+    w->String(BindingValue(relation, od.condition_attribute, rank));
   }
   w->EndArray();
   w->Key("od").String(CanonicalOdToString(od.od, schema));
   w->Key("support").Double(od.support);
 }
 
-std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
+std::string BindingValue(const EncodedRelation& relation, int attr,
+                         int32_t rank) {
+  const ValueDictionary& dict = relation.dictionary(attr);
+  if (rank >= 0 && rank < dict.size()) return dict.ToString(rank);
+  // Appended, not `"#" + std::to_string(rank)`: GCC 12 at -O3 flags that
+  // spelling with a false -Wrestrict once it is inlined here.
+  std::string unknown = "#";
+  unknown += std::to_string(rank);
+  return unknown;
+}
+
+std::string EventJsonLine(const OdEvent& event,
+                          const EncodedRelation& relation) {
+  const Schema& schema = relation.schema();
   JsonWriter w;
   w.BeginObject();
   std::visit(
       [&](const auto& od) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(od)>,
-                                     RevokedOd>) {
+        using Od = std::decay_t<decltype(od)>;
+        if constexpr (std::is_same_v<Od, RevokedOd>) {
           // A retraction of a previously streamed/reported OD; od_type +
           // the shape's usual members identify which one.
           w.Key("type").String("revoked");
@@ -138,6 +149,9 @@ std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
                 WriteOdMembers(&w, revoked, schema);
               },
               od.od);
+        } else if constexpr (std::is_same_v<Od, ConditionalOd>) {
+          w.Key("type").String(TypeName(od));
+          WriteOdMembers(&w, od, relation);
         } else {
           w.Key("type").String(TypeName(od));
           WriteOdMembers(&w, od, schema);

@@ -46,8 +46,8 @@ void WriteReportHeader(JsonWriter* w, const std::string& algorithm,
 
 /// Write one OD's members into the open object: the single definition of
 /// each OD's JSON shape, shared by the report arrays and the stream
-/// lines. A conditional OD's bindings render as `binding_values` when
-/// given, else as the condition attribute's ranks.
+/// lines. A conditional OD's bindings render as the condition
+/// attribute's dictionary values, so both surfaces carry the same ones.
 void WriteOdMembers(JsonWriter* w, const ConstancyOd& od,
                     const Schema& schema);
 void WriteOdMembers(JsonWriter* w, const CompatibilityOd& od,
@@ -56,13 +56,19 @@ void WriteOdMembers(JsonWriter* w, const BidiCompatibilityOd& od,
                     const Schema& schema);
 void WriteOdMembers(JsonWriter* w, const ListOd& od, const Schema& schema);
 void WriteOdMembers(JsonWriter* w, const ConditionalOd& od,
-                    const Schema& schema,
-                    const std::vector<std::string>* binding_values = nullptr);
+                    const EncodedRelation& relation);
+
+/// The original cell value of code `rank` of attribute `attr` (every
+/// encoder interns the first-row representative), or "#rank" when the
+/// dictionary has no such entry.
+std::string BindingValue(const EncodedRelation& relation, int attr,
+                         int32_t rank);
 
 /// One streamed OD as a single NDJSON line (trailing '\n'): a "type"
 /// member, then the OD's members as in the reports. A retraction is
 /// {"type": "revoked", "od_type": ..., <the revoked OD's members>}.
-std::string EventJsonLine(const OdEvent& event, const Schema& schema);
+std::string EventJsonLine(const OdEvent& event,
+                          const EncodedRelation& relation);
 
 /// `algorithm` / `label` let adapters that reuse the FASTOD result shape
 /// (brute-force oracle, approximate discovery) render under their own

@@ -1060,8 +1060,9 @@ void DiscoveryServer::HandleResult(SessionId id,
   std::string body = *std::move(json);
   if (obs::Enabled()) {
     // The trace is spliced here rather than baked into the session's
-    // cached report: timings differ per run, and the cached report must
-    // stay byte-identical across sessions over the same data.
+    // cached report, which holds only what the engine rendered. The
+    // trace holds this session's spans and cache counters, which differ
+    // between sessions over the same data even where their ODs agree.
     Result<std::string> trace = service_.TraceJson(id);
     if (trace.ok()) SpliceJsonMember(&body, "trace", *trace);
   }
@@ -1106,17 +1107,19 @@ void DiscoveryServer::HandleStream(SessionId id,
   ChannelOdSink& channel = stream->channel;
   OdEvent event;
   int64_t streamed = 0;
-  const Schema* schema = nullptr;
+  const EncodedRelation* relation = nullptr;
   obs::Counter* ods_counter =
       obs::Enabled() ? StreamOdsCounter() : nullptr;
   obs::Counter* bytes_counter =
       obs::Enabled() ? StreamBytesCounter() : nullptr;
   for (;;) {
     if (channel.Pop(&event, std::chrono::milliseconds(50))) {
-      // The engine emitted this after binding data, so the schema is
+      // The engine emitted this after binding data, so the relation is
       // set; it is immutable for the rest of the session.
-      if (schema == nullptr) schema = session->algorithm().schema();
-      std::string line = EventJsonLine(event, *schema);
+      if (relation == nullptr) {
+        relation = session->algorithm().loaded_relation();
+      }
+      std::string line = EventJsonLine(event, *relation);
       if (!writer.WriteChunk(line)) {
         channel.Close();
         return;
@@ -1134,8 +1137,10 @@ void DiscoveryServer::HandleStream(SessionId id,
       // non-blocking drain empties the queue, then the end line closes
       // the stream.
       while (channel.Pop(&event, std::chrono::milliseconds(0))) {
-        if (schema == nullptr) schema = session->algorithm().schema();
-        std::string line = EventJsonLine(event, *schema);
+        if (relation == nullptr) {
+          relation = session->algorithm().loaded_relation();
+        }
+        std::string line = EventJsonLine(event, *relation);
         if (!writer.WriteChunk(line)) {
           channel.Close();
           return;

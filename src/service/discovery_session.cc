@@ -261,7 +261,7 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
   registry
       .GetCounter("fastod_partition_reuses_total",
                   "Partitions shared with a parent lattice node instead of "
-                  "built by a product",
+                  "built by a refinement",
                   by_algorithm)
       ->Inc(stats.partitions_reused);
   registry

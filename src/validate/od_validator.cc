@@ -60,11 +60,11 @@ const StrippedPartition& OdValidator::ContextPartition(AttributeSet context) {
   if (context.IsEmpty()) {
     partition = StrippedPartition::Universe(relation_->NumRows());
   } else {
-    // Refine from the largest cached proper subset — callers walking a
+    // Start from the largest cached proper subset — callers walking a
     // lattice (minimality probes, the incremental engine's escalation
     // BFS) ask for a context right after its parent, so this is usually
-    // one product instead of |X| - 1 — then fold in the missing
-    // singletons.
+    // one refinement instead of |X| - 1 — then refine by the code column
+    // of each missing attribute.
     AttributeSet covered;
     const StrippedPartition* seed = nullptr;
     for (const auto& [cached_set, cached_partition] : context_cache_) {
@@ -83,8 +83,7 @@ const StrippedPartition& OdValidator::ContextPartition(AttributeSet context) {
     }
     for (int a = context.First(); a >= 0; a = context.Next(a)) {
       if (covered.Contains(a)) continue;
-      partition = partition.Product(
-          StrippedPartition::ForAttribute(relation_->codes(a)));
+      partition = partition.Refine(relation_->codes(a));
     }
   }
   auto [pos, inserted] = context_cache_.emplace(context, std::move(partition));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "partition/partition_cache.h"
@@ -150,6 +153,74 @@ TEST_P(PartitionProductPropertyTest, ErrorIsMonotoneUnderRefinement) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProductPropertyTest,
                          ::testing::Values(3, 7, 13, 29, 41, 59));
 
+TEST(StrippedPartitionTest, RefineSplitsClassesInParentOrder) {
+  // Parent classes {0,2,4,5} then {1,3,6}; the codes split the first into
+  // {0,5} (code 2, seen first) and {2,4} (code 0), and leave {1,3,6} with
+  // one singleton ({6}, code 1) stripped.
+  StrippedPartition parent =
+      StrippedPartition::ForAttribute({0, 1, 0, 1, 0, 0, 1}, 2);
+  const CodeColumn codes = CodeColumn::FromRanks({2, 0, 0, 0, 0, 2, 1}, 3);
+  StrippedPartition refined = parent.Refine(codes);
+  EXPECT_EQ(refined.ToString(), "{{0,5},{2,4},{1,3}}");
+}
+
+// Property: Refine(Π*_X, codes(A)) equals the direct construction of
+// Π*_{X∪{A}}, for every X and A ∉ X over columns that include a constant
+// (num_distinct 1) and an all-distinct one (every X holding it is a
+// superkey, so its partition is empty), at row counts down to 0.
+class PartitionRefinePropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PartitionRefinePropertyTest, RefineMatchesDirectConstruction) {
+  for (int64_t n : {0, 1, 2, 5, 64, 300}) {
+    Rng rng(GetParam() * 1000 + static_cast<uint64_t>(n));
+    std::vector<CodeColumn> columns;
+    std::vector<int32_t> constant(n, 0), distinct(n);
+    for (int64_t t = 0; t < n; ++t) distinct[t] = static_cast<int32_t>(t);
+    for (int64_t t = n - 1; t > 0; --t) {
+      std::swap(distinct[t], distinct[rng.Uniform(t + 1)]);
+    }
+    columns.push_back(CodeColumn::FromRanks(constant, 1));
+    columns.push_back(
+        CodeColumn::FromRanks(distinct, static_cast<int32_t>(n)));
+    for (int32_t domain : {2, 3, 7}) {
+      std::vector<int32_t> ranks(n);
+      for (int32_t& r : ranks) r = static_cast<int32_t>(rng.Uniform(domain));
+      columns.push_back(CodeColumn::FromRanks(ranks, domain));
+    }
+    const int m = static_cast<int>(columns.size());
+    auto direct = [&](uint32_t mask) {
+      std::vector<const CodeColumn*> cols;
+      for (int x = 0; x < m; ++x) {
+        if (mask & (1u << x)) cols.push_back(&columns[x]);
+      }
+      return StrippedPartition::FromCodeColumns(cols, n);
+    };
+    for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+      const StrippedPartition parent = direct(mask);
+      std::vector<int32_t> parent_class;
+      parent.FillClassIndex(&parent_class);
+      for (int a = 0; a < m; ++a) {
+        if (mask & (1u << a)) continue;
+        const StrippedPartition refined = parent.Refine(columns[a]);
+        EXPECT_EQ(refined, direct(mask | (1u << a)))
+            << "n=" << n << " mask=" << mask << " a=" << a;
+        // Members ascending; classes in the parent's class order.
+        int32_t last_parent_class = -1;
+        for (int32_t c = 0; c < refined.NumClasses(); ++c) {
+          auto cls = refined.Class(c);
+          EXPECT_TRUE(std::is_sorted(cls.begin(), cls.end()));
+          EXPECT_GE(parent_class[cls[0]], last_parent_class);
+          last_parent_class = parent_class[cls[0]];
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PartitionRefinePropertyTest,
+                         ::testing::Values(1, 5, 17, 23, 101));
+
 TEST(PartitionCacheTest, PutGetEvict) {
   PartitionCache cache;
   cache.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(3));
@@ -211,7 +282,7 @@ TEST(PartitionCacheTest, TotalElementsTracksEvictionAndStripping) {
 
 // A relation with planted structure for the derive step: a constant
 // column c, a key column k, a random column a, b = a / 2 (so a -> b), and
-// a random column d.
+// a blocked column d.
 class PartitionDeriveTest : public ::testing::Test {
  protected:
   enum Attr { kC = 0, kK = 1, kA = 2, kB = 3, kD = 4 };
@@ -223,15 +294,25 @@ class PartitionDeriveTest : public ::testing::Test {
       k[t] = static_cast<int32_t>(t);
       a[t] = static_cast<int32_t>((t * 7 + 3) % 6);
       b[t] = a[t] / 2;
-      d[t] = static_cast<int32_t>((t / 6) % 3);  // independent of a
+      // Blocks of 12 rows: each value of a twice per block, except in the
+      // short last block, where (a, d) has singletons.
+      d[t] = static_cast<int32_t>(t / 12);
     }
-    columns_ = {CodeColumn::FromRanks(c, 1), CodeColumn::FromRanks(k, kRows),
-                CodeColumn::FromRanks(a, 6), CodeColumn::FromRanks(b, 3),
-                CodeColumn::FromRanks(d, 3)};
-    for (int x = 0; x < static_cast<int>(columns_.size()); ++x) {
+    relation_ = EncodedRelation::FromColumns(
+        Schema::FromNames({"c", "k", "a", "b", "d"}),
+        {CodeColumn::FromRanks(c, 1), CodeColumn::FromRanks(k, kRows),
+         CodeColumn::FromRanks(a, 6), CodeColumn::FromRanks(b, 3),
+         CodeColumn::FromRanks(d, 4)},
+        std::vector<ValueDictionary>(5));
+    for (int x = 0; x < relation_.NumAttributes(); ++x) {
       cache_.Put(1, AttributeSet::Single(x),
-                 StrippedPartition::ForAttribute(columns_[x]));
+                 StrippedPartition::ForAttribute(relation_.codes(x)));
     }
+  }
+
+  PartitionCache::Derived Derive(AttributeSet left, AttributeSet right,
+                                 AttributeSet determined) const {
+    return cache_.Derive(relation_, left, right, determined);
   }
 
   static AttributeSet Set(std::initializer_list<int> attrs) {
@@ -243,25 +324,34 @@ class PartitionDeriveTest : public ::testing::Test {
   StrippedPartition Direct(AttributeSet set) const {
     std::vector<const CodeColumn*> cols;
     for (int x = set.First(); x >= 0; x = set.Next(x)) {
-      cols.push_back(&columns_[x]);
+      cols.push_back(&relation_.codes(x));
     }
     return StrippedPartition::FromCodeColumns(cols, kRows);
   }
 
-  std::vector<CodeColumn> columns_;
+  // The product fold of the single-attribute partitions of `set`.
+  StrippedPartition ProductFold(AttributeSet set) const {
+    StrippedPartition fold = StrippedPartition::Universe(kRows);
+    for (int x = set.First(); x >= 0; x = set.Next(x)) {
+      fold = fold.Product(StrippedPartition::ForAttribute(relation_.codes(x)));
+    }
+    return fold;
+  }
+
+  EncodedRelation relation_;
   PartitionCache cache_;
 };
 
 TEST_F(PartitionDeriveTest, DeterminedAttributeSharesTheParentPartition) {
   // {a} -> b: Π*_{ab} is Π*_{a}, shared rather than rebuilt.
   PartitionCache::Derived ab =
-      cache_.Derive(Set({kA}), Set({kB}), Set({kB}));
+      Derive(Set({kA}), Set({kB}), Set({kB}));
   EXPECT_TRUE(ab.reused);
   EXPECT_EQ(ab.partition.get(), &cache_.Get(Set({kA})));
   EXPECT_EQ(*ab.partition, Direct(Set({kA, kB})));
   // {} -> c (constant column), so {d} -> c: Π*_{cd} is Π*_{d}.
   PartitionCache::Derived cd =
-      cache_.Derive(Set({kC}), Set({kD}), Set({kC}));
+      Derive(Set({kC}), Set({kD}), Set({kC}));
   EXPECT_TRUE(cd.reused);
   EXPECT_EQ(cd.partition.get(), &cache_.Get(Set({kD})));
   EXPECT_EQ(*cd.partition, Direct(Set({kC, kD})));
@@ -269,9 +359,9 @@ TEST_F(PartitionDeriveTest, DeterminedAttributeSharesTheParentPartition) {
   // Π*_{ad}.
   cache_.Put(2, Set({kA, kB}), ab.partition);
   cache_.Put(2, Set({kA, kD}),
-             cache_.Derive(Set({kA}), Set({kD}), AttributeSet()).partition);
+             Derive(Set({kA}), Set({kD}), AttributeSet()).partition);
   PartitionCache::Derived abd =
-      cache_.Derive(Set({kA, kB}), Set({kA, kD}), Set({kB}));
+      Derive(Set({kA, kB}), Set({kA, kD}), Set({kB}));
   EXPECT_TRUE(abd.reused);
   EXPECT_EQ(abd.partition.get(), &cache_.Get(Set({kA, kD})));
   EXPECT_EQ(*abd.partition, Direct(Set({kA, kB, kD})));
@@ -280,8 +370,8 @@ TEST_F(PartitionDeriveTest, DeterminedAttributeSharesTheParentPartition) {
 TEST_F(PartitionDeriveTest, SuperkeyParentIsShared) {
   for (bool key_left : {true, false}) {
     PartitionCache::Derived kd =
-        key_left ? cache_.Derive(Set({kK}), Set({kD}), AttributeSet())
-                 : cache_.Derive(Set({kD}), Set({kK}), AttributeSet());
+        key_left ? Derive(Set({kK}), Set({kD}), AttributeSet())
+                 : Derive(Set({kD}), Set({kK}), AttributeSet());
     EXPECT_TRUE(kd.reused);
     EXPECT_EQ(kd.partition.get(), &cache_.Get(Set({kK})));
     EXPECT_TRUE(kd.partition->IsSuperkey());
@@ -291,7 +381,7 @@ TEST_F(PartitionDeriveTest, SuperkeyParentIsShared) {
 
 TEST_F(PartitionDeriveTest, NothingKnownFallsBackToTheProduct) {
   PartitionCache::Derived ad =
-      cache_.Derive(Set({kA}), Set({kD}), AttributeSet());
+      Derive(Set({kA}), Set({kD}), AttributeSet());
   EXPECT_FALSE(ad.reused);
   EXPECT_NE(ad.partition.get(), &cache_.Get(Set({kA})));
   EXPECT_NE(ad.partition.get(), &cache_.Get(Set({kD})));
@@ -300,10 +390,29 @@ TEST_F(PartitionDeriveTest, NothingKnownFallsBackToTheProduct) {
             cache_.Get(Set({kA})).Product(cache_.Get(Set({kD}))));
 }
 
+TEST_F(PartitionDeriveTest, RefinesTheSmallestSubsetEvenIfNotAParent) {
+  // X = {c, a, d} from the generating parents {c, a} and {c, d}. The
+  // constant c splits nothing, so both parents hold as many elements as
+  // Π*_{a} and Π*_{d}, while Π*_{a, d} is smaller. Rule 3 refines
+  // Π*_{a, d} by c, so the result keeps Π*_{a, d}'s class order.
+  for (AttributeSet pair : {Set({kC, kA}), Set({kC, kD}), Set({kA, kD})}) {
+    cache_.Put(2, pair, Direct(pair));
+  }
+  const StrippedPartition& ad = cache_.Get(Set({kA, kD}));
+  ASSERT_LT(ad.NumElements(), cache_.Get(Set({kC, kA})).NumElements());
+  ASSERT_LT(ad.NumElements(), cache_.Get(Set({kC, kD})).NumElements());
+  PartitionCache::Derived cad =
+      Derive(Set({kC, kA}), Set({kC, kD}), AttributeSet());
+  EXPECT_FALSE(cad.reused);
+  EXPECT_EQ(*cad.partition, ProductFold(Set({kC, kA, kD})));
+  EXPECT_EQ(*cad.partition, Direct(Set({kC, kA, kD})));
+  EXPECT_EQ(cad.partition->ToString(), ad.ToString());
+}
+
 TEST_F(PartitionDeriveTest, TotalElementsCountsASharedPartitionOnce) {
   const int64_t before = cache_.TotalElements();
   cache_.Put(2, Set({kA, kB}),
-             cache_.Derive(Set({kA}), Set({kB}), Set({kB})).partition);
+             Derive(Set({kA}), Set({kB}), Set({kB})).partition);
   EXPECT_EQ(cache_.NumCached(), 6);
   EXPECT_EQ(cache_.TotalElements(), before);
   // Evicting level 1 leaves the shared partition alive under {a, b}.

@@ -248,7 +248,7 @@ TEST(ReportEscapingTest, EveryEngineReportAndStreamLineRoundTripsNames) {
     int lines = 0;
     while (channel.Pop(&event, std::chrono::milliseconds(0))) {
       saw_revoked |= std::holds_alternative<RevokedOd>(event);
-      std::string line = EventJsonLine(event, full.schema());
+      std::string line = EventJsonLine(event, *(*algo)->loaded_relation());
       ASSERT_EQ(line.back(), '\n');
       Result<JsonValue> parsed = ParseJson(line);
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << line;

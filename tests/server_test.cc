@@ -375,7 +375,7 @@ TEST(DiscoveryServerTest, InlineCsvSessionRoundTrip) {
   ASSERT_TRUE(algo.ok());
   ASSERT_TRUE((*algo)->LoadData(EmployeeTaxTable()).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
-  std::string expected = (*algo)->ResultJson();
+  std::string expected = StripTrace((*algo)->ResultJson());
   std::string body = StripTrace(result.body);
   ASSERT_NE(body.find("\"constancy_ods\""), std::string::npos);
   EXPECT_EQ(body.substr(body.find("\"constancy_ods\"")),
@@ -755,6 +755,62 @@ TEST(DiscoveryServerTest, CancelMidStreamEndsStreamAsCancelled) {
   EXPECT_NE(rest.find("\"cancelled\""), std::string::npos) << rest;
   WaitTerminal(fixture.port(), id);
   EXPECT_EQ(StateOf(fixture.port(), id), "cancelled");
+}
+
+// A streamed conditional OD carries the same bindings as its /result
+// entry: the condition attribute's values, not its dictionary codes.
+TEST(DiscoveryServerTest, StreamedConditionalBindingsMatchTheResult) {
+  ServerFixture fixture;
+  // {}: month ~ price fails, but holds under region in {east, north}.
+  // Codes are ranks (east=0, north=1, west=2), so codes and values differ.
+  const std::string csv =
+      "region,month,price\n"
+      "east,1,10\neast,2,20\neast,3,30\n"
+      "west,1,30\nwest,2,20\nwest,3,10\n"
+      "north,1,5\nnorth,2,6\n";
+  JsonWriter post;
+  post.BeginObject()
+      .Key("algorithm")
+      .String("conditional")
+      .Key("csv")
+      .String(csv)
+      .Key("stream")
+      .Bool(true)
+      .EndObject();
+  ClientResponse created =
+      Fetch(fixture.port(), "POST", "/v1/sessions", post.str());
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::string base = "/v1/sessions/" + std::to_string(
+                                                 SessionIdOf(created.body));
+  ClientResponse stream = Fetch(fixture.port(), "GET", base + "/stream");
+  ASSERT_EQ(stream.status, 200);
+  // (condition, od) -> bindings, from each surface.
+  std::map<std::string, std::string> streamed;
+  size_t begin = 0;
+  for (size_t end; (end = stream.body.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    auto line = ParseJson(stream.body.substr(begin, end - begin));
+    ASSERT_TRUE(line.ok()) << stream.body;
+    if (line->Find("type")->string_value() != "conditional") continue;
+    streamed[line->Find("condition")->string_value() + " => " +
+             line->Find("od")->string_value()] =
+        line->Find("bindings")->Dump();
+  }
+  WaitTerminal(fixture.port(), SessionIdOf(created.body));
+  ClientResponse result = Fetch(fixture.port(), "GET", base + "/result");
+  ASSERT_EQ(result.status, 200);
+  auto report = ParseJson(result.body);
+  ASSERT_TRUE(report.ok()) << result.body;
+  std::map<std::string, std::string> reported;
+  for (const JsonValue& od : report->Find("conditional_ods")->array_items()) {
+    reported[od.Find("condition")->string_value() + " => " +
+             od.Find("od")->string_value()] = od.Find("bindings")->Dump();
+  }
+  ASSERT_FALSE(streamed.empty()) << stream.body;
+  EXPECT_EQ(streamed, reported);
+  EXPECT_EQ(streamed["region => {}: month ~ price"],
+            "[\"east\", \"north\"]")
+      << result.body;
 }
 
 TEST(DiscoveryServerTest, StreamRequiresOptInAndSingleReader) {

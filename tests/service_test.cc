@@ -21,7 +21,9 @@
 #include "api/engines.h"
 #include "api/od_sink.h"
 #include "api/registry.h"
+#include "common/json.h"
 #include "gen/generators.h"
+#include "gen/random_table.h"
 #include "service/discovery_service.h"
 #include "test_util.h"
 
@@ -536,6 +538,70 @@ TEST(DiscoveryServiceTest, DestructorCancelsLiveSessions) {
   // the 120s timeout backstop.
   service.reset();
   SUCCEED();
+}
+
+// Every registered engine honours a cancel that arrives mid-run: the
+// session turns kCancelled within a bounded time, and the engine's own
+// report says it stopped early. Uncancelled, each input keeps its engine
+// busy for seconds.
+TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
+  const Table lattice = GenHepatitisLike(500, 20, 3);  // ~180k nodes
+  const Table oracle = GenHepatitisLike(200, 10, 3);   // 2^10 contexts, n^2
+  const Table rows = GenRandomTable(50000, 16, 4, 3);  // 360 candidates
+  // The complete result for the one-row prefix ({}: [] -> A for every A).
+  // The appended rows break all of it, so the incremental engine
+  // re-searches the lattice.
+  auto prior_engine = AlgorithmRegistry::Default().Create("fastod");
+  ASSERT_TRUE(prior_engine.ok());
+  ASSERT_TRUE((*prior_engine)->LoadData(lattice.Head(1)).ok());
+  ASSERT_TRUE((*prior_engine)->Execute().ok());
+  const std::string prior = (*prior_engine)->ResultJson();
+
+  struct Case {
+    const char* algorithm;
+    const Table* table;
+    std::map<std::string, std::string> options;
+  };
+  const std::vector<Case> cases = {
+      {"fastod", &lattice, {}},
+      {"tane", &lattice, {}},
+      {"order", &lattice, {}},
+      {"approximate", &lattice, {}},
+      {"brute-force", &oracle, {}},
+      {"conditional", &rows, {}},
+      {"incremental", &lattice, {{"prior", prior}, {"base-rows", "1"}}},
+  };
+  DiscoveryService service(1);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.algorithm);
+    auto id = service.Create(c.algorithm);
+    ASSERT_TRUE(id.ok());
+    for (const auto& [name, value] : c.options) {
+      ASSERT_TRUE(service.SetOption(*id, name, value).ok());
+    }
+    ASSERT_TRUE(service.LoadTable(*id, *c.table).ok());
+    ASSERT_TRUE(service.Submit(*id).ok());
+    for (SessionState state = service.Poll(*id)->state;
+         state != SessionState::kRunning; state = service.Poll(*id)->state) {
+      ASSERT_FALSE(IsTerminal(state)) << SessionStateName(state);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto cancelled_at = std::chrono::steady_clock::now();
+    ASSERT_TRUE(service.Cancel(*id).ok());
+    ASSERT_TRUE(service.Wait(*id).ok());
+    const std::chrono::duration<double> waited =
+        std::chrono::steady_clock::now() - cancelled_at;
+    EXPECT_EQ(service.Poll(*id)->state, SessionState::kCancelled);
+    EXPECT_LT(waited.count(), 10.0);
+    Result<JsonValue> report = ParseJson(*service.ResultJson(*id));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const JsonValue* stats = report->Find("stats");
+    ASSERT_NE(stats, nullptr);
+    ASSERT_NE(stats->Find("cancelled"), nullptr);
+    EXPECT_TRUE(stats->Find("cancelled")->bool_value()) << stats->Dump();
+    ASSERT_TRUE(service.Destroy(*id).ok());
+  }
 }
 
 // ------------------------------------------------- shared datasets

@@ -6,6 +6,8 @@
 #include <cctype>
 #include <string>
 
+#include "common/json.h"
+
 namespace fastod {
 
 /// Masks the wall-clock "seconds" values in a report JSON so two runs of
@@ -28,19 +30,23 @@ inline std::string MaskSeconds(std::string json) {
   return json;
 }
 
-/// Removes the ,"trace": {...} object the server splices into /result
-/// bodies while metrics are enabled. Traces carry wall-clock spans and
-/// source-dependent cache counters (a dataset-bound session skips the
-/// csv.parse span and seeds its partition cache), so bit-for-bit
-/// comparisons of the discovery output strip the trace first.
-inline std::string StripTrace(std::string json) {
-  size_t pos = json.find(",\"trace\":");
-  if (pos == std::string::npos) return json;
-  // The splice sits immediately before the body's final brace.
-  size_t end = json.rfind('}');
-  if (end == std::string::npos || end <= pos) return json;
-  json.erase(pos, end - pos);
-  return json;
+/// Drops the "trace" member the server splices into /result bodies while
+/// metrics are enabled, and renders the rest with JsonValue::Dump.
+/// Traces carry wall-clock spans and source-dependent cache counters (a
+/// dataset-bound session skips the csv.parse span and seeds its
+/// partition cache), so bit-for-bit comparisons of the discovery output
+/// strip the trace first, from both sides. A body that is not a JSON
+/// object comes back unchanged.
+inline std::string StripTrace(const std::string& json) {
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok() || !parsed->is_object()) return json;
+  std::string out = "{";
+  for (const auto& [key, value] : parsed->object_items()) {
+    if (key == "trace") continue;
+    if (out.size() > 1) out += ", ";
+    out += "\"" + JsonEscape(key) + "\": " + value.Dump();
+  }
+  return out + "}";
 }
 
 }  // namespace fastod
