@@ -163,8 +163,8 @@ struct FastodResult {
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   /// Of the puts, partitions shared with a parent rather than built by a
-  /// refinement (sum of FastodLevelStats::partitions_reused; identical at
-  /// every thread count).
+  /// refinement (identical at every thread count; on a run that was not
+  /// stopped, the sum of FastodLevelStats::partitions_reused).
   int64_t partitions_reused = 0;
   /// Scheduling telemetry of the validate batches (both 0 when
   /// num_threads is 1). spawned counts node tasks (one per lattice

@@ -48,10 +48,10 @@ class Run {
       if (options_.max_level > 0 && l > options_.max_level) break;
       result_.total_nodes += static_cast<int64_t>(level.size());
       for (ListNode& node : level) {
+        if (StopRequested()) break;
         ProcessNode(&node);
-        if (result_.timed_out) break;
       }
-      if (result_.timed_out) break;
+      if (Stopped()) break;
       result_.levels_processed = l;
       // Extend surviving nodes with every absent attribute (all
       // permutations one longer — the factorial frontier).
@@ -71,19 +71,11 @@ class Run {
         options_.control->ReportProgress(static_cast<double>(l) / m);
       }
       ++l;
-      if (deadline_.Exceeded()) {
-        result_.timed_out = true;
-        break;
-      }
-      if (options_.control != nullptr && options_.control->StopRequested()) {
-        result_.cancelled = true;
-        break;
-      }
+      if (StopRequested()) break;
     }
     // Early exits keep the last level's fraction; only a clean finish
     // reports 100%.
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
+    if (options_.control != nullptr && !Stopped()) {
       options_.control->ReportProgress(1.0);
     }
     result_.seconds = timer.ElapsedSeconds();
@@ -107,13 +99,26 @@ class Run {
       // child nodes do); swaps are permanent. Valid candidates keep the
       // subtree alive as well (their extensions may reveal longer ODs).
       if (fate != CandidateFate::kSwapDead) any_alive = true;
-      if ((++checks_since_poll_ & 0xff) == 0 && deadline_.Exceeded()) {
-        result_.timed_out = true;
-        return;
-      }
     }
     if (options_.enable_pruning) node->extend = any_alive;
   }
+
+  // Polled before every node and between levels, as one level can take
+  // seconds: latches the soft timeout as timed_out and a control stop
+  // (cancel or the hard timeout-ms) as cancelled.
+  bool StopRequested() {
+    if (deadline_.Exceeded()) {
+      result_.timed_out = true;
+      return true;
+    }
+    if (options_.control != nullptr && options_.control->StopRequested()) {
+      result_.cancelled = true;
+      return true;
+    }
+    return false;
+  }
+
+  bool Stopped() const { return result_.timed_out || result_.cancelled; }
 
   enum class CandidateFate { kValid, kImplied, kSplitDead, kSwapDead };
 
@@ -216,7 +221,6 @@ class Run {
   OdSet swapped_;
   OdSet split_failed_;
   OdSet valid_;
-  int64_t checks_since_poll_ = 0;
   OrderResult result_;
 };
 

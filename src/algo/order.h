@@ -51,7 +51,8 @@ struct OrderOptions {
   /// the result vector is still populated, because ORDER consults it for
   /// its list-minimality (implication) checks.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress, polled at level boundaries.
+  /// Cooperative cancellation + progress; the stop is polled before
+  /// every lattice node, like the timeout.
   ExecutionControl* control = nullptr;
 };
 

@@ -39,7 +39,10 @@ struct TaneOptions {
   /// emit_fds, so a run can stream and still render its full report.
   /// Must outlive the run.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress, polled at level boundaries.
+  /// Cooperative cancellation + progress. The stop is polled at the
+  /// start of every node task and between levels, like the timeout
+  /// (algo/lattice_walk.h); a run stopped before its first node task
+  /// reports no FDs.
   ExecutionControl* control = nullptr;
   /// Worker threads. 1 = serial. With more threads, each level's node
   /// validations and partition refinements run as two batches on a thread

@@ -4,7 +4,7 @@
 // An ExecutionControl is shared between a caller (typically through
 // api/algorithm.h) and a running engine: the caller flips the cancel flag
 // (or arms a monotonic deadline) from another thread, the engine polls
-// StopRequested() at level boundaries — one check covers both stop
+// StopRequested() at its safepoints — one check covers both stop
 // reasons — and aborts cleanly with partial results. Progress flows the
 // other way: engines report a coarse [0, 1] fraction (lattice level over
 // attribute count) that frontends may display.

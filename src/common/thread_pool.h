@@ -4,8 +4,8 @@
 // Two execution shapes are built on these workers. ParallelFor runs a
 // fixed iteration space with the caller participating: it is the batch
 // executor of the lattice engines, which run each level's node tasks and
-// then its partition-derive tasks as one loop each (algo/fastod.cc,
-// algo/tane.cc). See docs/CONCURRENCY.md for the combined thread-safety
+// then its partition-derive tasks as one loop each (algo/lattice_walk.cc).
+// See docs/CONCURRENCY.md for the combined thread-safety
 // contract. The engines merge task results in canonical node order,
 // keeping output deterministic regardless of thread count (verified by
 // tests/parallel_test.cc).
@@ -38,7 +38,7 @@ class ThreadPool {
   /// (pthread_setname_np truncates to 15 characters), so pool threads
   /// are attributable in gdb/top/TSan reports. The default prefix marks
   /// the shared service pool; engine-private pools pass their own (see
-  /// algo/fastod.cc).
+  /// algo/lattice_walk.h).
   explicit ThreadPool(int num_threads,
                       const char* name_prefix = "fastod-wkr");
   ~ThreadPool();

@@ -25,7 +25,7 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// A soft wall-clock budget: algorithms poll Exceeded() at level boundaries
+/// A soft wall-clock budget: algorithms poll Exceeded() at their safepoints
 /// and abort cleanly, mirroring the paper's "* 5h" timeout handling.
 class Deadline {
  public:

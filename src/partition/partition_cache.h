@@ -5,10 +5,11 @@
 // previous level are needed"), usually by refining the smallest cached
 // Π*_{X\A} by the codes of A — but when a known exact FD makes Π*_X
 // equal to a parent's partition, the node shares that parent's partition
-// instead (Derive below). FASTOD's order-compatibility checks additionally
-// read contexts two levels up (X \ {A,B} has |X| - 2 attributes), so the
-// cache retains a sliding window of levels and evicts older ones to bound
-// memory.
+// instead (Derive below). Validation may read further down than the
+// derive step: the lattice walk (algo/lattice_walk.h) keeps as many
+// levels cached as the engine's LatticePolicy::CachedLevelsBack() asks
+// for — one for TANE, one more for FASTOD, whose override says why — and
+// evicts older ones to bound memory.
 #ifndef FASTOD_PARTITION_PARTITION_CACHE_H_
 #define FASTOD_PARTITION_PARTITION_CACHE_H_
 

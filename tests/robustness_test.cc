@@ -423,7 +423,7 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->error_code, StatusCode::kDeadlineExceeded)
       << info->error;
-  // Engines stop at per-level and every-256-node safepoints; allow CI
+  // The lattice walk polls the deadline at every node task; allow CI
   // slack far beyond the ~2x-deadline typical case.
   EXPECT_LT(elapsed, 5.0);
   // The worker that hit the deadline must take the next run at once.

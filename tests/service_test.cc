@@ -22,6 +22,7 @@
 #include "api/od_sink.h"
 #include "api/registry.h"
 #include "common/json.h"
+#include "data/encode.h"
 #include "gen/generators.h"
 #include "gen/random_table.h"
 #include "service/discovery_service.h"
@@ -602,6 +603,32 @@ TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
     EXPECT_TRUE(stats->Find("cancelled")->bool_value()) << stats->Dump();
     ASSERT_TRUE(service.Destroy(*id).ok());
   }
+}
+
+// ORDER polls the stop before every lattice node, not only between
+// levels, so a hard timeout-ms lands inside a long level. Level 2 of a
+// 100k-row table runs 132 candidate checks, each a scan over all rows:
+// seconds of work in one level.
+TEST(DiscoveryServiceTest, OrderDeadlineStopsInsideALevel) {
+  Result<EncodedRelation> relation =
+      EncodedRelation::FromTable(GenFlightLike(100000, 12, 3));
+  ASSERT_TRUE(relation.ok());
+  DiscoveryService service(1);
+  auto id = service.Create("order");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(service.LoadRelation(*id, *std::move(relation)).ok());
+  ASSERT_TRUE(service.SetOption(*id, "max-level", "2").ok());
+  ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "300").ok());
+  const auto submitted = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service.Submit(*id).ok());
+  ASSERT_TRUE(service.Wait(*id).ok());
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - submitted;
+  Result<DiscoveryService::PollInfo> info = service.Poll(*id);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->state, SessionState::kFailed);
+  EXPECT_EQ(info->error_code, StatusCode::kDeadlineExceeded) << info->error;
+  EXPECT_LT(elapsed.count(), 1.5);
 }
 
 // ------------------------------------------------- shared datasets

@@ -82,6 +82,25 @@ TEST(TaneTest, TimeoutFlagPropagates) {
   EXPECT_TRUE(r.timed_out);
 }
 
+TEST(TaneTest, StopRequestedBeforeTheRunEmitsNothing) {
+  // The node tasks poll the control before any validation, as FASTOD's
+  // do: a run whose control is already cancelled ends inside level 1.
+  EncodedRelation rel = Encode(EmployeeTaxTable());
+  ExecutionControl control;
+  control.RequestCancel();
+  for (int threads : {1, 4}) {
+    TaneOptions opt;
+    opt.control = &control;
+    opt.num_threads = threads;
+    TaneResult r = Tane(opt).Discover(rel);
+    EXPECT_TRUE(r.cancelled) << threads << " threads";
+    EXPECT_FALSE(r.timed_out) << threads << " threads";
+    EXPECT_EQ(r.levels_processed, 0) << threads << " threads";
+    EXPECT_EQ(r.num_fds, 0) << threads << " threads";
+    EXPECT_TRUE(r.fds.empty()) << threads << " threads";
+  }
+}
+
 TEST(TaneTest, MaxLevelLimitsContexts) {
   Table t = GenDbtesmaLike(200, 9, 3);
   TaneOptions opt;

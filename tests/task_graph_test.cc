@@ -68,6 +68,18 @@ TEST(TaskGraphTest, DrainsEverySeededTask) {
   EXPECT_GE(r.tasks_stolen, 0);
   EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
   EXPECT_FALSE(r.cancelled);
+
+  // TANE runs the same walk: the fault point sits in its node tasks only,
+  // never in the derive tasks.
+  fault::Clear();
+  ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
+  TaneOptions tane_opt;
+  tane_opt.num_threads = 4;
+  TaneResult tane = Tane(tane_opt).Discover(*rel);
+  EXPECT_GT(tane.total_nodes, 0);
+  EXPECT_EQ(fault::Hits("task_graph.task"), tane.total_nodes);
+  EXPECT_EQ(tane.tasks_spawned, tane.total_nodes);
+  EXPECT_FALSE(tane.cancelled);
 }
 
 TEST(TaskGraphTest, NullPoolRunsInline) {
@@ -85,6 +97,12 @@ TEST(TaskGraphTest, NullPoolRunsInline) {
   for (const FastodLevelStats& level : serial.level_stats) {
     EXPECT_EQ(level.occupancy, 0.0) << "level " << level.level;
   }
+
+  ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
+  TaneResult tane_serial = Tane().Discover(*rel);
+  EXPECT_EQ(fault::Hits("task_graph.task"), tane_serial.total_nodes);
+  EXPECT_EQ(tane_serial.tasks_spawned, 0);
+  EXPECT_EQ(tane_serial.tasks_stolen, 0);
 
   fault::Clear();
   FastodOptions opt;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate for the public surfaces.
 
-Three checks, all run by CI (and runnable locally from the repo root
+Four checks, all run by CI (and runnable locally from the repo root
 with no arguments):
 
 1. C-ABI doc coverage — every public symbol declared in
@@ -19,6 +19,11 @@ with no arguments):
    the fastod_c library in CMakeLists.txt must be read from them (or, if
    spelled out, equal them).
 
+4. Test citations — every backticked gtest name in README.md and
+   docs/**/*.md, `Suite.Case` or `Suite.*`, must name a TEST, TEST_F or
+   TEST_P (or, for `Suite.*`, a suite) declared under tests/, so the
+   docs cannot cite a test that was renamed or removed.
+
 Exit code 0 when all pass; 1 with a per-violation report otherwise.
 """
 
@@ -31,6 +36,7 @@ CAPI_HEADER = os.path.join(REPO, "src", "capi", "fastod_c.h")
 CMAKE_LISTS = os.path.join(REPO, "CMakeLists.txt")
 DOC_FILES = [os.path.join(REPO, "README.md")]
 DOCS_DIR = os.path.join(REPO, "docs")
+TESTS_DIR = os.path.join(REPO, "tests")
 
 
 def capi_doc_coverage(path):
@@ -163,10 +169,43 @@ def abi_version_single_source(header_path, cmake_path):
             f"FASTOD_VERSION_* {header_version} in src/capi/fastod_c.h"]
 
 
+GTEST_NAME = re.compile(r"`([A-Z][A-Za-z0-9]*)\.(\*|[A-Z]\w*)`")
+TEST_DECL = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+
+
+def declared_tests(tests_dir):
+    """Returns the set of (suite, case) pairs declared under tests_dir."""
+    declared = set()
+    for root, _dirs, names in os.walk(tests_dir):
+        for name in names:
+            if name.endswith((".cc", ".h")):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    declared.update(TEST_DECL.findall(f.read()))
+    return declared
+
+
+def test_citations_resolve(tests_dir):
+    declared = declared_tests(tests_dir)
+    suites = {suite for suite, _case in declared}
+    violations = []
+    for path in markdown_files():
+        with open(path, encoding="utf-8") as f:
+            for num, line in enumerate(f, 1):
+                for suite, case in GTEST_NAME.findall(line):
+                    found = (suite in suites if case == "*"
+                             else (suite, case) in declared)
+                    if not found:
+                        violations.append(
+                            f"{os.path.relpath(path, REPO)}:{num}: "
+                            f"cites unknown test '{suite}.{case}'")
+    return violations
+
+
 def main():
     violations = capi_doc_coverage(CAPI_HEADER)
     violations += link_integrity()
     violations += abi_version_single_source(CAPI_HEADER, CMAKE_LISTS)
+    violations += test_citations_resolve(TESTS_DIR)
     for v in violations:
         print(v)
     checked = len(markdown_files())
@@ -174,7 +213,8 @@ def main():
         print(f"\ncheck_docs: FAILED ({len(violations)} violation(s))")
         return 1
     print(f"check_docs: OK (C ABI documented; ABI version has one "
-          f"source; links resolve in {checked} markdown file(s))")
+          f"source; links and cited tests resolve in {checked} markdown "
+          f"file(s))")
     return 0
 
 
