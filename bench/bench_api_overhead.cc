@@ -1,5 +1,5 @@
 // Guards the "thin adapter" claim of the unified Algorithm API: running an
-// engine through AlgorithmRegistry::Create + SetOption + LoadData + Execute
+// engine through AlgorithmRegistry::Create + SetOption + BindDataset + Execute
 // with a streaming CollectingOdSink must cost the same as calling the
 // legacy entry point directly (the adapters add one options copy and a
 // virtual dispatch per run; with emit-ods=false the sink replaces one
@@ -49,10 +49,12 @@ using namespace fastod;
 using namespace fastod::bench;
 
 void Row(const char* label, const Table& table) {
-  auto rel = EncodedRelation::FromTable(table);
+  std::shared_ptr<const LoadedDataset> dataset = DatasetOf(table, label);
 
+  // Both sides start from the dataset's prebuilt level-1 partitions.
   WallTimer direct_timer;
-  FastodResult direct = Fastod().Discover(*rel);
+  FastodResult direct = Fastod().Discover(dataset->relation(),
+                                          &dataset->singleton_partitions());
   double direct_seconds = direct_timer.ElapsedSeconds();
 
   auto algo = AlgorithmRegistry::Default().Create("fastod");
@@ -61,7 +63,7 @@ void Row(const char* label, const Table& table) {
   // Sinks tee since the server work landed; keep this a pure
   // stream-vs-materialize comparison (one append per OD on both sides).
   (void)(*algo)->SetOption("emit-ods", "false");
-  (void)(*algo)->LoadData(*rel);
+  (void)(*algo)->BindDataset(dataset);
   WallTimer api_timer;
   (void)(*algo)->Execute();
   double api_seconds = api_timer.ElapsedSeconds();
@@ -100,19 +102,20 @@ void RepeatedSessionsRow(const char* label, const Table& table,
     return sink.Total();
   };
 
-  // Mode 1: every session parses, types, and encodes the CSV itself.
+  // Mode 1: every session parses, types, encodes and partitions the CSV
+  // itself, into a dataset of its own.
   WallTimer fresh_timer;
   int64_t fresh_ods = 0;
   for (int i = 0; i < sessions; ++i) {
     auto algo = AlgorithmRegistry::Default().Create("fastod");
-    auto loaded = ReadCsvFile(path);
+    auto loaded = LoadedDataset::LoadCsvFile(label, path, CsvOptions());
     if (!loaded.ok()) {
       std::printf("%-14s | cannot read %s back, skipped\n", label,
                   path.c_str());
       std::remove(path.c_str());
       return;
     }
-    (void)(*algo)->LoadData(*std::move(loaded));
+    (void)(*algo)->BindDataset(*std::move(loaded));
     fresh_ods = run_one(**algo);
   }
   double fresh_seconds = fresh_timer.ElapsedSeconds();
@@ -133,7 +136,7 @@ void RepeatedSessionsRow(const char* label, const Table& table,
   for (int i = 0; i < sessions; ++i) {
     auto algo = AlgorithmRegistry::Default().Create("fastod");
     auto shared = store.Get(label);  // cannot fail: no budget, just Put
-    (void)(*algo)->LoadData(shared.ok() ? *std::move(shared) : *dataset);
+    (void)(*algo)->BindDataset(shared.ok() ? *std::move(shared) : *dataset);
     shared_ods = run_one(**algo);
   }
   double shared_seconds = shared_timer.ElapsedSeconds();
@@ -185,7 +188,7 @@ void OverloadRow(int limit) {
 
   for (int i = 0; i < limit; ++i) {
     auto id = service.Create("sleeper");
-    if (!id.ok() || !service.LoadTable(*id, table).ok() ||
+    if (!id.ok() || !service.BindDataset(*id, DatasetOf(table)).ok() ||
         !service.Submit(*id).ok()) {
       std::printf("overload limit=%d | could not fill slots, skipped\n",
                   limit);
@@ -199,7 +202,7 @@ void OverloadRow(int limit) {
   int refused = 0;
   for (int i = 0; i < attempts; ++i) {
     auto id = service.Create("sleeper");
-    if (!id.ok() || !service.LoadTable(*id, table).ok()) continue;
+    if (!id.ok() || !service.BindDataset(*id, DatasetOf(table)).ok()) continue;
     WallTimer timer;
     Status status = service.Submit(*id);
     latencies.push_back(timer.ElapsedSeconds());
@@ -237,7 +240,7 @@ void MetricsOverheadRow(const char* label, const Table& table,
     WallTimer timer;
     for (int i = 0; i < sessions; ++i) {
       auto id = service.Create("fastod");
-      if (!id.ok() || !service.LoadTable(*id, table).ok() ||
+      if (!id.ok() || !service.BindDataset(*id, DatasetOf(table)).ok() ||
           !service.Submit(*id).ok()) {
         return -1.0;
       }

@@ -16,7 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/fastod.h"
@@ -24,10 +26,21 @@
 #include "algo/tane.h"
 #include "common/json.h"
 #include "common/timer.h"
+#include "data/dataset_store.h"
 #include "data/encode.h"
+#include "data/table.h"
 #include "report/report.h"
 
 namespace fastod::bench {
+
+/// `table` encoded with FromTable and built into a dataset: the one way
+/// a bench turns a generated Table into data an engine binds. Aborts on a
+/// table the encoder refuses (more than 64 attributes).
+inline std::shared_ptr<const LoadedDataset> DatasetOf(
+    const Table& table, std::string id = "table") {
+  return LoadedDataset::Build(
+      std::move(id), EncodedRelation::FromTable(table).value(), "table");
+}
 
 inline int ParseScale(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {

@@ -3,6 +3,7 @@
 // hold; a small error threshold recovers them.
 #include <cstdio>
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.h"
 #include "fastod/fastod.h"
@@ -50,8 +51,10 @@ int main() {
               "(constancy + compat)", "city->zip recovered?");
   // One "approximate" Algorithm instance, reconfigured per threshold
   // through its typed option registry and re-executed on the loaded data.
+  std::shared_ptr<const LoadedDataset> dataset =
+      LoadedDataset::Build("noisy", *encoded, "generated");
   auto algo = AlgorithmRegistry::Default().Create("approximate");
-  if (!algo.ok() || !(*algo)->LoadData(noisy).ok()) return 1;
+  if (!algo.ok() || !(*algo)->BindDataset(dataset).ok()) return 1;
   for (double eps : {0.0, 0.005, 0.02, 0.05}) {
     char eps_text[32];
     std::snprintf(eps_text, sizeof(eps_text), "%g", eps);

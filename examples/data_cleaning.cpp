@@ -17,13 +17,13 @@ int main() {
   Table clean = GenFlightLike(kRows, 12, 7);
 
   // Step 1: profile the clean data.
-  Result<FastodResult> profile_result = Fastod().Discover(clean);
-  if (!profile_result.ok()) {
+  Result<EncodedRelation> clean_encoded = EncodedRelation::FromTable(clean);
+  if (!clean_encoded.ok()) {
     std::fprintf(stderr, "profiling failed: %s\n",
-                 profile_result.status().ToString().c_str());
+                 clean_encoded.status().ToString().c_str());
     return 1;
   }
-  const FastodResult& profile = *profile_result;
+  const FastodResult profile = Fastod().Discover(*clean_encoded);
   std::printf("Profiled clean data: %s minimal ODs\n",
               profile.CountsToString().c_str());
 

@@ -22,14 +22,15 @@ int main() {
               static_cast<long long>(date_dim.NumRows()),
               date_dim.NumColumns());
 
-  Result<FastodResult> result = Fastod().Discover(date_dim);
-  if (!result.ok()) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(date_dim);
+  if (!encoded.ok()) {
     std::fprintf(stderr, "discovery failed: %s\n",
-                 result.status().ToString().c_str());
+                 encoded.status().ToString().c_str());
     return 1;
   }
+  const FastodResult result = Fastod().Discover(*encoded);
   std::printf("FASTOD found %s minimal ODs. The optimizer-relevant ones:\n",
-              result->CountsToString().c_str());
+              result.CountsToString().c_str());
 
   int sk = *schema.IndexOf("d_date_sk");
   int year = *schema.IndexOf("d_year");
@@ -37,14 +38,14 @@ int main() {
   int quarter = *schema.IndexOf("d_quarter");
 
   auto has_constancy = [&](AttributeSet ctx, int a) {
-    for (const ConstancyOd& od : result->constancy_ods) {
+    for (const ConstancyOd& od : result.constancy_ods) {
       if (od.context == ctx && od.attribute == a) return true;
     }
     return false;
   };
   auto has_compat = [&](AttributeSet ctx, int a, int b) {
     CompatibilityOd want(ctx, a, b);
-    for (const CompatibilityOd& od : result->compatibility_ods) {
+    for (const CompatibilityOd& od : result.compatibility_ods) {
       if (od == want) return true;
     }
     return false;
@@ -100,8 +101,7 @@ int main() {
   OrderOptions order_opt;
   order_opt.timeout_seconds = 5.0;
   order_opt.max_level = 3;
-  OrderResult order = OrderBaseline(order_opt).Discover(
-      *EncodedRelation::FromTable(date_dim));
+  OrderResult order = OrderBaseline(order_opt).Discover(*encoded);
   std::printf("For comparison, the ORDER baseline reports %zu list ODs "
               "(timeout=%s); constants and embedded FDs are not among "
               "them (Section 4.5).\n",

@@ -6,6 +6,7 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "fastod/fastod.h"
@@ -23,12 +24,18 @@ int main() {
   // the unified Algorithm API: every engine ("fastod", "tane", "order",
   // "brute-force", "approximate", "conditional") is created by name from
   // the registry and configured through its typed option registry.
-  auto discovery = AlgorithmRegistry::Default().Create("fastod");
-  if (!discovery.ok()) return 1;
-  if (Status s = (*discovery)->LoadData(table); !s.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
+  // Engines bind a LoadedDataset: the relation encoded once as
+  // order-preserving integer codes, with its level-1 partitions built.
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
+  if (!encoded.ok()) {
+    std::fprintf(stderr, "load failed: %s\n",
+                 encoded.status().ToString().c_str());
     return 1;
   }
+  std::shared_ptr<const LoadedDataset> dataset =
+      LoadedDataset::Build("employee", *std::move(encoded), "Table 1");
+  auto discovery = AlgorithmRegistry::Default().Create("fastod");
+  if (!discovery.ok() || !(*discovery)->BindDataset(dataset).ok()) return 1;
   if (Status s = (*discovery)->Execute(); !s.ok()) {
     std::fprintf(stderr, "discovery failed: %s\n", s.ToString().c_str());
     return 1;
@@ -53,8 +60,7 @@ int main() {
   // Interpret: the paper's Example 1 claims [salary] orders [tax]. By
   // Theorem 5 that list-based OD decomposes into canonical pieces; verify
   // each against the data.
-  auto encoded = EncodedRelation::FromTable(table);
-  OdValidator validator(&*encoded);
+  OdValidator validator(&dataset->relation());
   int sal = *table.schema().IndexOf("sal");
   int tax = *table.schema().IndexOf("tax");
   ListOd salary_orders_tax{{sal}, {tax}};

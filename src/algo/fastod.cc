@@ -375,10 +375,4 @@ FastodResult Fastod::Discover(
   return run.Execute();
 }
 
-Result<FastodResult> Fastod::Discover(const Table& table) const {
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
-  return Discover(*encoded);
-}
-
 }  // namespace fastod

@@ -20,10 +20,8 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/status.h"
 #include "common/timer.h"
 #include "data/encode.h"
-#include "data/table.h"
 #include "od/bidirectional.h"
 #include "od/canonical_od.h"
 #include "partition/sorted_partition.h"
@@ -194,9 +192,6 @@ class Fastod {
   FastodResult Discover(
       const EncodedRelation& relation,
       const std::vector<StrippedPartition>* singletons = nullptr) const;
-
-  /// Convenience: encodes the table first (fails if > 64 attributes).
-  Result<FastodResult> Discover(const Table& table) const;
 
   const FastodOptions& options() const { return options_; }
 

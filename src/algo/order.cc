@@ -255,10 +255,4 @@ OrderResult OrderBaseline::Discover(
   return run.Execute();
 }
 
-Result<OrderResult> OrderBaseline::Discover(const Table& table) const {
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
-  return Discover(*encoded);
-}
-
 }  // namespace fastod

@@ -25,10 +25,8 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/status.h"
 #include "common/timer.h"
 #include "data/encode.h"
-#include "data/table.h"
 #include "od/list_od.h"
 #include "partition/stripped_partition.h"
 
@@ -88,7 +86,6 @@ class OrderBaseline {
   OrderResult Discover(
       const EncodedRelation& relation,
       const std::vector<StrippedPartition>* singletons = nullptr) const;
-  Result<OrderResult> Discover(const Table& table) const;
 
  private:
   OrderOptions options_;

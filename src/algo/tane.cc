@@ -102,10 +102,4 @@ TaneResult Tane::Discover(
   return run.Execute();
 }
 
-Result<TaneResult> Tane::Discover(const Table& table) const {
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
-  return Discover(*encoded);
-}
-
 }  // namespace fastod

@@ -15,10 +15,8 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/status.h"
 #include "common/timer.h"
 #include "data/encode.h"
-#include "data/table.h"
 #include "od/canonical_od.h"
 #include "partition/stripped_partition.h"
 
@@ -88,7 +86,6 @@ class Tane {
   TaneResult Discover(
       const EncodedRelation& relation,
       const std::vector<StrippedPartition>* singletons = nullptr) const;
-  Result<TaneResult> Discover(const Table& table) const;
 
  private:
   TaneOptions options_;

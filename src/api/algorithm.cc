@@ -20,44 +20,21 @@ Algorithm::Algorithm(std::string name, std::string description)
                     0, std::numeric_limits<int64_t>::max());
 }
 
-Status Algorithm::LoadData(Table table) {
-  WallTimer timer;
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
-  dataset_.reset();
-  relation_ = *std::move(encoded);
-  executed_ = false;
-  load_seconds_ = timer.ElapsedSeconds();
-  return Status::Ok();
-}
-
-Status Algorithm::LoadData(EncodedRelation relation) {
-  WallTimer timer;
-  dataset_.reset();
-  relation_ = std::move(relation);
-  executed_ = false;
-  load_seconds_ = timer.ElapsedSeconds();
-  return Status::Ok();
-}
-
 Status Algorithm::BindDataset(std::shared_ptr<const LoadedDataset> dataset) {
   if (dataset == nullptr) {
     return Status::InvalidArgument("dataset must be non-null");
   }
-  // Near-zero by design: the parse/encode/partition work happened once,
-  // in LoadedDataset::Build, and is shared by reference here.
-  WallTimer timer;
-  relation_.reset();
+  // The parse/encode/partition work happened once, when the dataset was
+  // built; it is shared by reference here.
   dataset_ = std::move(dataset);
   executed_ = false;
-  load_seconds_ = timer.ElapsedSeconds();
   return Status::Ok();
 }
 
 Status Algorithm::Execute() {
   if (!has_data()) {
     return Status::FailedPrecondition(
-        "Execute() requires LoadData() first (algorithm '" + name_ + "')");
+        "Execute() requires BindDataset() first (algorithm '" + name_ + "')");
   }
   // (Re)arm the hard deadline for this run; 0 disarms. Going through the
   // attached ExecutionControl lets engines honor it at the cancellation

@@ -3,9 +3,10 @@
 // Every engine in src/algo/ is exposed through one abstract Algorithm with
 // a fixed lifecycle:
 //
+//   auto dataset = DatasetStore::Global().PutCsvFile("f", "f.csv");
 //   auto algo = AlgorithmRegistry::Default().Create("fastod");   // factory
 //   (*algo)->SetOption("threads", "4");                          // configure
-//   (*algo)->LoadData(table);                                    // bind data
+//   (*algo)->BindDataset(*dataset);                              // bind data
 //   (*algo)->Execute();                                          // run
 //   std::cout << (*algo)->ResultText();                          // render
 //
@@ -14,10 +15,11 @@
 // and can generate usage/help text from metadata. Output can stream
 // through an OdSink (api/od_sink.h) instead of materializing; long runs
 // can be cancelled and report coarse progress through an ExecutionControl.
-// Wall-clock time of both lifecycle phases is accounted on the object.
+// Data arrives in one way only: a LoadedDataset (data/dataset_store.h),
+// the relation encoded once with its level-1 partitions prebuilt.
 //
 // Threading: an Algorithm object is single-driver — exactly one thread
-// may move it through the lifecycle (SetOption → LoadData → Execute →
+// may move it through the lifecycle (SetOption → BindDataset → Execute →
 // Result*), though different phases may run on different threads as long
 // as they do not overlap (the service layer configures on API threads
 // and executes on a pool worker). Engines configured with threads > 1
@@ -32,7 +34,6 @@
 #define FASTOD_API_ALGORITHM_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,6 @@
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "data/dataset_store.h"
-#include "data/encode.h"
-#include "data/table.h"
 #include "obs/trace.h"
 
 namespace fastod {
@@ -77,27 +76,14 @@ class Algorithm {
   }
 
   // ---- Lifecycle ----------------------------------------------------
-  /// Binds a table: dictionary-encodes it into the columnar
-  /// EncodedRelation and discards the raw values (they survive interned
-  /// in the per-column dictionaries). Fails on relations the engines
-  /// cannot represent (> 64 attributes).
-  Status LoadData(Table table);
-  /// Binds an already-encoded relation.
-  Status LoadData(EncodedRelation relation);
   /// Binds a shared, already-preprocessed dataset (data/dataset_store.h):
   /// no copy of the encoding or level-1 partitions is made, and holding
-  /// the pointer pins the dataset for the algorithm's lifetime — the
-  /// load-once/discover-many path. Every engine seeds its level-1
-  /// partitions from the dataset's prebuilt ones (see
-  /// prebuilt_singletons()). LoadData(dataset) is an alias.
+  /// the pointer pins the dataset for the algorithm's lifetime. Every
+  /// engine seeds its level-1 partitions from the dataset's prebuilt
+  /// ones (see prebuilt_singletons()).
   Status BindDataset(std::shared_ptr<const LoadedDataset> dataset);
-  Status LoadData(std::shared_ptr<const LoadedDataset> dataset) {
-    return BindDataset(std::move(dataset));
-  }
-  bool has_data() const {
-    return relation_.has_value() || dataset_ != nullptr;
-  }
-  /// The loaded relation, or nullptr before LoadData. Stable for the
+  bool has_data() const { return dataset_ != nullptr; }
+  /// The bound relation, or nullptr before BindDataset. Stable for the
   /// algorithm's lifetime once data is bound — frontends that render
   /// streamed ODs (attribute indices, binding codes) back to names and
   /// values hold onto it.
@@ -105,15 +91,14 @@ class Algorithm {
     return has_data() ? &relation() : nullptr;
   }
 
-  /// Runs the engine on the loaded data. Requires LoadData; may be called
-  /// again after reconfiguring with SetOption. Cancellation (through the
-  /// attached ExecutionControl) is not an error: engines stop cleanly and
-  /// report partial results.
+  /// Runs the engine on the bound data. Requires BindDataset; may be
+  /// called again after reconfiguring with SetOption. Cancellation
+  /// (through the attached ExecutionControl) is not an error: engines
+  /// stop cleanly and report partial results.
   Status Execute();
   bool executed() const { return executed_; }
 
-  /// Wall-clock accounting for the two lifecycle phases.
-  double load_seconds() const { return load_seconds_; }
+  /// Wall-clock of the last Execute().
   double execute_seconds() const { return execute_seconds_; }
 
   // ---- Streaming / control ------------------------------------------
@@ -121,14 +106,11 @@ class Algorithm {
   /// outlive Execute(). Engines that can avoid materializing their result
   /// vectors do so when a sink is attached (see api/od_sink.h).
   ///
-  /// Thread affinity: sink callbacks are always SERIALIZED — the sink
-  /// never sees two concurrent calls from one run — but in multi-threaded
-  /// runs (threads > 1) they are issued from whichever internal worker
-  /// performs the deterministic level merge, which varies per level and
-  /// per run and is generally NOT the thread that called Execute(). A
-  /// sink must therefore not assume thread identity (thread-locals,
-  /// GUI-thread-only APIs); plain non-reentrant state needs no locking.
-  /// Emission order is canonical and thread-count-independent.
+  /// Thread affinity: sink callbacks arrive on the thread that called
+  /// Execute(), one at a time, at any thread count — multi-threaded
+  /// engines run their node tasks on workers but merge and emit on the
+  /// caller (docs/CONCURRENCY.md). Emission order is canonical and
+  /// thread-count-independent.
   void SetSink(OdSink* sink) { sink_ = sink; }
   /// Attaches a cancellation/progress channel. Must outlive Execute().
   /// RequestCancel/StopRequested are safe from any thread at any time;
@@ -156,19 +138,17 @@ class Algorithm {
   /// Subclasses register their options here, in their constructor.
   OptionRegistry& options() { return options_; }
 
-  /// Engine invocation; data is loaded and the wall clock is running.
+  /// Engine invocation; data is bound and the wall clock is running.
   virtual Status ExecuteInternal() = 0;
 
-  const EncodedRelation& relation() const {
-    return dataset_ != nullptr ? dataset_->relation() : *relation_;
-  }
-  /// The shared dataset, when BindDataset was used; nullptr otherwise.
-  const LoadedDataset* dataset() const { return dataset_.get(); }
-  /// The bound dataset's prebuilt level-1 partitions, or nullptr when no
-  /// dataset is bound. Adapters pass this straight into their engine so
-  /// every engine seeds Π*_{A} uniformly instead of rebuilding.
+  const EncodedRelation& relation() const { return dataset_->relation(); }
+  /// The bound dataset.
+  const LoadedDataset& dataset() const { return *dataset_; }
+  /// The bound dataset's prebuilt level-1 partitions. Adapters pass this
+  /// straight into their engine so every engine seeds Π*_{A} uniformly
+  /// instead of rebuilding.
   const std::vector<StrippedPartition>* prebuilt_singletons() const {
-    return dataset_ != nullptr ? &dataset_->singleton_partitions() : nullptr;
+    return &dataset_->singleton_partitions();
   }
   OdSink* sink() const { return sink_; }
   ExecutionControl* control() const { return control_; }
@@ -181,7 +161,6 @@ class Algorithm {
   std::string name_;
   std::string description_;
   OptionRegistry options_;
-  std::optional<EncodedRelation> relation_;
   std::shared_ptr<const LoadedDataset> dataset_;
   OdSink* sink_ = nullptr;
   ExecutionControl* control_ = nullptr;
@@ -192,7 +171,6 @@ class Algorithm {
   int64_t timeout_ms_ = 0;
   obs::EngineStats stats_;
   bool executed_ = false;
-  double load_seconds_ = 0.0;
   double execute_seconds_ = 0.0;
 };
 

@@ -81,7 +81,6 @@ FastodAlgorithm::FastodAlgorithm(std::string name, std::string description,
       swap_method_choice_(static_cast<int>(defaults.swap_method)) {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddAlias("threads", "num-threads");
   options().AddDouble("timeout", &opts_.timeout_seconds,
                       "abort after this many seconds (0 = none)", 0.0,
                       kNoLimit);
@@ -152,17 +151,14 @@ TaneAlgorithm::TaneAlgorithm()
                 "comparator)") {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddAlias("threads", "num-threads");
   options().AddDouble("timeout", &opts_.timeout_seconds,
                       "abort after this many seconds (0 = none)", 0.0,
                       kNoLimit);
   options().AddInt("max-level", &opts_.max_level,
                    "stop after lattice level L (0 = none)", 0, 64);
-  // Canonical name matches fastod's "emit-ods"; the historical
-  // "emit-fds" spelling survives as a deprecated alias.
+  // Named like fastod's "emit-ods".
   options().AddBool("emit-ods", &opts_.emit_fds,
                     "materialize FDs (false = count only)");
-  options().AddAlias("emit-ods", "emit-fds");
 }
 
 Status TaneAlgorithm::ExecuteInternal() {

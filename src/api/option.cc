@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/macros.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -24,7 +23,7 @@ void CountDeprecatedUse(const std::string& spelling) {
   if (!obs::Enabled()) return;
   obs::Registry::Global()
       .GetCounter("fastod_deprecated_option_total",
-                  "Uses of deprecated option spellings (by alias)",
+                  "Uses of deprecated option spellings (by spelling)",
                   {{"name", spelling}})
       ->Inc();
 }
@@ -51,8 +50,7 @@ void OptionRegistry::Add(OptionInfo info,
 void OptionRegistry::AddBool(const std::string& name, bool* target,
                              const std::string& description) {
   OptionInfo info{name, OptionKind::kBool, "bool", description,
-                  *target ? "true" : "false",
-                  {}, {}};
+                  *target ? "true" : "false", {}};
   Add(std::move(info), [name, target](const std::string& value) {
     // An empty value mirrors a bare --flag on the command line.
     if (value.empty() || value == "true" || value == "1" || value == "on") {
@@ -71,8 +69,7 @@ void OptionRegistry::AddInt(const std::string& name, int* target,
                             const std::string& description, int min_value,
                             int max_value) {
   OptionInfo info{name, OptionKind::kInt, "int", description,
-                  std::to_string(*target),
-                  {}, {}};
+                  std::to_string(*target), {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<int64_t> parsed = ParseInt(value);
@@ -91,8 +88,7 @@ void OptionRegistry::AddInt64(const std::string& name, int64_t* target,
                               const std::string& description,
                               int64_t min_value, int64_t max_value) {
   OptionInfo info{name, OptionKind::kInt, "int", description,
-                  std::to_string(*target),
-                  {}, {}};
+                  std::to_string(*target), {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<int64_t> parsed = ParseInt(value);
@@ -111,8 +107,7 @@ void OptionRegistry::AddDouble(const std::string& name, double* target,
                                const std::string& description,
                                double min_value, double max_value) {
   OptionInfo info{name, OptionKind::kDouble, "double", description,
-                  RenderDouble(*target),
-                  {}, {}};
+                  RenderDouble(*target), {}};
   Add(std::move(info),
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<double> parsed = ParseDouble(value);
@@ -130,8 +125,7 @@ void OptionRegistry::AddDouble(const std::string& name, double* target,
 void OptionRegistry::AddString(const std::string& name, std::string* target,
                                const std::string& description) {
   OptionInfo info{name, OptionKind::kString, "string", description,
-                  *target,
-                  {}, {}};
+                  *target, {}};
   Add(std::move(info), [target](const std::string& value) {
     *target = value;
     return Status::Ok();
@@ -143,8 +137,7 @@ void OptionRegistry::AddEnum(const std::string& name, int* target,
                              std::vector<std::pair<std::string, int>> values,
                              const std::string& default_repr) {
   OptionInfo info{name, OptionKind::kEnum, "enum", description,
-                  default_repr,
-                  {}, {}};
+                  default_repr, {}};
   for (const auto& [spelling, unused] : values) {
     info.enum_values.push_back(spelling);
   }
@@ -164,38 +157,19 @@ void OptionRegistry::AddEnum(const std::string& name, int* target,
       });
 }
 
-void OptionRegistry::AddAlias(const std::string& canonical,
-                              const std::string& alias) {
-  for (Option& option : options_) {
-    if (option.info.name == canonical) {
-      option.info.aliases.push_back(alias);
-      return;
-    }
-  }
-  FASTOD_CHECK(false && "AddAlias: canonical option not registered");
-}
-
 Status OptionRegistry::Set(const std::string& name, const std::string& value) {
   for (Option& option : options_) {
     if (option.info.name == name) return option.apply(value);
   }
-  // Deprecated spellings: registered aliases, then the underscore form of
-  // the canonical name or an alias. Each hit is counted by the spelling
-  // the caller actually used.
+  // Deprecated spelling: the underscore form of the canonical name,
+  // counted by the spelling the caller actually used.
   const std::string hyphenated = Hyphenated(name);
-  for (Option& option : options_) {
-    const OptionInfo& info = option.info;
-    bool match =
-        std::find(info.aliases.begin(), info.aliases.end(), name) !=
-        info.aliases.end();
-    if (!match && hyphenated != name) {
-      match = info.name == hyphenated ||
-              std::find(info.aliases.begin(), info.aliases.end(),
-                        hyphenated) != info.aliases.end();
-    }
-    if (match) {
-      CountDeprecatedUse(name);
-      return option.apply(value);
+  if (hyphenated != name) {
+    for (Option& option : options_) {
+      if (option.info.name == hyphenated) {
+        CountDeprecatedUse(name);
+        return option.apply(value);
+      }
     }
   }
   std::string known;
@@ -235,9 +209,6 @@ std::string OptionRegistry::Describe() const {
     std::string line = "  --" + info.name + "=<" + type + ">";
     if (line.size() < 34) line.append(34 - line.size(), ' ');
     line += " " + info.description + " (default: " + info.default_repr + ")";
-    for (const std::string& alias : info.aliases) {
-      line += " [alias: --" + alias + "]";
-    }
     out += line + "\n";
   }
   return out;

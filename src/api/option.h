@@ -44,10 +44,6 @@ struct OptionInfo {
   std::string description;
   std::string default_repr;  // rendered default value
   std::vector<std::string> enum_values;  // non-empty only for enums
-  /// Deprecated alternate spellings Set() still accepts (each use bumps
-  /// the fastod_deprecated_option_total{name} counter). Frontends should
-  /// advertise `name` and list these only as back-compat.
-  std::vector<std::string> aliases;
 };
 
 class OptionRegistry {
@@ -73,17 +69,11 @@ class OptionRegistry {
                std::vector<std::pair<std::string, int>> values,
                const std::string& default_repr);
 
-  /// Registers a deprecated alternate spelling for option `canonical`
-  /// (which must already be registered). Set(alias, ...) keeps working
-  /// but counts against fastod_deprecated_option_total{name=alias}.
-  void AddAlias(const std::string& canonical, const std::string& alias);
-
   /// Parses and applies `value`. For bools an empty value means "true"
   /// (mirroring --flag with no argument). Resolution order: canonical
-  /// name, then deprecated aliases, then the underscore spelling of
-  /// either (historical "num_threads" style); non-canonical hits bump a
-  /// deprecation counter. Unknown names and malformed or out-of-range
-  /// values are errors naming the option.
+  /// name, then its underscore spelling (historical "max_level" style),
+  /// which bumps a deprecation counter. Unknown names and malformed or
+  /// out-of-range values are errors naming the option.
   Status Set(const std::string& name, const std::string& value);
 
   /// Option names in registration order.

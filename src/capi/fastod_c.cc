@@ -33,7 +33,6 @@ using fastod::SessionId;
 using fastod::SessionState;
 using fastod::Status;
 using fastod::StatusCode;
-using fastod::Table;
 
 int CodeOf(const Status& status) {
   switch (status.code()) {
@@ -102,6 +101,14 @@ int Fail(fastod_session_t* session, const Status& status) {
 int Apply(fastod_session_t* session, const Status& status) {
   if (status.ok()) return FASTOD_OK;
   return Fail(session, status);
+}
+
+CsvOptions CsvOptionsOf(char delimiter, int has_header, long max_rows) {
+  CsvOptions options;
+  options.delimiter = delimiter;
+  options.has_header = has_header != 0;
+  options.max_rows = max_rows;
+  return options;
 }
 
 }  // namespace
@@ -240,11 +247,12 @@ int fastod_load_csv_opts(fastod_session_t* session, const char* path,
   if (path == nullptr) {
     return Fail(session, Status::InvalidArgument("path must be non-NULL"));
   }
-  CsvOptions options;
-  options.delimiter = delimiter;
-  options.has_header = has_header != 0;
-  options.max_rows = max_rows;
-  return Apply(session, GlobalService().LoadCsv(session->id, path, options));
+  fastod::Result<std::shared_ptr<const LoadedDataset>> dataset =
+      LoadedDataset::LoadCsvFile(
+          path, path, CsvOptionsOf(delimiter, has_header, max_rows));
+  if (!dataset.ok()) return Fail(session, dataset.status());
+  return Apply(session, GlobalService().BindDataset(session->id,
+                                                    *std::move(dataset)));
 }
 
 fastod_dataset_t* fastod_dataset_load_csv(const char* path) {
@@ -259,18 +267,9 @@ fastod_dataset_t* fastod_dataset_load_csv_opts(const char* path,
     ThreadError() = "path must be non-NULL";
     return nullptr;
   }
-  CsvOptions options;
-  options.delimiter = delimiter;
-  options.has_header = has_header != 0;
-  options.max_rows = max_rows;
-  fastod::Result<std::string> text = fastod::ReadTextFile(path);
-  if (!text.ok()) {
-    ThreadError() = text.status().message();
-    return nullptr;
-  }
   fastod::Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::LoadCsv(path, *text, options,
-                             std::string("csv:") + path);
+      LoadedDataset::LoadCsvFile(
+          path, path, CsvOptionsOf(delimiter, has_header, max_rows));
   if (!dataset.ok()) {
     ThreadError() = dataset.status().message();
     return nullptr;
@@ -337,7 +336,7 @@ int fastod_use_dataset(fastod_session_t* session,
                 Status::InvalidArgument("dataset must be non-NULL"));
   }
   return Apply(session,
-               GlobalService().LoadDataset(session->id, dataset->dataset));
+               GlobalService().BindDataset(session->id, dataset->dataset));
 }
 
 void fastod_dataset_destroy(fastod_dataset_t* dataset) { delete dataset; }

@@ -121,18 +121,17 @@ void fastod_destroy(fastod_session_t* session);
  * fastod_last_error(). Only valid before execution is scheduled.
  *
  * Names are matched against the canonical hyphenated spelling first
- * ("emit-ods"), then against registered deprecated aliases ("emit-fds")
- * and underscore spellings ("emit_ods"). Non-canonical spellings keep
- * working but are counted in the fastod_deprecated_option_total metric;
- * new code should send the canonical name reported by
- * fastod_option_name(). */
+ * ("emit-ods"), then against its underscore spelling ("emit_ods"). The
+ * underscore spelling keeps working but is counted in the
+ * fastod_deprecated_option_total metric; new code should send the
+ * canonical name reported by fastod_option_name(). */
 int fastod_set_option(fastod_session_t* session, const char* name,
                       const char* value);
 
 /* ---- Option introspection ------------------------------------------ */
 
-/* Number of options the session's algorithm accepts. Deprecated aliases
- * are not separate options; only canonical names are enumerated. */
+/* Number of options the session's algorithm accepts; only canonical
+ * names are enumerated. */
 int fastod_option_count(const fastod_session_t* session);
 /* Metadata of the index-th option (registration order). Name/description/
  * default return NULL and kind returns -1 when the index is out of

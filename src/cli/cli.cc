@@ -101,10 +101,7 @@ struct CsvFlags {
     flags->AddInt("max-rows", &max_rows, "read at most N data rows (-1=all)");
   }
 
-  /// Reads and encodes `path` straight from the CSV text, recording the
-  /// csv.parse and encode spans into `trace` when given.
-  Result<EncodedRelation> Load(const std::string& path,
-                               obs::TraceRecorder* trace = nullptr) const {
+  Result<CsvOptions> Options() const {
     CsvOptions options;
     if (delimiter.size() != 1) {
       return Status::InvalidArgument("--delimiter must be one character");
@@ -112,7 +109,14 @@ struct CsvFlags {
     options.delimiter = delimiter[0];
     options.has_header = !no_header;
     options.max_rows = max_rows;
-    return EncodeCsvFile(path, options, trace);
+    return options;
+  }
+
+  /// Reads and encodes `path` straight from the CSV text.
+  Result<EncodedRelation> Load(const std::string& path) const {
+    Result<CsvOptions> options = Options();
+    if (!options.ok()) return options.status();
+    return EncodeCsvFile(path, *options);
   }
 };
 
@@ -288,10 +292,13 @@ CliResult Discover(const std::vector<std::string>& args) {
   // The same spans a DiscoverySession records, rebuilt locally because
   // `discover` drives the algorithm directly, without a session.
   obs::TraceRecorder trace;
-  Result<EncodedRelation> relation =
-      csv.Load(positional[0], stats ? &trace : nullptr);
-  if (!relation.ok()) return Fail(relation.status());
-  if (Status s = (*algo)->LoadData(*std::move(relation)); !s.ok()) {
+  Result<CsvOptions> csv_options = csv.Options();
+  if (!csv_options.ok()) return Fail(csv_options.status());
+  Result<std::shared_ptr<const LoadedDataset>> dataset =
+      LoadedDataset::LoadCsvFile(positional[0], positional[0], *csv_options,
+                                 stats ? &trace : nullptr);
+  if (!dataset.ok()) return Fail(dataset.status());
+  if (Status s = (*algo)->BindDataset(*std::move(dataset)); !s.ok()) {
     return Fail(s);
   }
   double start = trace.Now();
@@ -585,17 +592,12 @@ CliResult Batch(const std::vector<std::string>& args) {
   if (threads < 0 || threads > 1024) {
     return Fail(Status::InvalidArgument("--threads must be in [0, 1024]"));
   }
-  if (csv.delimiter.size() != 1) {
-    return Fail(Status::InvalidArgument("--delimiter must be one character"));
-  }
+  Result<CsvOptions> parsed_csv_options = csv.Options();
+  if (!parsed_csv_options.ok()) return Fail(parsed_csv_options.status());
+  const CsvOptions& csv_options = *parsed_csv_options;
   Result<BatchManifest> manifest = ParseManifest(flags.positional()[0]);
   if (!manifest.ok()) return Fail(manifest.status());
   const std::vector<BatchJob>& jobs = manifest->jobs;
-
-  CsvOptions csv_options;
-  csv_options.delimiter = csv.delimiter[0];
-  csv_options.has_header = !csv.no_header;
-  csv_options.max_rows = csv.max_rows;
 
   // Named datasets load once into a batch-local store; every @name job
   // shares the parse, encoding, and level-1 partitions. A dataset that

@@ -192,8 +192,12 @@ std::string JsonValue::Dump() const {
       std::snprintf(buf, sizeof(buf), "%g", number_);
       return buf;
     }
-    case Type::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+    case Type::kString: {
+      std::string out = "\"";
+      out += JsonEscape(string_);
+      out += '"';
+      return out;
+    }
     case Type::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < array_.size(); ++i) {
@@ -206,8 +210,10 @@ std::string JsonValue::Dump() const {
       std::string out = "{";
       for (size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(object_[i].first) +
-               "\": " + object_[i].second.Dump();
+        out += '"';
+        out += JsonEscape(object_[i].first);
+        out += "\": ";
+        out += object_[i].second.Dump();
       }
       return out + "}";
     }

@@ -28,9 +28,9 @@ int64_t DatasetBytes(const EncodedRelation& relation,
 
 }  // namespace
 
-std::shared_ptr<const LoadedDataset> LoadedDataset::Make(
-    std::string id, std::string source, EncodedRelation relation,
-    const WallTimer& timer) {
+std::shared_ptr<const LoadedDataset> LoadedDataset::Build(
+    std::string id, EncodedRelation relation, std::string source,
+    obs::TraceRecorder* trace) {
   // make_shared needs a public constructor; the explicit new keeps it
   // private to the factories.
   std::shared_ptr<LoadedDataset> dataset(new LoadedDataset());
@@ -39,43 +39,36 @@ std::shared_ptr<const LoadedDataset> LoadedDataset::Make(
   dataset->relation_ = std::move(relation);
   // Version 1 has no append block: the whole relation is "base".
   dataset->base_rows_ = dataset->relation_.NumRows();
-  dataset->Finish(timer);
+  dataset->Finish(trace);
   return dataset;
 }
 
-void LoadedDataset::Finish(const WallTimer& timer) {
+void LoadedDataset::Finish(obs::TraceRecorder* trace) {
+  const double start = trace != nullptr ? trace->Now() : 0.0;
   singletons_.reserve(relation_.NumAttributes());
   for (int a = 0; a < relation_.NumAttributes(); ++a) {
     singletons_.push_back(StrippedPartition::ForAttribute(relation_.codes(a)));
   }
+  if (trace != nullptr) {
+    trace->RecordSpan("partitions.level1", start, trace->Now() - start);
+  }
   approx_bytes_ = DatasetBytes(relation_, singletons_);
-  load_seconds_ = timer.ElapsedSeconds();
-}
-
-Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Build(
-    std::string id, Table table, std::string source) {
-  WallTimer timer;
-  // The raw table dies here — its values live on interned in the
-  // dictionaries.
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
-  return Make(std::move(id), std::move(source), *std::move(encoded), timer);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::LoadCsv(
     std::string id, std::string_view text, const CsvOptions& options,
     std::string source) {
-  WallTimer timer;
   Result<EncodedRelation> encoded = EncodeCsvString(text, options);
   if (!encoded.ok()) return encoded.status();
-  return Make(std::move(id), std::move(source), *std::move(encoded), timer);
+  return Build(std::move(id), *std::move(encoded), std::move(source));
 }
 
-Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
-    const std::shared_ptr<const LoadedDataset>& base, Table delta) {
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::LoadCsvFile(
+    std::string id, const std::string& path, const CsvOptions& options,
+    obs::TraceRecorder* trace) {
+  Result<EncodedRelation> encoded = EncodeCsvFile(path, options, trace);
   if (!encoded.ok()) return encoded.status();
-  return Append(base, *encoded);
+  return Build(std::move(id), *std::move(encoded), "csv:" + path, trace);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
@@ -88,7 +81,6 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
         " columns; dataset '" + base->id() + "' has " +
         std::to_string(base->NumAttributes()));
   }
-  WallTimer timer;
   const int64_t n = base->NumRows();
   const int64_t d = delta.NumRows();
   const int cols = base->NumAttributes();
@@ -160,7 +152,7 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
   grown->relation_ = EncodedRelation::FromColumns(
       base->relation_.schema(), std::move(merged_codes),
       std::move(merged_dicts));
-  grown->Finish(timer);
+  grown->Finish();
   return std::shared_ptr<const LoadedDataset>(std::move(grown));
 }
 
@@ -172,23 +164,13 @@ DatasetStore& DatasetStore::Global() {
   return *store;
 }
 
-Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutTable(
-    const std::string& id, Table table, std::string source) {
-  Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::Build(id, std::move(table), std::move(source));
-  if (!dataset.ok()) return dataset.status();
-  return Insert(*std::move(dataset));
-}
-
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvFile(
     const std::string& id, const std::string& path,
     const CsvOptions& options) {
-  Result<std::string> text = ReadTextFile(path);
-  if (!text.ok()) return text.status();
   Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::LoadCsv(id, *text, options, "csv:" + path);
+      LoadedDataset::LoadCsvFile(id, path, options);
   if (!dataset.ok()) return dataset.status();
-  return Insert(*std::move(dataset));
+  return Put(*std::move(dataset));
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvString(
@@ -197,11 +179,12 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvString(
   Result<std::shared_ptr<const LoadedDataset>> dataset =
       LoadedDataset::LoadCsv(id, text, options, "inline");
   if (!dataset.ok()) return dataset.status();
-  return Insert(*std::move(dataset));
+  return Put(*std::move(dataset));
 }
 
-Result<std::shared_ptr<const LoadedDataset>> DatasetStore::Insert(
+Result<std::shared_ptr<const LoadedDataset>> DatasetStore::Put(
     std::shared_ptr<const LoadedDataset> dataset) {
+  FASTOD_CHECK(dataset != nullptr);
   if (FASTOD_FAULT_POINT("dataset_store.insert")) {
     return Status::ResourceExhausted(
         "injected fault: dataset_store.insert");
@@ -257,13 +240,6 @@ void PruneHistory(
 }  // namespace
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
-    const std::string& id, Table delta) {
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
-  if (!encoded.ok()) return encoded.status();
-  return AppendEncoded(id, *encoded);
-}
-
-Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendEncoded(
     const std::string& id, const EncodedRelation& delta) {
   if (FASTOD_FAULT_POINT("dataset_store.append")) {
     return Status::ResourceExhausted("injected fault: dataset_store.append");
@@ -333,7 +309,7 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvString(
     const CsvOptions& options) {
   Result<EncodedRelation> delta = EncodeCsvString(text, options);
   if (!delta.ok()) return delta.status();
-  return AppendEncoded(id, *delta);
+  return AppendRows(id, *delta);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvFile(
@@ -341,7 +317,7 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvFile(
     const CsvOptions& options) {
   Result<EncodedRelation> delta = EncodeCsvFile(path, options);
   if (!delta.ok()) return delta.status();
-  return AppendEncoded(id, *delta);
+  return AppendRows(id, *delta);
 }
 
 void DatasetStore::EvictFor(int64_t needed) {

@@ -7,10 +7,11 @@
 // input preparation and partition construction dominating at scale, so a
 // LoadedDataset captures the whole pipeline once — the columnar
 // EncodedRelation (per-column interned value dictionary plus contiguous
-// uint32 code column; the raw Table is *not* retained) and the level-1
-// single-attribute stripped partitions Π*_{A} every level-wise engine
-// builds first — and any number of sessions (concurrent, mixed-algorithm)
-// run over the same instance by shared_ptr.
+// uint32 code column) and the level-1 single-attribute stripped
+// partitions Π*_{A} every level-wise engine builds first — and any number
+// of sessions (concurrent, mixed-algorithm) run over the same instance by
+// shared_ptr. It is also the only form in which an engine receives data
+// (Algorithm::BindDataset): a one-off run builds a dataset of its own.
 //
 // The DatasetStore is the registry: datasets are keyed by caller-chosen
 // id, the store holds one reference each, and sessions pin entries simply
@@ -37,18 +38,17 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/timer.h"
 #include "data/csv.h"
 #include "data/encode.h"
-#include "data/table.h"
+#include "obs/trace.h"
 #include "partition/stripped_partition.h"
 
 namespace fastod {
 
 /// One fully preprocessed relation: dictionary-interned columnar encoding
 /// plus the level-1 partitions. Construction does all the work; the
-/// object never changes. The raw Table is consumed, not kept — values
-/// survive only interned in the per-column dictionaries.
+/// object never changes. Values survive only interned in the per-column
+/// dictionaries.
 ///
 /// Datasets are *versioned*: Build() produces version 1, and Append()
 /// derives version k+1 from version k plus a block of delta rows. Each
@@ -60,18 +60,25 @@ namespace fastod {
 /// grown relation.
 class LoadedDataset {
  public:
-  /// Encodes `table` and prebuilds Π*_{A} for every attribute A. Fails on
-  /// relations the engines cannot represent (> 64 attributes). `source`
-  /// is a human-readable provenance note ("csv:/data/flight.csv", ...).
-  static Result<std::shared_ptr<const LoadedDataset>> Build(
-      std::string id, Table table, std::string source = "table");
+  /// Takes `relation` and prebuilds Π*_{A} for every attribute A.
+  /// `source` is a human-readable provenance note
+  /// ("csv:/data/flight.csv", ...). With a `trace`, records the level-1
+  /// partition build as the span partitions.level1.
+  static std::shared_ptr<const LoadedDataset> Build(
+      std::string id, EncodedRelation relation, std::string source,
+      obs::TraceRecorder* trace = nullptr);
 
   /// The CSV load path: tokenizes `text` and encodes the field views
-  /// directly (EncodeCsvString), never building a Table or a Value; the
-  /// result equals Build() on ReadCsvString(text, options).
+  /// directly (EncodeCsvString), never building a Table or a Value.
   static Result<std::shared_ptr<const LoadedDataset>> LoadCsv(
       std::string id, std::string_view text, const CsvOptions& options,
       std::string source);
+  /// The same for a file (EncodeCsvFile, then Build); the source is
+  /// "csv:<path>". With a `trace`, records the csv.parse, encode and
+  /// partitions.level1 spans.
+  static Result<std::shared_ptr<const LoadedDataset>> LoadCsvFile(
+      std::string id, const std::string& path, const CsvOptions& options,
+      obs::TraceRecorder* trace = nullptr);
 
   /// Version base->version()+1: `base`'s rows followed by `delta`'s rows
   /// (column count must match; `base`'s schema wins). The delta, encoded
@@ -83,9 +90,6 @@ class LoadedDataset {
   static Result<std::shared_ptr<const LoadedDataset>> Append(
       const std::shared_ptr<const LoadedDataset>& base,
       const EncodedRelation& delta);
-  /// Append() of a Table delta, encoded with FromTable first.
-  static Result<std::shared_ptr<const LoadedDataset>> Append(
-      const std::shared_ptr<const LoadedDataset>& base, Table delta);
 
   const std::string& id() const { return id_; }
   const std::string& source() const { return source_; }
@@ -116,21 +120,11 @@ class LoadedDataset {
   /// unit the store's memory budget is accounted in.
   int64_t ApproxBytes() const { return approx_bytes_; }
 
-  /// Wall-clock of the one-time preprocessing: tokenize (for LoadCsv),
-  /// encode, and the level-1 partitions; for Append, the dictionary merge
-  /// and partitions (the delta's own tokenize and encode excluded).
-  double load_seconds() const { return load_seconds_; }
-
  private:
   LoadedDataset() = default;
 
-  /// Version 1 over an encoded relation; `timer` started with the load.
-  static std::shared_ptr<const LoadedDataset> Make(std::string id,
-                                                   std::string source,
-                                                   EncodedRelation relation,
-                                                   const WallTimer& timer);
   /// Builds the level-1 partitions and byte accounting of relation_.
-  void Finish(const WallTimer& timer);
+  void Finish(obs::TraceRecorder* trace = nullptr);
 
   std::string id_;
   std::string source_;
@@ -139,7 +133,6 @@ class LoadedDataset {
   int64_t version_ = 1;
   int64_t base_rows_ = 0;
   int64_t approx_bytes_ = 0;
-  double load_seconds_ = 0.0;
 };
 
 /// One resident (or session-retained) version of a dataset.
@@ -197,9 +190,10 @@ class DatasetStore {
   /// name immutable data, so silently replacing one would redirect
   /// future sessions mid-stream. Returns the inserted dataset, pinned.
   /// PutCsvFile/PutCsvString go through LoadedDataset::LoadCsv: CSV bytes
-  /// to code columns with no Table in between.
-  Result<std::shared_ptr<const LoadedDataset>> PutTable(
-      const std::string& id, Table table, std::string source = "table");
+  /// to code columns with no Table in between; Put inserts a dataset
+  /// built elsewhere.
+  Result<std::shared_ptr<const LoadedDataset>> Put(
+      std::shared_ptr<const LoadedDataset> dataset);
   Result<std::shared_ptr<const LoadedDataset>> PutCsvFile(
       const std::string& id, const std::string& path,
       const CsvOptions& options = CsvOptions());
@@ -216,8 +210,9 @@ class DatasetStore {
   /// the new version, pinned. Fails with NotFound for unknown ids,
   /// FailedPrecondition when another append raced this one, and
   /// ResourceExhausted when the grown dataset cannot fit the budget.
+  /// AppendCsvString/AppendCsvFile encode the CSV delta first.
   Result<std::shared_ptr<const LoadedDataset>> AppendRows(
-      const std::string& id, Table delta);
+      const std::string& id, const EncodedRelation& delta);
   Result<std::shared_ptr<const LoadedDataset>> AppendCsvString(
       const std::string& id, const std::string& text,
       const CsvOptions& options = CsvOptions());
@@ -280,11 +275,6 @@ class DatasetStore {
     int64_t hits = 0;
   };
 
-  Result<std::shared_ptr<const LoadedDataset>> Insert(
-      std::shared_ptr<const LoadedDataset> dataset);
-  /// The append protocol shared by AppendRows and AppendCsv*.
-  Result<std::shared_ptr<const LoadedDataset>> AppendEncoded(
-      const std::string& id, const EncodedRelation& delta);
   /// Evicts unpinned entries, LRU first, until `needed` fits under the
   /// budget or nothing unpinned remains. Caller holds mutex_.
   void EvictFor(int64_t needed);

@@ -6,10 +6,11 @@
 //
 //   #include "fastod/fastod.h"
 //
-//   auto relation = fastod::EncodeCsvFile("data.csv");  // CSV -> codes
+//   auto dataset = fastod::LoadedDataset::LoadCsvFile(   // CSV -> codes
+//       "data", "data.csv", fastod::CsvOptions());      // + level 1
 //   auto algo = fastod::AlgorithmRegistry::Default().Create("fastod");
 //   (*algo)->SetOption("threads", "4");     // typed, introspectable
-//   (*algo)->LoadData(*std::move(relation));
+//   (*algo)->BindDataset(*std::move(dataset));
 //   (*algo)->Execute();
 //   std::cout << (*algo)->ResultText();
 //

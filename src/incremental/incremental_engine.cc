@@ -134,12 +134,14 @@ Status IncrementalAlgorithm::ExecuteInternal() {
 
   int64_t base_rows = base_rows_option_;
   if (base_rows < 0) {
-    if (dataset() == nullptr) {
+    // Version 1 has no append block: its base_rows() is every row, which
+    // would re-validate nothing against an empty delta.
+    if (dataset().version() == 1) {
       return Status::InvalidArgument(
-          "--base-rows is required unless the session binds a versioned "
-          "dataset (its base_rows supplies the delta boundary)");
+          "--base-rows is required unless the session binds an appended "
+          "dataset version (its base_rows supplies the delta boundary)");
     }
-    base_rows = dataset()->base_rows();
+    base_rows = dataset().base_rows();
   }
   if (base_rows > relation().NumRows()) {
     return Status::InvalidArgument(

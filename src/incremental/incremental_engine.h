@@ -15,6 +15,8 @@
 //                     bound dataset version (LoadedDataset::base_rows()),
 //                     which is correct when the session binds the version
 //                     produced by the append that followed the prior run.
+//                     A version-1 dataset has no append, so it needs an
+//                     explicit --base-rows.
 //
 // Emission order: revocations first (prior order), then new discoveries
 // (lattice level order); surviving ODs are not re-emitted on the stream

@@ -11,17 +11,20 @@ std::vector<int> AttributeSet::ToIndices() const {
   return out;
 }
 
+std::string AttrName(int attr) {
+  if (attr < 26) return std::string(1, static_cast<char>('A' + attr));
+  std::string out = "#";
+  out += std::to_string(attr);
+  return out;
+}
+
 std::string AttributeSet::ToString() const {
   std::string out = "{";
   bool first = true;
   for (int a = First(); a >= 0; a = Next(a)) {
     if (!first) out += ",";
     first = false;
-    if (a < 26) {
-      out += static_cast<char>('A' + a);
-    } else {
-      out += "#" + std::to_string(a);
-    }
+    out += AttrName(a);
   }
   out += "}";
   return out;
@@ -33,8 +36,12 @@ std::string AttributeSet::ToString(const Schema& schema) const {
   for (int a = First(); a >= 0; a = Next(a)) {
     if (!first) out += ",";
     first = false;
-    out += a < schema.NumAttributes() ? schema.name(a)
-                                      : "#" + std::to_string(a);
+    if (a < schema.NumAttributes()) {
+      out += schema.name(a);
+    } else {
+      out += "#";
+      out += std::to_string(a);
+    }
   }
   out += "}";
   return out;

@@ -106,6 +106,10 @@ class AttributeSet {
   uint64_t bits_;
 };
 
+/// Placeholder name of attribute `attr` when no schema is at hand: 'A' +
+/// index for the first 26, "#index" beyond.
+std::string AttrName(int attr);
+
 /// Iteration helper: visits set members in ascending order.
 ///   for (int a = s.First(); a >= 0; a = s.Next(a)) { ... }
 ///

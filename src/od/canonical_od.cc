@@ -4,15 +4,6 @@
 
 namespace fastod {
 
-namespace {
-
-std::string AttrName(int attr) {
-  if (attr < 26) return std::string(1, static_cast<char>('A' + attr));
-  return "#" + std::to_string(attr);
-}
-
-}  // namespace
-
 std::string ConstancyOd::ToString() const {
   return context.ToString() + ": [] -> " + AttrName(attribute);
 }

@@ -4,15 +4,6 @@
 
 namespace fastod {
 
-namespace {
-
-std::string AttrName(int attr) {
-  if (attr < 26) return std::string(1, static_cast<char>('A' + attr));
-  return "#" + std::to_string(attr);
-}
-
-}  // namespace
-
 std::string OrderSpecToString(const OrderSpec& spec) {
   std::string out = "[";
   for (size_t i = 0; i < spec.size(); ++i) {

@@ -567,12 +567,6 @@ void DiscoveryServer::HandleAlgorithms(HttpResponseWriter& writer) {
         for (const std::string& value : info->enum_values) w.String(value);
         w.EndArray();
       }
-      if (!info->aliases.empty()) {
-        // Deprecated back-compat spellings; clients should send "name".
-        w.Key("aliases").BeginArray();
-        for (const std::string& alias : info->aliases) w.String(alias);
-        w.EndArray();
-      }
       w.EndObject();
     }
     w.EndArray().EndObject();
@@ -763,10 +757,11 @@ void DiscoveryServer::HandleCreateSession(const HttpRequest& request,
       streams_[*id] = std::move(state);
     }
     if (csv != nullptr) {
-      Result<EncodedRelation> relation =
-          EncodeCsvString(csv->string_value(), csv_options);
-      if (!relation.ok()) return relation.status();
-      if (Status s = service_.LoadRelation(*id, *std::move(relation));
+      Result<std::shared_ptr<const LoadedDataset>> dataset =
+          LoadedDataset::LoadCsv("inline", csv->string_value(), csv_options,
+                                 "inline");
+      if (!dataset.ok()) return dataset.status();
+      if (Status s = service_.BindDataset(*id, *std::move(dataset));
           !s.ok()) {
         return s;
       }

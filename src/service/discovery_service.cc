@@ -72,27 +72,7 @@ Status DiscoveryService::SetOption(SessionId id, const std::string& name,
   return session->SetOption(name, value);
 }
 
-Status DiscoveryService::LoadCsv(SessionId id, const std::string& path,
-                                 const CsvOptions& options) {
-  auto session = FindMutable(id);
-  if (session == nullptr) return StaleHandle(id);
-  return session->LoadCsv(path, options);
-}
-
-Status DiscoveryService::LoadTable(SessionId id, Table table) {
-  auto session = FindMutable(id);
-  if (session == nullptr) return StaleHandle(id);
-  return session->LoadTable(std::move(table));
-}
-
-Status DiscoveryService::LoadRelation(SessionId id,
-                                      EncodedRelation relation) {
-  auto session = FindMutable(id);
-  if (session == nullptr) return StaleHandle(id);
-  return session->LoadRelation(std::move(relation));
-}
-
-Status DiscoveryService::LoadDataset(SessionId id,
+Status DiscoveryService::BindDataset(SessionId id,
                                      const std::string& dataset_id,
                                      int64_t version) {
   auto session = FindMutable(id);
@@ -100,14 +80,14 @@ Status DiscoveryService::LoadDataset(SessionId id,
   Result<std::shared_ptr<const LoadedDataset>> dataset =
       store_.Get(dataset_id, version);
   if (!dataset.ok()) return dataset.status();
-  return session->LoadDataset(*std::move(dataset));
+  return session->BindDataset(*std::move(dataset));
 }
 
-Status DiscoveryService::LoadDataset(
+Status DiscoveryService::BindDataset(
     SessionId id, std::shared_ptr<const LoadedDataset> dataset) {
   auto session = FindMutable(id);
   if (session == nullptr) return StaleHandle(id);
-  return session->LoadDataset(std::move(dataset));
+  return session->BindDataset(std::move(dataset));
 }
 
 Status DiscoveryService::SetSink(SessionId id, OdSink* sink) {
@@ -223,7 +203,7 @@ Status DiscoveryService::SubmitCsv(SessionId id, const std::string& path,
 Status DiscoveryService::SubmitDataset(SessionId id,
                                        const std::string& dataset_id,
                                        int64_t version) {
-  if (Status s = LoadDataset(id, dataset_id, version); !s.ok()) return s;
+  if (Status s = BindDataset(id, dataset_id, version); !s.ok()) return s;
   return Submit(id);
 }
 

@@ -50,7 +50,7 @@ class DiscoveryService {
   /// `num_threads` caps concurrently executing sessions; 0 means
   /// hardware concurrency. `registry` defaults to the process-wide
   /// AlgorithmRegistry; tests inject private registries with extra
-  /// engines. `store` is the dataset registry LoadDataset/SubmitDataset
+  /// engines. `store` is the dataset registry BindDataset/SubmitDataset
   /// resolve ids against, defaulting to DatasetStore::Global(); the
   /// server injects its own budgeted store.
   explicit DiscoveryService(int num_threads = 0,
@@ -81,10 +81,6 @@ class DiscoveryService {
   /// Forwarders to the addressed session (NotFound on stale handles).
   Status SetOption(SessionId id, const std::string& name,
                    const std::string& value);
-  Status LoadCsv(SessionId id, const std::string& path,
-                 const CsvOptions& options = CsvOptions());
-  Status LoadTable(SessionId id, Table table);
-  Status LoadRelation(SessionId id, EncodedRelation relation);
   /// Binds the dataset registered in store() under `dataset_id` — by
   /// reference, so N sessions on one dataset share a single parse,
   /// encoding, and set of level-1 partitions. The session pins the
@@ -92,22 +88,23 @@ class DiscoveryService {
   /// a positive version binds that exact version, which succeeds only
   /// while it is current or still pinned by another session (superseded
   /// versions live exactly as long as someone holds them).
-  Status LoadDataset(SessionId id, const std::string& dataset_id,
+  Status BindDataset(SessionId id, const std::string& dataset_id,
                      int64_t version = 0);
   /// Same, for a dataset the caller already holds (C ABI dataset
   /// handles bypass the store's id namespace).
-  Status LoadDataset(SessionId id,
+  Status BindDataset(SessionId id,
                      std::shared_ptr<const LoadedDataset> dataset);
   Status SetSink(SessionId id, OdSink* sink);
 
   /// Queues the session's run on the pool and returns immediately.
   Status Submit(SessionId id);
-  /// Submit with a deferred CSV read: parsing + encoding happen on the
-  /// worker, so N CsvJobs pipeline end to end. Read errors surface as
-  /// the session turning kFailed.
+  /// Submit with a deferred CSV read: parsing, encoding and the level-1
+  /// partitions of a session-local dataset happen on the worker, so N
+  /// CsvJobs pipeline end to end. Read errors surface as the session
+  /// turning kFailed.
   Status SubmitCsv(SessionId id, const std::string& path,
                    const CsvOptions& options = CsvOptions());
-  /// LoadDataset + Submit in one call — the load-once/discover-many
+  /// BindDataset + Submit in one call — the load-once/discover-many
   /// submission path. Binding is in-memory and synchronous (unlike
   /// SubmitCsv there is no IO to defer), so stale dataset ids fail here,
   /// not as a kFailed session.

@@ -41,13 +41,6 @@ Status DiscoverySession::SetOption(const std::string& name,
   return algorithm_->SetOption(name, value);
 }
 
-Status DiscoverySession::LoadCsv(const std::string& path,
-                                 const CsvOptions& options) {
-  Result<EncodedRelation> relation = EncodeCsvFile(path, options);
-  if (!relation.ok()) return relation.status();
-  return LoadRelation(*std::move(relation));
-}
-
 Status DiscoverySession::BindableLocked() const {
   // Data freezes at submission: a source swapped in after queueing would
   // silently redirect the pending run to the wrong dataset.
@@ -67,23 +60,11 @@ Status DiscoverySession::SetDeferredCsv(std::string path,
   return Status::Ok();
 }
 
-Status DiscoverySession::LoadTable(Table table) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Status s = BindableLocked(); !s.ok()) return s;
-  return algorithm_->LoadData(std::move(table));
-}
-
-Status DiscoverySession::LoadRelation(EncodedRelation relation) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Status s = BindableLocked(); !s.ok()) return s;
-  return algorithm_->LoadData(std::move(relation));
-}
-
-Status DiscoverySession::LoadDataset(
+Status DiscoverySession::BindDataset(
     std::shared_ptr<const LoadedDataset> dataset) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (Status s = BindableLocked(); !s.ok()) return s;
-  return algorithm_->LoadData(std::move(dataset));
+  return algorithm_->BindDataset(std::move(dataset));
 }
 
 void DiscoverySession::SetSink(OdSink* sink) { algorithm_->SetSink(sink); }
@@ -97,7 +78,8 @@ Status DiscoverySession::MarkQueued() {
   }
   if (!algorithm_->has_data() && !has_deferred_csv_) {
     return Status::FailedPrecondition(
-        "session has no data; call LoadCsv/LoadTable before submitting");
+        "session has no data; bind a dataset or a deferred CSV before "
+        "submitting");
   }
   state_ = SessionState::kQueued;
   return Status::Ok();
@@ -139,10 +121,12 @@ void DiscoverySession::Run() {
   Status executed;
   try {
     if (load_csv) {
-      Result<EncodedRelation> relation =
-          EncodeCsvFile(path, csv_options, observe ? &trace_ : nullptr);
-      Status s = relation.ok() ? algorithm_->LoadData(*std::move(relation))
-                               : relation.status();
+      // Session-local: the dataset lives as long as the algorithm binds it.
+      Result<std::shared_ptr<const LoadedDataset>> dataset =
+          LoadedDataset::LoadCsvFile(path, path, csv_options,
+                                     observe ? &trace_ : nullptr);
+      Status s = dataset.ok() ? algorithm_->BindDataset(*std::move(dataset))
+                              : dataset.status();
       if (!s.ok()) {
         Finish(SessionState::kFailed, s);
         return;

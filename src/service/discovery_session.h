@@ -65,20 +65,15 @@ class DiscoverySession {
 
   // ---- Configuration (before Submit/Run only) -----------------------
   Status SetOption(const std::string& name, const std::string& value);
-  /// Reads and binds a CSV file now; errors surface synchronously.
-  Status LoadCsv(const std::string& path, const CsvOptions& options);
   /// Defers the CSV read into Run() (a worker thread), so a batch of
-  /// sessions parallelizes parsing and encoding too. Read errors then
-  /// surface through state()/status() as kFailed.
+  /// sessions parallelizes parsing and encoding too. Run() builds a
+  /// session-local dataset from the file; read errors surface through
+  /// state()/status() as kFailed.
   Status SetDeferredCsv(std::string path, CsvOptions options);
-  Status LoadTable(Table table);
-  /// Binds an already-encoded relation (the CSV load paths encode
-  /// straight from the text, data/encode.h).
-  Status LoadRelation(EncodedRelation relation);
   /// Binds a shared preprocessed dataset (data/dataset_store.h) by
   /// reference — no parse, encode, or copy. The session pins the dataset
   /// (keeps it alive and ineligible for store eviction) until destroyed.
-  Status LoadDataset(std::shared_ptr<const LoadedDataset> dataset);
+  Status BindDataset(std::shared_ptr<const LoadedDataset> dataset);
   /// Attaches a streaming consumer for the run. The sink must outlive the
   /// session's terminal transition; see the OdSink threading contract.
   void SetSink(OdSink* sink);
@@ -90,8 +85,8 @@ class DiscoverySession {
   /// recovery path when Submit accepted the session but could not hand
   /// it to a worker (pool shut down). No-op in any other state.
   void FailQueued(Status status);
-  /// Runs load (if deferred) + Execute on the calling thread and moves
-  /// the session to a terminal state. Called once, by the worker.
+  /// Runs the deferred load (if any) + Execute on the calling thread and
+  /// moves the session to a terminal state. Called once, by the worker.
   void Run();
 
   // ---- Observation (any thread) -------------------------------------
@@ -116,9 +111,10 @@ class DiscoverySession {
 
   // ---- Observability ------------------------------------------------
   /// The session's trace (obs/trace.h): phase spans recorded by Run()
-  /// (csv.parse, encode, execute, level[k]) plus the engine's search
-  /// counters, captured when the run finishes. Safe to render from any
-  /// thread at any time; spans appear as the run passes through them.
+  /// (csv.parse, encode, partitions.level1, execute, level[k]) plus the
+  /// engine's search counters, captured when the run finishes. Safe to
+  /// render from any thread at any time; spans appear as the run passes
+  /// through them.
   /// Empty when metrics are disabled (FASTOD_METRICS=off).
   const obs::TraceRecorder& trace() const { return trace_; }
   std::string trace_json() const { return trace_.ToJson(); }

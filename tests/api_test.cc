@@ -24,6 +24,7 @@
 #include "api/registry.h"
 #include "common/json.h"
 #include "gen/generators.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -113,30 +114,31 @@ TEST(OptionRegistryTest, DescribeOptionsSnapshot) {
             "milliseconds; exceeding it fails the run with DeadlineExceeded "
             "(0 = none) (default: 0)\n"
             "  --threads=<int>                  worker threads for "
-            "intra-level parallelism (default: 1) [alias: --num-threads]\n"
+            "intra-level parallelism (default: 1)\n"
             "  --timeout=<double>               abort after this many "
             "seconds (0 = none) (default: 0)\n"
             "  --max-level=<int>                stop after lattice level L "
             "(0 = none) (default: 0)\n"
             "  --emit-ods=<bool>                materialize FDs (false = "
-            "count only) (default: true) [alias: --emit-fds]\n");
+            "count only) (default: true)\n");
 }
 
 TEST(OptionRegistryTest, DeprecatedSpellingsStillResolve) {
-  // "emit-fds" survives as an alias of the canonical "emit-ods", and the
-  // historical underscore spellings resolve by hyphen normalization.
+  // Underscore spellings resolve by hyphen normalization; "emit-fds" and
+  // "num-threads" are not option names.
   TaneAlgorithm tane;
-  ASSERT_TRUE(tane.SetOption("emit-fds", "false").ok());
-  ASSERT_TRUE(tane.SetOption("emit_ods", "true").ok());
+  ASSERT_TRUE(tane.SetOption("emit_ods", "false").ok());
+  EXPECT_EQ(tane.SetOption("emit-fds", "true").code(),
+            StatusCode::kNotFound);
   FastodAlgorithm fastod;
-  ASSERT_TRUE(fastod.SetOption("num-threads", "2").ok());
-  ASSERT_TRUE(fastod.SetOption("num_threads", "3").ok());
+  ASSERT_TRUE(fastod.SetOption("max_level", "3").ok());
+  EXPECT_EQ(fastod.discovery_options().max_level, 3);
   ASSERT_TRUE(fastod.SetOption("threads", "4").ok());
+  EXPECT_EQ(fastod.SetOption("num-threads", "2").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(fastod.SetOption("num_threads", "2").code(),
+            StatusCode::kNotFound);
   EXPECT_FALSE(fastod.SetOption("nope-threads", "4").ok());
-  const OptionInfo* info = fastod.FindOption("threads");
-  ASSERT_NE(info, nullptr);
-  ASSERT_EQ(info->aliases.size(), 1u);
-  EXPECT_EQ(info->aliases[0], "num-threads");
 }
 
 TEST(OptionRegistryTest, ApproximateSurfacesItsOwnDefault) {
@@ -161,7 +163,7 @@ TEST(OptionRegistryTest, ReSetOptionBetweenExecutesOnSameData) {
   // Reconfiguring between two Execute() calls on the same loaded data
   // must behave exactly like a fresh run with the final configuration.
   FastodAlgorithm algo;
-  ASSERT_TRUE(algo.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(algo.SetOption("max-level", "1").ok());
   ASSERT_TRUE(algo.Execute().ok());
   int64_t level1 = algo.result().NumOds();
@@ -172,7 +174,7 @@ TEST(OptionRegistryTest, ReSetOptionBetweenExecutesOnSameData) {
 
   FastodAlgorithm fresh;
   ASSERT_TRUE(fresh.SetOption("bidirectional", "true").ok());
-  ASSERT_TRUE(fresh.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(fresh.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(fresh.Execute().ok());
   EXPECT_EQ(algo.result().constancy_ods, fresh.result().constancy_ods);
   EXPECT_EQ(algo.result().compatibility_ods,
@@ -187,7 +189,7 @@ TEST(OptionRegistryTest, UnknownOptionAfterSuccessfulRuns) {
   // disturb an already-configured, already-executed instance.
   FastodAlgorithm algo;
   ASSERT_TRUE(algo.SetOption("max-level", "2").ok());
-  ASSERT_TRUE(algo.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(algo.Execute().ok());
   int64_t before = algo.result().NumOds();
 
@@ -253,24 +255,29 @@ TEST(AlgorithmRegistryTest, DescribeAlgorithmsCoversEveryEngine) {
 // ------------------------------------------------------------ lifecycle
 
 TEST(AlgorithmLifecycleTest, ExecuteWithoutDataFails) {
-  FastodAlgorithm algo;
-  Status s = algo.Execute();
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(algo.executed());
+  // BindDataset is the only way in; every engine refuses to run unbound.
+  for (const std::string& name : AlgorithmRegistry::Default().Names()) {
+    auto algo = AlgorithmRegistry::Default().Create(name);
+    ASSERT_TRUE(algo.ok()) << name;
+    EXPECT_FALSE((*algo)->has_data()) << name;
+    Status s = (*algo)->Execute();
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << name;
+    EXPECT_NE(s.message().find("BindDataset"), std::string::npos) << name;
+    EXPECT_FALSE((*algo)->executed()) << name;
+  }
 }
 
 TEST(AlgorithmLifecycleTest, ExecuteAccountsWallClock) {
   FastodAlgorithm algo;
-  ASSERT_TRUE(algo.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(algo.Execute().ok());
   EXPECT_TRUE(algo.executed());
-  EXPECT_GE(algo.load_seconds(), 0.0);
   EXPECT_GE(algo.execute_seconds(), 0.0);
 }
 
 TEST(AlgorithmLifecycleTest, ReExecuteAfterReconfigure) {
   FastodAlgorithm algo;
-  ASSERT_TRUE(algo.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(algo.Execute().ok());
   int64_t exact = algo.result().NumOds();
   ASSERT_TRUE(algo.SetOption("max-level", "1").ok());
@@ -280,7 +287,7 @@ TEST(AlgorithmLifecycleTest, ReExecuteAfterReconfigure) {
 
 TEST(AlgorithmLifecycleTest, BruteForceRejectsWideRelations) {
   BruteForceAlgorithm algo;
-  ASSERT_TRUE(algo.LoadData(GenFlightLike(20, 20, 7)).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(GenFlightLike(20, 20, 7))).ok());
   Status s = algo.Execute();
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("16"), std::string::npos);
@@ -299,7 +306,7 @@ class ApiEquivalenceTest : public ::testing::Test {
   std::unique_ptr<Algorithm> Create(const std::string& name) {
     auto algo = AlgorithmRegistry::Default().Create(name);
     EXPECT_TRUE(algo.ok()) << name;
-    EXPECT_TRUE((*algo)->LoadData(table_).ok()) << name;
+    EXPECT_TRUE((*algo)->BindDataset(DatasetOf(table_)).ok()) << name;
     EXPECT_TRUE((*algo)->Execute().ok()) << name;
     return std::move(*algo);
   }
@@ -331,7 +338,7 @@ TEST_F(ApiEquivalenceTest, OrderMatchesLegacy) {
   auto algo = AlgorithmRegistry::Default().Create("order");
   ASSERT_TRUE(algo.ok());
   ASSERT_TRUE((*algo)->SetOption("max-level", "3").ok());
-  ASSERT_TRUE((*algo)->LoadData(table_).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
   const auto& api = static_cast<OrderAlgorithm&>(**algo).result();
   OrderOptions legacy_options;
@@ -355,7 +362,7 @@ TEST_F(ApiEquivalenceTest, ApproximateMatchesLegacyAtSameThreshold) {
   auto algo = AlgorithmRegistry::Default().Create("approximate");
   ASSERT_TRUE(algo.ok());
   ASSERT_TRUE((*algo)->SetOption("max-error", "0.2").ok());
-  ASSERT_TRUE((*algo)->LoadData(table_).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
   const auto& api = static_cast<FastodAlgorithm&>(**algo).result();
 
@@ -388,7 +395,7 @@ TEST_F(ApiEquivalenceTest, JsonNamesTheAlgorithm) {
     if (algo->FindOption("max-level") != nullptr) {
       ASSERT_TRUE(algo->SetOption("max-level", "2").ok());
     }
-    ASSERT_TRUE(algo->LoadData(table_).ok()) << name;
+    ASSERT_TRUE(algo->BindDataset(DatasetOf(table_)).ok()) << name;
     ASSERT_TRUE(algo->Execute().ok()) << name;
     std::string json = algo->ResultJson();
     EXPECT_NE(json.find("\"algorithm\": \"" + std::string(name) + "\""),
@@ -406,7 +413,7 @@ TEST_F(ApiEquivalenceTest, FastodSinkTeesAndStillMaterializes) {
   CollectingOdSink sink;
   FastodAlgorithm algo;
   algo.SetSink(&sink);
-  ASSERT_TRUE(algo.LoadData(table_).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(algo.Execute().ok());
   FastodResult legacy = Fastod().Discover(*rel_);
   EXPECT_EQ(sink.constancy_ods(), legacy.constancy_ods);
@@ -425,7 +432,7 @@ TEST_F(ApiEquivalenceTest, FastodSinkStreamsNoPruningWithoutEmitOds) {
   algo.SetSink(&sink);
   ASSERT_TRUE(algo.SetOption("minimality-pruning", "false").ok());
   ASSERT_TRUE(algo.SetOption("emit-ods", "false").ok());
-  ASSERT_TRUE(algo.LoadData(table_).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(algo.Execute().ok());
   FastodOptions legacy_options;
   legacy_options.minimality_pruning = false;
@@ -441,7 +448,7 @@ TEST_F(ApiEquivalenceTest, TaneSinkStreamsFds) {
   CollectingOdSink sink;
   TaneAlgorithm algo;
   algo.SetSink(&sink);
-  ASSERT_TRUE(algo.LoadData(table_).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(algo.Execute().ok());
   TaneResult legacy = Tane().Discover(*rel_);
   EXPECT_EQ(sink.constancy_ods(), legacy.fds);
@@ -452,8 +459,8 @@ TEST_F(ApiEquivalenceTest, TaneSinkStreamsFds) {
   CollectingOdSink count_only_sink;
   TaneAlgorithm count_only;
   count_only.SetSink(&count_only_sink);
-  ASSERT_TRUE(count_only.SetOption("emit-fds", "false").ok());
-  ASSERT_TRUE(count_only.LoadData(table_).ok());
+  ASSERT_TRUE(count_only.SetOption("emit-ods", "false").ok());
+  ASSERT_TRUE(count_only.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(count_only.Execute().ok());
   EXPECT_TRUE(count_only.result().fds.empty());
   EXPECT_EQ(count_only.result().num_fds, legacy.num_fds);
@@ -465,7 +472,7 @@ TEST_F(ApiEquivalenceTest, OrderSinkTeesListOds) {
   OrderAlgorithm algo;
   algo.SetSink(&sink);
   ASSERT_TRUE(algo.SetOption("max-level", "3").ok());
-  ASSERT_TRUE(algo.LoadData(table_).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(algo.Execute().ok());
   // ORDER tees: vector retained (used for implication checks) AND
   // streamed.
@@ -483,7 +490,7 @@ TEST_F(ApiEquivalenceTest, PreCancelledControlStopsEarly) {
     auto algo = AlgorithmRegistry::Default().Create(name);
     ASSERT_TRUE(algo.ok());
     (*algo)->SetControl(&control);
-    ASSERT_TRUE((*algo)->LoadData(table_).ok());
+    ASSERT_TRUE((*algo)->BindDataset(DatasetOf(table_)).ok());
     ASSERT_TRUE((*algo)->Execute().ok());  // cancellation is not an error
     // At most the first level ran, and progress must not read as complete.
     EXPECT_LE((*algo)->stats().levels_processed, 1);
@@ -502,7 +509,7 @@ TEST_F(ApiEquivalenceTest, PreCancelledControlStopsEarly) {
   ExecutionControl control;
   control.RequestCancel();
   fastod.SetControl(&control);
-  ASSERT_TRUE(fastod.LoadData(table_).ok());
+  ASSERT_TRUE(fastod.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(fastod.Execute().ok());
   EXPECT_TRUE(fastod.result().cancelled);
 }
@@ -511,7 +518,7 @@ TEST_F(ApiEquivalenceTest, ControlReportsCompletion) {
   ExecutionControl control;
   TaneAlgorithm algo;
   algo.SetControl(&control);
-  ASSERT_TRUE(algo.LoadData(table_).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(table_)).ok());
   ASSERT_TRUE(algo.Execute().ok());
   EXPECT_FALSE(algo.result().cancelled);
   EXPECT_DOUBLE_EQ(control.Progress(), 1.0);
@@ -611,14 +618,14 @@ TEST(ChannelOdSinkTest, EngineStreamMatchesCollectingSink) {
   CollectingOdSink expected;
   FastodAlgorithm baseline;
   baseline.SetSink(&expected);
-  ASSERT_TRUE(baseline.LoadData(table).ok());
+  ASSERT_TRUE(baseline.BindDataset(DatasetOf(table)).ok());
   ASSERT_TRUE(baseline.Execute().ok());
 
   ChannelOdSink channel(4);  // smaller than the result set: exercises
                              // backpressure against a live engine
   FastodAlgorithm streamed;
   streamed.SetSink(&channel);
-  ASSERT_TRUE(streamed.LoadData(table).ok());
+  ASSERT_TRUE(streamed.BindDataset(DatasetOf(table)).ok());
   std::thread runner([&] {
     ASSERT_TRUE(streamed.Execute().ok());
     channel.Close();

@@ -9,15 +9,10 @@
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 StrippedPartition ContextOf(const EncodedRelation& rel, AttributeSet ctx) {
   if (ctx.IsEmpty()) return StrippedPartition::Universe(rel.NumRows());

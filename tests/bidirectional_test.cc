@@ -13,15 +13,10 @@
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
 #include "validate/od_validator.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 TEST(DirectedSpecTest, ToStringShowsDirections) {
   DirectedSpec spec{Asc(0), Desc(2)};

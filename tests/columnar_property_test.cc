@@ -37,6 +37,7 @@
 #include "gen/random_table.h"
 #include "golden_pr9_data.h"
 #include "partition/stripped_partition.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -100,32 +101,11 @@ TEST(ColumnarGoldenTest, SixEnginesMatchPreRefactorFixtures) {
     SCOPED_TRACE(spec.name);
     std::unique_ptr<Algorithm> algo = MakeEngine(spec);
     ASSERT_NE(algo, nullptr);
-    ASSERT_TRUE(algo->LoadData(Fixture()).ok());
+    ASSERT_TRUE(algo->BindDataset(DatasetOf(Fixture())).ok());
     ASSERT_TRUE(algo->Execute().ok());
     JsonValue golden = ParseOrDie(spec.golden, "golden");
     JsonValue fresh = ParseOrDie(algo->ResultJson(), "fresh");
     ExpectSameModuloStats(golden, fresh, spec.name);
-  }
-}
-
-// BindDataset (prebuilt encoding + singleton partitions) must be
-// indistinguishable from handing every engine the raw table.
-TEST(ColumnarGoldenTest, BindDatasetMatchesLoadData) {
-  auto dataset = LoadedDataset::Build("pr9-fixture", Fixture());
-  ASSERT_TRUE(dataset.ok());
-  for (const EngineSpec& spec : EngineSpecs()) {
-    SCOPED_TRACE(spec.name);
-    std::unique_ptr<Algorithm> via_table = MakeEngine(spec);
-    std::unique_ptr<Algorithm> via_dataset = MakeEngine(spec);
-    ASSERT_NE(via_table, nullptr);
-    ASSERT_NE(via_dataset, nullptr);
-    ASSERT_TRUE(via_table->LoadData(Fixture()).ok());
-    ASSERT_TRUE(via_dataset->BindDataset(*dataset).ok());
-    ASSERT_TRUE(via_table->Execute().ok());
-    ASSERT_TRUE(via_dataset->Execute().ok());
-    ExpectSameModuloStats(ParseOrDie(via_table->ResultJson(), "table"),
-                          ParseOrDie(via_dataset->ResultJson(), "dataset"),
-                          spec.name);
   }
 }
 
@@ -221,9 +201,9 @@ TEST(ColumnarAppendTest, MergeEncodedAppendEqualsFromTable) {
   for (int64_t r = 150; r < full.NumRows(); ++r) tail.push_back(r);
 
   DatasetStore store;
-  auto base = store.PutTable("flight", full.Head(150));
+  auto base = store.Put(DatasetOf(full.Head(150), "flight"));
   ASSERT_TRUE(base.ok());
-  auto grown = store.AppendRows("flight", full.SelectRows(tail));
+  auto grown = store.AppendRows("flight", Encode(full.SelectRows(tail)));
   ASSERT_TRUE(grown.ok());
   EXPECT_EQ((*grown)->version(), 2);
   EXPECT_EQ((*grown)->base_rows(), 150);
@@ -433,10 +413,9 @@ TEST(DirectCsvEncodingTest, LoadedDatasetMatchesBuildOfReadTable) {
   ASSERT_TRUE(direct.ok());
   auto table = ReadCsvString(text);
   ASSERT_TRUE(table.ok());
-  auto built = LoadedDataset::Build("built", *std::move(table));
-  ASSERT_TRUE(built.ok());
-  ExpectSameRelation((*built)->relation(), (*direct)->relation(), "load");
-  EXPECT_EQ((*built)->ApproxBytes(), (*direct)->ApproxBytes());
+  auto built = DatasetOf(*table, "built");
+  ExpectSameRelation(built->relation(), (*direct)->relation(), "load");
+  EXPECT_EQ(built->ApproxBytes(), (*direct)->ApproxBytes());
 }
 
 }  // namespace

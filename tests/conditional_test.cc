@@ -13,15 +13,10 @@
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 // region 0: a ~ b increasing together; region 1: anti-correlated.
 const char kRegional[] =
@@ -147,7 +142,7 @@ TEST(ConditionalTest, ReportSupportKeepsFullPrecision) {
   auto algo = AlgorithmRegistry::Default().Create("conditional");
   ASSERT_TRUE(algo.ok());
   ASSERT_TRUE((*algo)->SetOption("min-support", "0").ok());
-  ASSERT_TRUE((*algo)->LoadData(*t).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(*t)).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
   const auto& result =
       static_cast<ConditionalAlgorithm*>(algo->get())->result();

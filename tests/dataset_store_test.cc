@@ -22,6 +22,7 @@
 #include "data/encode.h"
 #include "gen/generators.h"
 #include "partition/stripped_partition.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -33,28 +34,27 @@ TEST(LoadedDatasetTest, BuildCapturesEncodingAndSingletons) {
   Result<EncodedRelation> expected = EncodedRelation::FromTable(table);
   ASSERT_TRUE(expected.ok());
 
-  auto dataset = LoadedDataset::Build("emp", SmallTable(), "unit-test");
-  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
-  EXPECT_EQ((*dataset)->id(), "emp");
-  EXPECT_EQ((*dataset)->source(), "unit-test");
-  EXPECT_EQ((*dataset)->NumRows(), table.NumRows());
-  EXPECT_EQ((*dataset)->NumAttributes(), table.NumColumns());
-  EXPECT_GT((*dataset)->ApproxBytes(), 0);
+  auto dataset = LoadedDataset::Build("emp", *expected, "unit-test");
+  EXPECT_EQ(dataset->id(), "emp");
+  EXPECT_EQ(dataset->source(), "unit-test");
+  EXPECT_EQ(dataset->NumRows(), table.NumRows());
+  EXPECT_EQ(dataset->NumAttributes(), table.NumColumns());
+  EXPECT_GT(dataset->ApproxBytes(), 0);
 
   // The footprint is exact, not estimated: the relation's contiguous
   // code-column + dictionary allocations plus the flattened level-1
   // partitions (elements + offsets + 1 sentinel, in int32s each).
-  int64_t exact = (*dataset)->relation().ByteSize();
-  for (const StrippedPartition& p : (*dataset)->singleton_partitions()) {
+  int64_t exact = dataset->relation().ByteSize();
+  for (const StrippedPartition& p : dataset->singleton_partitions()) {
     exact += static_cast<int64_t>(
         (p.NumElements() + p.NumClasses() + 1) * sizeof(int32_t));
   }
-  EXPECT_EQ((*dataset)->ApproxBytes(), exact);
+  EXPECT_EQ(dataset->ApproxBytes(), exact);
 
-  const EncodedRelation& relation = (*dataset)->relation();
+  const EncodedRelation& relation = dataset->relation();
   ASSERT_EQ(relation.NumAttributes(), expected->NumAttributes());
   const std::vector<StrippedPartition>& singletons =
-      (*dataset)->singleton_partitions();
+      dataset->singleton_partitions();
   ASSERT_EQ(static_cast<int>(singletons.size()), relation.NumAttributes());
   for (int a = 0; a < relation.NumAttributes(); ++a) {
     EXPECT_TRUE(relation.codes(a) == expected->codes(a))
@@ -67,7 +67,7 @@ TEST(LoadedDatasetTest, BuildCapturesEncodingAndSingletons) {
 
 TEST(DatasetStoreTest, PutGetEraseLifecycle) {
   DatasetStore store;
-  auto put = store.PutTable("emp", SmallTable());
+  auto put = store.Put(DatasetOf(SmallTable(), "emp"));
   ASSERT_TRUE(put.ok());
   EXPECT_EQ(store.size(), 1);
   EXPECT_EQ(store.TotalBytes(), (*put)->ApproxBytes());
@@ -89,7 +89,7 @@ TEST(DatasetStoreTest, PutGetEraseLifecycle) {
 
 TEST(DatasetStoreTest, ContainsAndInfoDoNotCountAsHits) {
   DatasetStore store;
-  ASSERT_TRUE(store.PutTable("emp", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "emp")).ok());
   EXPECT_TRUE(store.Contains("emp"));
   EXPECT_FALSE(store.Contains("nope"));
   EXPECT_EQ(store.Info("nope").status().code(), StatusCode::kNotFound);
@@ -104,8 +104,8 @@ TEST(DatasetStoreTest, ContainsAndInfoDoNotCountAsHits) {
 
 TEST(DatasetStoreTest, DuplicateIdsAreRefused) {
   DatasetStore store;
-  ASSERT_TRUE(store.PutTable("emp", SmallTable()).ok());
-  Status duplicate = store.PutTable("emp", SmallTable()).status();
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "emp")).ok());
+  Status duplicate = store.Put(DatasetOf(SmallTable(), "emp")).status();
   EXPECT_EQ(duplicate.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(duplicate.message().find("already exists"), std::string::npos);
   EXPECT_EQ(store.size(), 1);
@@ -136,19 +136,19 @@ TEST(DatasetStoreTest, CsvRoundTripsAndCountsHits) {
 
 TEST(DatasetStoreTest, BudgetEvictsLeastRecentlyUsedUnpinned) {
   DatasetStore probe;
-  int64_t bytes = (*probe.PutTable("probe", SmallTable()))->ApproxBytes();
+  int64_t bytes = (*probe.Put(DatasetOf(SmallTable(), "probe")))->ApproxBytes();
 
   DatasetStore store(3 * bytes);
-  ASSERT_TRUE(store.PutTable("a", SmallTable()).ok());
-  ASSERT_TRUE(store.PutTable("b", SmallTable()).ok());
-  ASSERT_TRUE(store.PutTable("c", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "a")).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "b")).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "c")).ok());
   EXPECT_EQ(store.size(), 3);
 
   // Touch a and c so b is the LRU entry; nothing is pinned (the Put
   // return values were dropped).
   ASSERT_TRUE(store.Get("a").ok());
   ASSERT_TRUE(store.Get("c").ok());
-  ASSERT_TRUE(store.PutTable("d", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "d")).ok());
 
   EXPECT_EQ(store.size(), 3);
   EXPECT_EQ(store.evictions(), 1);
@@ -160,16 +160,16 @@ TEST(DatasetStoreTest, BudgetEvictsLeastRecentlyUsedUnpinned) {
 
 TEST(DatasetStoreTest, PinnedDatasetsAreNeverEvicted) {
   DatasetStore probe;
-  int64_t bytes = (*probe.PutTable("probe", SmallTable()))->ApproxBytes();
+  int64_t bytes = (*probe.Put(DatasetOf(SmallTable(), "probe")))->ApproxBytes();
 
   DatasetStore store(2 * bytes);
-  auto pin_a = store.PutTable("a", SmallTable());
-  auto pin_b = store.PutTable("b", SmallTable());
+  auto pin_a = store.Put(DatasetOf(SmallTable(), "a"));
+  auto pin_b = store.Put(DatasetOf(SmallTable(), "b"));
   ASSERT_TRUE(pin_a.ok() && pin_b.ok());
 
   // Both resident datasets are pinned: the insert must be refused, not
   // satisfied by destroying data under a live user.
-  Status refused = store.PutTable("c", SmallTable()).status();
+  Status refused = store.Put(DatasetOf(SmallTable(), "c")).status();
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(store.Get("a").ok());
   EXPECT_TRUE(store.Get("b").ok());
@@ -178,7 +178,7 @@ TEST(DatasetStoreTest, PinnedDatasetsAreNeverEvicted) {
   // Unpinning a (and dropping the Get refs above is implicit — they were
   // discarded) makes it evictable; c then fits by evicting exactly a.
   pin_a->reset();
-  ASSERT_TRUE(store.PutTable("c", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "c")).ok());
   EXPECT_EQ(store.evictions(), 1);
   EXPECT_EQ(store.Get("a").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(store.Get("b").ok());
@@ -189,16 +189,16 @@ TEST(DatasetStoreTest, PinnedDatasetsAreNeverEvicted) {
 
 TEST(DatasetStoreTest, OversizedInsertIsRefusedWithoutFlushingIdle) {
   DatasetStore probe;
-  int64_t bytes = (*probe.PutTable("probe", SmallTable()))->ApproxBytes();
+  int64_t bytes = (*probe.Put(DatasetOf(SmallTable(), "probe")))->ApproxBytes();
 
   DatasetStore store(2 * bytes);
-  ASSERT_TRUE(store.PutTable("a", SmallTable()).ok());
-  ASSERT_TRUE(store.PutTable("b", SmallTable()).ok());  // both idle
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "a")).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "b")).ok());  // both idle
 
   // This dataset alone exceeds the whole budget: it can never fit, so
   // the refusal must not evict the healthy idle residents first.
   Status refused =
-      store.PutTable("huge", GenFlightLike(500, 8, 7)).status();
+      store.Put(DatasetOf(GenFlightLike(500, 8, 7), "huge")).status();
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(store.Get("a").ok());
   EXPECT_TRUE(store.Get("b").ok());
@@ -207,9 +207,9 @@ TEST(DatasetStoreTest, OversizedInsertIsRefusedWithoutFlushingIdle) {
 
 TEST(DatasetStoreTest, ShrinkingBudgetEvictsOnlyUnpinned) {
   DatasetStore store;
-  auto pinned = store.PutTable("pinned", SmallTable());
+  auto pinned = store.Put(DatasetOf(SmallTable(), "pinned"));
   ASSERT_TRUE(pinned.ok());
-  ASSERT_TRUE(store.PutTable("idle", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "idle")).ok());
   EXPECT_EQ(store.size(), 2);
 
   store.SetBudgetBytes(1);  // far below one dataset
@@ -224,23 +224,35 @@ TEST(DatasetStoreTest, ZeroBudgetMeansUnlimited) {
   DatasetStore store(0);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        store.PutTable("ds" + std::to_string(i), SmallTable()).ok());
+        store.Put(DatasetOf(SmallTable(), "ds" + std::to_string(i))).ok());
   }
   EXPECT_EQ(store.size(), 8);
   EXPECT_EQ(store.evictions(), 0);
 }
 
+// The lattice is capped at 64 attributes. The cap is enforced where a
+// dataset's relation is encoded, so a wider table or CSV never becomes
+// a dataset and never reaches the store.
 TEST(DatasetStoreTest, BuildRejectsOverwideRelations) {
   std::vector<AttributeDef> attributes;
   std::vector<Value> row;
+  std::string header;
+  std::string line;
   for (int i = 0; i < 65; ++i) {
     attributes.push_back({"c" + std::to_string(i), DataType::kInt});
     row.push_back(Value::Int(i));
+    header += (i == 0 ? "" : ",") + attributes.back().name;
+    line += (i == 0 ? "" : ",") + std::to_string(i);
   }
   TableBuilder builder{Schema(std::move(attributes))};
   builder.AddRowUnchecked(std::move(row));
-  Status status = LoadedDataset::Build("wide", builder.Build()).status();
-  EXPECT_FALSE(status.ok());
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(builder.Build());
+  EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
+
+  DatasetStore store;
+  Status status = store.PutCsvString("wide", header + "\n" + line + "\n").status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.size(), 0);
 }
 
 // Eviction-vs-pin race: writers churn datasets through a tiny budget
@@ -249,7 +261,7 @@ TEST(DatasetStoreTest, BuildRejectsOverwideRelations) {
 // a sanitizer report (this test is in the ASan/UBSan and TSan CI jobs).
 TEST(DatasetStoreTest, ConcurrentGetPutEvictIsSafe) {
   DatasetStore probe;
-  int64_t bytes = (*probe.PutTable("probe", SmallTable()))->ApproxBytes();
+  int64_t bytes = (*probe.Put(DatasetOf(SmallTable(), "probe")))->ApproxBytes();
   DatasetStore store(3 * bytes);
 
   constexpr int kIds = 6;
@@ -263,7 +275,7 @@ TEST(DatasetStoreTest, ConcurrentGetPutEvictIsSafe) {
         std::string id = "ds" + std::to_string((round + w) % kIds);
         // Either already resident (duplicate refused) or inserted,
         // possibly evicting an unpinned sibling; both are fine.
-        (void)store.PutTable(id, SmallTable());
+        (void)store.Put(DatasetOf(SmallTable(), id));
       }
     });
   }
@@ -303,14 +315,14 @@ Table DeltaRows() {
 
 TEST(DatasetStoreVersionTest, AppendMintsVersionsAndTracksHistory) {
   DatasetStore store;
-  auto v1 = store.PutTable("emp", SmallTable());
+  auto v1 = store.Put(DatasetOf(SmallTable(), "emp"));
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ((*v1)->version(), 1);
   // No append block yet: the whole relation is base, the delta empty.
   EXPECT_EQ((*v1)->base_rows(), (*v1)->NumRows());
   EXPECT_EQ((*v1)->delta_rows(), 0);
 
-  auto v2 = store.AppendRows("emp", DeltaRows());
+  auto v2 = store.AppendRows("emp", Encode(DeltaRows()));
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ((*v2)->version(), 2);
   EXPECT_EQ((*v2)->base_rows(), (*v1)->NumRows());
@@ -343,11 +355,11 @@ TEST(DatasetStoreVersionTest, AppendMintsVersionsAndTracksHistory) {
 
 TEST(DatasetStoreVersionTest, SupersededVersionsDieWithTheirPins) {
   DatasetStore store;
-  ASSERT_TRUE(store.PutTable("emp", SmallTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(SmallTable(), "emp")).ok());
   {
     auto v1 = store.Get("emp");
     ASSERT_TRUE(v1.ok());
-    ASSERT_TRUE(store.AppendRows("emp", DeltaRows()).ok());
+    ASSERT_TRUE(store.AppendRows("emp", Encode(DeltaRows())).ok());
     ASSERT_TRUE(store.Get("emp", 1).ok());  // alive while v1 pins it
   }
   // The pin is gone: version 1 is no longer resident.
@@ -366,7 +378,7 @@ TEST(DatasetStoreVersionTest, SupersededVersionsDieWithTheirPins) {
 
 TEST(DatasetStoreVersionTest, AppendToUnknownIdIsNotFound) {
   DatasetStore store;
-  auto grown = store.AppendRows("nope", DeltaRows());
+  auto grown = store.AppendRows("nope", Encode(DeltaRows()));
   EXPECT_EQ(grown.status().code(), StatusCode::kNotFound);
 }
 

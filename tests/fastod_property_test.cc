@@ -15,15 +15,10 @@
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 struct TableParam {
   int64_t rows;

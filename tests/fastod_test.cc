@@ -6,6 +6,7 @@
 #include "data/csv.h"
 #include "gen/date_dim.h"
 #include "gen/generators.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -23,9 +24,7 @@ bool HasCompatibility(const FastodResult& r, AttributeSet ctx, int a, int b) {
 class EmployeeFastodTest : public ::testing::Test {
  protected:
   EmployeeFastodTest() : table_(EmployeeTaxTable()) {
-    auto result = Fastod().Discover(table_);
-    EXPECT_TRUE(result.ok());
-    result_ = std::move(result).value();
+    result_ = Fastod().Discover(Encode(table_));
   }
 
   int Col(const std::string& name) {
@@ -94,11 +93,10 @@ TEST_F(EmployeeFastodTest, CountsMatchVectors) {
 TEST(FastodTest, ConstantColumnFoundAtLevelOne) {
   auto t = ReadCsvString("a,b\n7,1\n7,2\n7,3\n");
   ASSERT_TRUE(t.ok());
-  auto result = Fastod().Discover(*t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(HasConstancy(*result, AttributeSet::Empty(), 0));
+  FastodResult result = Fastod().Discover(Encode(*t));
+  EXPECT_TRUE(HasConstancy(result, AttributeSet::Empty(), 0));
   // Nothing above {}: []->a should mention a as a target again.
-  for (const ConstancyOd& od : result->constancy_ods) {
+  for (const ConstancyOd& od : result.constancy_ods) {
     if (od.attribute == 0) {
       EXPECT_TRUE(od.context.IsEmpty());
     }
@@ -109,9 +107,8 @@ TEST(FastodTest, KeyColumnShortCircuits) {
   // b is a key: every X ⊇ {b} is a superkey; minimal FDs {b}: []->a etc.
   auto t = ReadCsvString("a,b\n1,10\n1,20\n2,30\n");
   ASSERT_TRUE(t.ok());
-  auto result = Fastod().Discover(*t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(HasConstancy(*result, AttributeSet::Single(1), 0));
+  FastodResult result = Fastod().Discover(Encode(*t));
+  EXPECT_TRUE(HasConstancy(result, AttributeSet::Single(1), 0));
 }
 
 TEST(FastodTest, TpcDsDateDimOds) {
@@ -119,61 +116,56 @@ TEST(FastodTest, TpcDsDateDimOds) {
   // d_date, {d_date_sk}: [] -> d_year, {}: d_date_sk ~ d_year,
   // {d_month}: [] -> d_quarter and {}: d_month ~ d_quarter.
   Table t = GenDateDim(365, 1998);
-  auto result = Fastod().Discover(t);
-  ASSERT_TRUE(result.ok());
+  FastodResult result = Fastod().Discover(Encode(t));
   const Schema& s = t.schema();
   int sk = *s.IndexOf("d_date_sk");
   int date = *s.IndexOf("d_date");
   int year = *s.IndexOf("d_year");
   int quarter = *s.IndexOf("d_quarter");
   int month = *s.IndexOf("d_month");
-  EXPECT_TRUE(HasConstancy(*result, AttributeSet::Single(sk), date));
-  EXPECT_TRUE(HasCompatibility(*result, AttributeSet::Empty(), sk, date));
+  EXPECT_TRUE(HasConstancy(result, AttributeSet::Single(sk), date));
+  EXPECT_TRUE(HasCompatibility(result, AttributeSet::Empty(), sk, date));
   // With 365 days of one year, d_year is constant — found at the top.
-  EXPECT_TRUE(HasConstancy(*result, AttributeSet::Empty(), year));
-  EXPECT_TRUE(HasConstancy(*result, AttributeSet::Single(month), quarter));
-  EXPECT_TRUE(HasCompatibility(*result, AttributeSet::Empty(), month,
+  EXPECT_TRUE(HasConstancy(result, AttributeSet::Empty(), year));
+  EXPECT_TRUE(HasConstancy(result, AttributeSet::Single(month), quarter));
+  EXPECT_TRUE(HasCompatibility(result, AttributeSet::Empty(), month,
                                quarter));
 }
 
 TEST(FastodTest, EmptyRelation) {
   TableBuilder b(Schema({{"a", DataType::kInt}, {"b", DataType::kInt}}));
-  auto result = Fastod().Discover(b.Build());
-  ASSERT_TRUE(result.ok());
+  FastodResult result = Fastod().Discover(Encode(b.Build()));
   // Everything is constant on zero tuples; minimal set: {}: []->A per
   // attribute, nothing else.
-  EXPECT_EQ(result->num_constancy, 2);
-  EXPECT_EQ(result->num_compatibility, 0);
+  EXPECT_EQ(result.num_constancy, 2);
+  EXPECT_EQ(result.num_compatibility, 0);
 }
 
 TEST(FastodTest, SingleTupleRelation) {
   auto t = ReadCsvString("a,b,c\n1,2,3\n");
   ASSERT_TRUE(t.ok());
-  auto result = Fastod().Discover(*t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_constancy, 3);
-  EXPECT_EQ(result->num_compatibility, 0);
+  FastodResult result = Fastod().Discover(Encode(*t));
+  EXPECT_EQ(result.num_constancy, 3);
+  EXPECT_EQ(result.num_compatibility, 0);
 }
 
 TEST(FastodTest, SingleColumnRelation) {
   auto t = ReadCsvString("a\n1\n2\n1\n");
   ASSERT_TRUE(t.ok());
-  auto result = Fastod().Discover(*t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->NumOds(), 0);  // nothing non-trivial to say
+  FastodResult result = Fastod().Discover(Encode(*t));
+  EXPECT_EQ(result.NumOds(), 0);  // nothing non-trivial to say
 }
 
 TEST(FastodTest, MaxLevelCapsSearch) {
   Table t = GenFlightLike(200, 8, 3);
   FastodOptions opt;
   opt.max_level = 2;
-  auto result = Fastod(opt).Discover(t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->levels_processed, 2);
-  for (const ConstancyOd& od : result->constancy_ods) {
+  FastodResult result = Fastod(opt).Discover(Encode(t));
+  EXPECT_LE(result.levels_processed, 2);
+  for (const ConstancyOd& od : result.constancy_ods) {
     EXPECT_LE(od.context.Count(), 1);
   }
-  for (const CompatibilityOd& od : result->compatibility_ods) {
+  for (const CompatibilityOd& od : result.compatibility_ods) {
     EXPECT_TRUE(od.context.IsEmpty());
   }
 }
@@ -182,23 +174,21 @@ TEST(FastodTest, TimeoutProducesPartialResult) {
   Table t = GenHepatitisLike(150, 18, 5);
   FastodOptions opt;
   opt.timeout_seconds = 1e-9;  // expire immediately
-  auto result = Fastod(opt).Discover(t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->timed_out);
+  FastodResult result = Fastod(opt).Discover(Encode(t));
+  EXPECT_TRUE(result.timed_out);
 }
 
 TEST(FastodTest, LevelStatsAreRecorded) {
   Table t = GenFlightLike(100, 6, 4);
-  auto result = Fastod().Discover(t);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->level_stats.empty());
-  EXPECT_EQ(result->level_stats[0].level, 1);
-  EXPECT_EQ(result->level_stats[0].nodes, 6);
+  FastodResult result = Fastod().Discover(Encode(t));
+  ASSERT_FALSE(result.level_stats.empty());
+  EXPECT_EQ(result.level_stats[0].level, 1);
+  EXPECT_EQ(result.level_stats[0].nodes, 6);
   int64_t found = 0;
-  for (const FastodLevelStats& s : result->level_stats) {
+  for (const FastodLevelStats& s : result.level_stats) {
     found += s.constancy_found + s.compatibility_found;
   }
-  EXPECT_EQ(found, result->NumOds());
+  EXPECT_EQ(found, result.NumOds());
 }
 
 TEST(FastodTest, SixtyFourAttributeBoundary) {
@@ -230,12 +220,11 @@ TEST(FastodTest, EmitOdsOffStillCounts) {
   Table t = GenFlightLike(100, 6, 4);
   FastodOptions opt;
   opt.emit_ods = false;
-  auto counted = Fastod(opt).Discover(t);
-  auto emitted = Fastod().Discover(t);
-  ASSERT_TRUE(counted.ok() && emitted.ok());
-  EXPECT_TRUE(counted->constancy_ods.empty());
-  EXPECT_EQ(counted->num_constancy, emitted->num_constancy);
-  EXPECT_EQ(counted->num_compatibility, emitted->num_compatibility);
+  FastodResult counted = Fastod(opt).Discover(Encode(t));
+  FastodResult emitted = Fastod().Discover(Encode(t));
+  EXPECT_TRUE(counted.constancy_ods.empty());
+  EXPECT_EQ(counted.num_constancy, emitted.num_constancy);
+  EXPECT_EQ(counted.num_compatibility, emitted.num_compatibility);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "od/attribute_set.h"
 #include "server/discovery_server.h"
 #include "service/discovery_service.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -190,7 +191,7 @@ TEST(FaultPointTest, DatasetStoreInsertFailLeavesStoreUntouched) {
   ScheduleGuard guard;
   DatasetStore store(64 << 20);
   ASSERT_TRUE(fault::SetSchedule("dataset_store.insert:fail:1"));
-  auto put = store.PutTable("employee", EmployeeTaxTable());
+  auto put = store.Put(DatasetOf(EmployeeTaxTable(), "employee"));
   ASSERT_FALSE(put.ok());
   EXPECT_EQ(put.status().code(), StatusCode::kResourceExhausted)
       << put.status().ToString();
@@ -199,7 +200,7 @@ TEST(FaultPointTest, DatasetStoreInsertFailLeavesStoreUntouched) {
   EXPECT_EQ(store.size(), 0);
   EXPECT_EQ(store.TotalBytes(), 0);
   EXPECT_TRUE(store.List().empty());
-  auto retry = store.PutTable("employee", EmployeeTaxTable());
+  auto retry = store.Put(DatasetOf(EmployeeTaxTable(), "employee"));
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(store.size(), 1);
   EXPECT_GT(store.TotalBytes(), 0);
@@ -218,11 +219,12 @@ TEST(FaultPointTest, DatasetStoreInsertThrowIsContainedByHttpHandler) {
   // covered by server_test's ThrowingAlgorithm): the throw must leave
   // the server's store consistent for the next upload.
   EXPECT_THROW(
-      (void)server.service().store().PutTable("d1", EmployeeTaxTable()),
+      (void)server.service().store().Put(DatasetOf(EmployeeTaxTable(), "d1")),
       fault::FaultInjected);
   fault::Clear();
   EXPECT_EQ(server.service().store().size(), 0);
-  auto retry = server.service().store().PutTable("d1", EmployeeTaxTable());
+  auto retry =
+      server.service().store().Put(DatasetOf(EmployeeTaxTable(), "d1"));
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
   server.Stop();
 }
@@ -231,12 +233,15 @@ TEST(FaultPointTest, DatasetStoreInsertThrowIsContainedByHttpHandler) {
 
 TEST(FaultPointTest, PartitionBuildThrowFailsSessionWorkerSurvives) {
   ScheduleGuard guard;
+  // A deferred CSV session builds its level-1 partitions on the worker.
+  const std::string path =
+      ::testing::TempDir() + "/fault_partition_build.csv";
+  ASSERT_TRUE(WriteCsvFile(EmployeeTaxTable(), path).ok());
   DiscoveryService service(1);  // one worker: its survival is observable
   ASSERT_TRUE(fault::SetSchedule("partition.build:throw:1"));
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
-  ASSERT_TRUE(service.Submit(*id).ok());
+  ASSERT_TRUE(service.SubmitCsv(*id, path).ok());
   Result<SessionState> state = service.Wait(*id);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, SessionState::kFailed);
@@ -249,11 +254,11 @@ TEST(FaultPointTest, PartitionBuildThrowFailsSessionWorkerSurvives) {
   fault::Clear();
   Result<SessionId> next = service.Create("fastod");
   ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(service.LoadTable(*next, EmployeeTaxTable()).ok());
-  ASSERT_TRUE(service.Submit(*next).ok());
+  ASSERT_TRUE(service.SubmitCsv(*next, path).ok());
   Result<SessionState> next_state = service.Wait(*next);
   ASSERT_TRUE(next_state.ok());
   EXPECT_EQ(*next_state, SessionState::kDone);
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------- point: sink.push
@@ -284,7 +289,7 @@ TEST(FaultPointTest, SinkPushFailDuringRunStillFinishesSession) {
   ASSERT_TRUE(fault::SetSchedule("sink.push:fail:1"));
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.SetSink(*id, &sink).ok());
   ASSERT_TRUE(service.Submit(*id).ok());
   Result<SessionState> state = service.Wait(*id);

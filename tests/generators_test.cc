@@ -9,15 +9,10 @@
 #include "gen/generators.h"
 #include "gen/random_table.h"
 #include "validate/od_validator.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 TEST(GeneratorsTest, EmployeeTableMatchesPaper) {
   Table t = EmployeeTaxTable();

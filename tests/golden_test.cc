@@ -12,15 +12,10 @@
 #include "data/encode.h"
 #include "gen/date_dim.h"
 #include "gen/generators.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 TEST(GoldenTest, EmployeeTable) {
   EncodedRelation rel = Encode(EmployeeTaxTable());

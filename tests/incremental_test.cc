@@ -29,6 +29,7 @@
 #include "incremental/incremental_engine.h"
 #include "partition/stripped_partition.h"
 #include "report/report.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -95,10 +96,9 @@ TEST(IncrementalMergeEncodeTest, AppendMatchesFromTableBitForBit) {
     Table table = GenRandomTable(240, 5, 6, seed);
     const int64_t base_rows = 200;
 
-    auto base =
-        LoadedDataset::Build("t", table.Head(base_rows), "unit-test");
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-    auto grown = LoadedDataset::Append(*base, Tail(table, base_rows));
+    auto base = DatasetOf(table.Head(base_rows), "t");
+    auto grown = LoadedDataset::Append(
+        base, Encode(Tail(table, base_rows)));
     ASSERT_TRUE(grown.ok()) << grown.status().ToString();
 
     Result<EncodedRelation> expected = EncodedRelation::FromTable(table);
@@ -120,17 +120,16 @@ TEST(IncrementalMergeEncodeTest, AppendMatchesFromTableBitForBit) {
           << "seed " << seed << " attribute " << a;
     }
     // The base version is untouched by the append.
-    EXPECT_EQ((*base)->NumRows(), base_rows);
-    EXPECT_EQ((*base)->version(), 1);
+    EXPECT_EQ(base->NumRows(), base_rows);
+    EXPECT_EQ(base->version(), 1);
   }
 }
 
 TEST(IncrementalMergeEncodeTest, AppendRejectsColumnMismatch) {
   Table table = GenRandomTable(50, 4, 5, 3);
-  auto base = LoadedDataset::Build("t", table, "unit-test");
-  ASSERT_TRUE(base.ok());
+  auto base = DatasetOf(table, "t");
   Table narrow = GenRandomTable(10, 3, 5, 4);
-  auto grown = LoadedDataset::Append(*base, narrow);
+  auto grown = LoadedDataset::Append(base, Encode(narrow));
   EXPECT_FALSE(grown.ok());
   EXPECT_EQ(grown.status().code(), StatusCode::kInvalidArgument);
 }
@@ -273,16 +272,16 @@ TEST(IncrementalEngineTest, RegisteredAndEquivalentThroughAdapter) {
   const int64_t base_rows = 120;
 
   DatasetStore store;
-  auto v1 = store.PutTable("t", table.Head(base_rows));
+  auto v1 = store.Put(DatasetOf(table.Head(base_rows), "t"));
   ASSERT_TRUE(v1.ok());
-  auto v2 = store.AppendRows("t", Tail(table, base_rows));
+  auto v2 = store.AppendRows("t", Encode(Tail(table, base_rows)));
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ((*v2)->version(), 2);
 
   // Prior via the registered fastod adapter on version 1.
   auto fastod_algo = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(fastod_algo.ok());
-  ASSERT_TRUE((*fastod_algo)->LoadData(*v1).ok());
+  ASSERT_TRUE((*fastod_algo)->BindDataset(*v1).ok());
   ASSERT_TRUE((*fastod_algo)->Execute().ok());
   std::string prior_json = (*fastod_algo)->ResultJson();
 
@@ -290,7 +289,7 @@ TEST(IncrementalEngineTest, RegisteredAndEquivalentThroughAdapter) {
   auto algo = AlgorithmRegistry::Default().Create("incremental");
   ASSERT_TRUE(algo.ok()) << algo.status().ToString();
   ASSERT_TRUE((*algo)->SetOption("prior", prior_json).ok());
-  ASSERT_TRUE((*algo)->LoadData(*v2).ok());
+  ASSERT_TRUE((*algo)->BindDataset(*v2).ok());
   Status executed = (*algo)->Execute();
   ASSERT_TRUE(executed.ok()) << executed.ToString();
 
@@ -318,7 +317,7 @@ TEST(IncrementalEngineTest, RequiresPriorAndValidBaseRows) {
   Table table = GenRandomTable(40, 4, 4, 71);
   auto algo = AlgorithmRegistry::Default().Create("incremental");
   ASSERT_TRUE(algo.ok());
-  ASSERT_TRUE((*algo)->LoadData(table).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(table)).ok());
   Status no_prior = (*algo)->Execute();
   EXPECT_EQ(no_prior.code(), StatusCode::kInvalidArgument);
 
@@ -326,9 +325,25 @@ TEST(IncrementalEngineTest, RequiresPriorAndValidBaseRows) {
                                  "{\"constancy_ods\":[],"
                                  "\"compatibility_ods\":[]}")
                   .ok());
-  // No bound dataset version and no explicit base-rows: refused.
+  // A version-1 dataset has no append block to supply the delta
+  // boundary, so without an explicit base-rows the run is refused.
   Status no_base = (*algo)->Execute();
   EXPECT_EQ(no_base.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_base.message().find("--base-rows"), std::string::npos)
+      << no_base.ToString();
+  // The same for version 1 resident in a store: refused, not treated as
+  // all prefix with an empty delta.
+  DatasetStore store;
+  auto v1 = store.Put(DatasetOf(table, "t"));
+  ASSERT_TRUE(v1.ok());
+  auto stored = AlgorithmRegistry::Default().Create("incremental");
+  ASSERT_TRUE(stored.ok());
+  ASSERT_TRUE((*stored)->SetOption("prior",
+                                   "{\"constancy_ods\":[],"
+                                   "\"compatibility_ods\":[]}")
+                  .ok());
+  ASSERT_TRUE((*stored)->BindDataset(*v1).ok());
+  EXPECT_EQ((*stored)->Execute().code(), StatusCode::kInvalidArgument);
 
   ASSERT_TRUE((*algo)->SetOption("base-rows", "1000000").ok());
   Status too_big = (*algo)->Execute();
@@ -373,7 +388,7 @@ TEST(IncrementalEngineTest, ParsePriorRejectsPartialReports) {
   ExecutionControl control;
   control.RequestCancel();
   (*fastod)->SetControl(&control);
-  ASSERT_TRUE((*fastod)->LoadData(table).ok());
+  ASSERT_TRUE((*fastod)->BindDataset(DatasetOf(table)).ok());
   ASSERT_TRUE((*fastod)->Execute().ok());
   rejected = ParsePriorReport((*fastod)->ResultJson(), table.schema());
   ASSERT_FALSE(rejected.ok());
@@ -419,7 +434,7 @@ TEST(IncrementalConcurrencyTest, AppendWhileDiscovering) {
   const int64_t base_rows = 80;
 
   DatasetStore store;
-  auto v1 = store.PutTable("t", table.Head(base_rows));
+  auto v1 = store.Put(DatasetOf(table.Head(base_rows), "t"));
   ASSERT_TRUE(v1.ok());
   FastodResult prior_run = Fastod().Discover((*v1)->relation());
 
@@ -437,7 +452,8 @@ TEST(IncrementalConcurrencyTest, AppendWhileDiscovering) {
   std::thread appender([&] {
     go.store(true);
     for (int64_t step = base_rows + 20; step <= 140; step += 20) {
-      auto grown = store.AppendRows("t", Tail(table.Head(step), step - 20));
+      auto grown =
+          store.AppendRows("t", Encode(Tail(table.Head(step), step - 20)));
       ASSERT_TRUE(grown.ok()) << grown.status().ToString();
     }
   });

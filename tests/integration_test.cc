@@ -16,6 +16,7 @@
 #include "validate/brute_force.h"
 #include "validate/od_validator.h"
 #include "validate/violation_scanner.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -28,17 +29,16 @@ TEST(IntegrationTest, CsvRoundTripPreservesDiscovery) {
   ASSERT_TRUE(reread.ok());
   std::remove(path.c_str());
 
-  auto r1 = Fastod().Discover(original);
-  auto r2 = Fastod().Discover(*reread);
-  ASSERT_TRUE(r1.ok() && r2.ok());
+  FastodResult r1 = Fastod().Discover(Encode(original));
+  FastodResult r2 = Fastod().Discover(Encode(*reread));
   auto sort_all = [](FastodResult* r) {
     std::sort(r->constancy_ods.begin(), r->constancy_ods.end());
     std::sort(r->compatibility_ods.begin(), r->compatibility_ods.end());
   };
-  sort_all(&*r1);
-  sort_all(&*r2);
-  EXPECT_EQ(r1->constancy_ods, r2->constancy_ods);
-  EXPECT_EQ(r1->compatibility_ods, r2->compatibility_ods);
+  sort_all(&r1);
+  sort_all(&r2);
+  EXPECT_EQ(r1.constancy_ods, r2.constancy_ods);
+  EXPECT_EQ(r1.compatibility_ods, r2.compatibility_ods);
 }
 
 TEST(IntegrationTest, DiscoveredOdsValidateOnTheirData) {
@@ -63,18 +63,17 @@ TEST(IntegrationTest, DiscoveryOutputIsContextMinimal) {
   // derivable through Strengthen/Chain combinations — the guarantee is
   // context-minimality, exactly as with TANE's lhs-minimal FD covers.)
   Table t = GenFlightLike(150, 6, 31);
-  auto result = Fastod().Discover(t);
-  ASSERT_TRUE(result.ok());
-  for (const ConstancyOd& od : result->constancy_ods) {
-    for (const ConstancyOd& other : result->constancy_ods) {
+  FastodResult result = Fastod().Discover(Encode(t));
+  for (const ConstancyOd& od : result.constancy_ods) {
+    for (const ConstancyOd& other : result.constancy_ods) {
       if (other.attribute == od.attribute && other.context != od.context) {
         EXPECT_FALSE(od.context.ContainsAll(other.context))
             << od.ToString() << " subsumed by " << other.ToString();
       }
     }
   }
-  for (const CompatibilityOd& od : result->compatibility_ods) {
-    for (const CompatibilityOd& other : result->compatibility_ods) {
+  for (const CompatibilityOd& od : result.compatibility_ods) {
+    for (const CompatibilityOd& other : result.compatibility_ods) {
       if (other.a == od.a && other.b == od.b && other.context != od.context) {
         EXPECT_FALSE(od.context.ContainsAll(other.context))
             << od.ToString() << " subsumed by " << other.ToString();
@@ -82,7 +81,7 @@ TEST(IntegrationTest, DiscoveryOutputIsContextMinimal) {
     }
     // Propagate: no constancy on either endpoint within (a subset of) the
     // same context — otherwise the compatibility OD would be implied.
-    for (const ConstancyOd& c : result->constancy_ods) {
+    for (const ConstancyOd& c : result.constancy_ods) {
       if (c.attribute == od.a || c.attribute == od.b) {
         EXPECT_FALSE(od.context.ContainsAll(c.context))
             << od.ToString() << " implied via Propagate by " << c.ToString();
@@ -176,10 +175,9 @@ TEST(IntegrationTest, WideRelationStaysWithinBudget) {
   Table t = GenFlightLike(500, 20, 2);
   FastodOptions opt;
   opt.timeout_seconds = 60.0;
-  auto result = Fastod(opt).Discover(t);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->timed_out);
-  EXPECT_GT(result->NumOds(), 0);
+  FastodResult result = Fastod(opt).Discover(Encode(t));
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_GT(result.NumOds(), 0);
 }
 
 }  // namespace

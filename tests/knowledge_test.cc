@@ -15,15 +15,10 @@
 #include "od/knowledge.h"
 #include "validate/brute_force.h"
 #include "validate/od_validator.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 TEST(OdKnowledgeTest, TrivialOdsAlwaysImplied) {
   FastodResult empty;

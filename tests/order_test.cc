@@ -14,15 +14,10 @@
 #include "gen/random_table.h"
 #include "od/mapping.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 bool HasOd(const OrderResult& r, const ListOd& od) {
   return std::find(r.ods.begin(), r.ods.end(), od) != r.ods.end();

@@ -7,15 +7,10 @@
 #include "gen/random_table.h"
 #include "partition/partition_cache.h"
 #include "partition/stripped_partition.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 TEST(StrippedPartitionTest, UniverseIsOneClass) {
   StrippedPartition p = StrippedPartition::Universe(4);

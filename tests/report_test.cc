@@ -15,6 +15,7 @@
 #include "data/encode.h"
 #include "data/table.h"
 #include "report/report.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -215,7 +216,7 @@ TEST(ReportEscapingTest, EveryEngineReportAndStreamLineRoundTripsNames) {
   const Table base = HostileTable(4);
   auto prior_engine = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(prior_engine.ok());
-  ASSERT_TRUE((*prior_engine)->LoadData(base).ok());
+  ASSERT_TRUE((*prior_engine)->BindDataset(DatasetOf(base)).ok());
   ASSERT_TRUE((*prior_engine)->Execute().ok());
   const std::string prior = (*prior_engine)->ResultJson();
 
@@ -232,7 +233,7 @@ TEST(ReportEscapingTest, EveryEngineReportAndStreamLineRoundTripsNames) {
       ASSERT_TRUE((*algo)->SetOption("prior", prior).ok());
       ASSERT_TRUE((*algo)->SetOption("base-rows", "4").ok());
     }
-    ASSERT_TRUE((*algo)->LoadData(full).ok());
+    ASSERT_TRUE((*algo)->BindDataset(DatasetOf(full)).ok());
     Status executed = (*algo)->Execute();
     ASSERT_TRUE(executed.ok()) << executed.ToString();
     Result<JsonValue> report = ParseJson((*algo)->ResultJson());

@@ -40,6 +40,7 @@
 #include "gen/generators.h"
 #include "server/discovery_server.h"
 #include "service/discovery_service.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -377,7 +378,7 @@ TEST(DeadlineTest, TimeoutMsFailsExecuteWithDeadlineExceeded) {
   SpinAlgorithm algo(10000);  // would run 10 s without the deadline
   ExecutionControl control;
   algo.SetControl(&control);
-  ASSERT_TRUE(algo.LoadData(TinyTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(TinyTable())).ok());
   ASSERT_TRUE(algo.SetOption("timeout-ms", "50").ok());
   WallTimer timer;
   Status status = algo.Execute();
@@ -394,7 +395,7 @@ TEST(DeadlineTest, ZeroTimeoutMsDisarmsOnReusedAlgorithm) {
   SpinAlgorithm algo(20);  // finishes on its own in ~20 ms
   ExecutionControl control;
   algo.SetControl(&control);
-  ASSERT_TRUE(algo.LoadData(TinyTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(TinyTable())).ok());
   ASSERT_TRUE(algo.SetOption("timeout-ms", "10000").ok());
   EXPECT_TRUE(algo.Execute().ok());
   // Re-running with 0 must disarm the previous run's deadline.
@@ -411,7 +412,7 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   // a deep, wide lattice (~0.4 s serially), unlike a row-heavy input
   // whose products partition reuse can short-cut.
   ASSERT_TRUE(
-      service.LoadTable(*id, GenHepatitisLike(155, 16)).ok());
+      service.BindDataset(*id, DatasetOf(GenHepatitisLike(155, 16))).ok());
   ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "50").ok());
   WallTimer timer;
   ASSERT_TRUE(service.Submit(*id).ok());
@@ -429,7 +430,7 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   // The worker that hit the deadline must take the next run at once.
   Result<SessionId> next = service.Create("fastod");
   ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(service.LoadTable(*next, TinyTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*next, DatasetOf(TinyTable())).ok());
   ASSERT_TRUE(service.Submit(*next).ok());
   Result<SessionState> next_state = service.Wait(*next);
   ASSERT_TRUE(next_state.ok());
@@ -451,8 +452,8 @@ TEST(AdmissionTest, ServiceCapRefusesWithUnavailableThenRecovers) {
   Result<SessionId> first = service.Create("step");
   Result<SessionId> second = service.Create("step");
   ASSERT_TRUE(first.ok() && second.ok());
-  ASSERT_TRUE(service.LoadTable(*first, TinyTable()).ok());
-  ASSERT_TRUE(service.LoadTable(*second, TinyTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*first, DatasetOf(TinyTable())).ok());
+  ASSERT_TRUE(service.BindDataset(*second, DatasetOf(TinyTable())).ok());
 
   ASSERT_TRUE(service.Submit(*first).ok());
   EXPECT_EQ(service.num_active(), 1);

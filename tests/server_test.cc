@@ -20,6 +20,7 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -32,11 +33,15 @@
 #include "api/engines.h"
 #include "api/od_sink.h"
 #include "api/registry.h"
+#include "capi/fastod_c.h"
+#include "cli/cli.h"
 #include "common/json.h"
 #include "data/csv.h"
+#include "data/dataset_store.h"
 #include "gen/generators.h"
 #include "obs/metrics.h"
 #include "server/discovery_server.h"
+#include "service/discovery_service.h"
 #include "test_util.h"
 
 namespace fastod {
@@ -373,7 +378,7 @@ TEST(DiscoveryServerTest, InlineCsvSessionRoundTrip) {
   // Byte-for-byte the direct library run, wall-clock stats aside.
   auto algo = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(algo.ok());
-  ASSERT_TRUE((*algo)->LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
   std::string expected = StripTrace((*algo)->ResultJson());
   std::string body = StripTrace(result.body);
@@ -552,7 +557,7 @@ TEST(DiscoveryServerTest, StreamsOdsMidRunMatchingSequentialSink) {
   auto algo = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(algo.ok());
   (*algo)->SetSink(&baseline);
-  ASSERT_TRUE((*algo)->LoadData(table).ok());
+  ASSERT_TRUE((*algo)->BindDataset(DatasetOf(table)).ok());
   ASSERT_TRUE((*algo)->Execute().ok());
   ASSERT_GT(baseline.TotalOds(), 0);
 
@@ -1465,6 +1470,163 @@ TEST(DiscoveryServerTest, MetricsDisabledKeepsEndpointsServable) {
   ASSERT_EQ(result.status, 200);
   EXPECT_EQ(result.body.find("\"trace\":"), std::string::npos)
       << result.body;
+}
+
+
+// ------------------------------------------------ binding equivalence
+
+/// A report with its wall-clock "stats" (and the "trace" the server
+/// splices into /result) left out, rendered for comparison.
+std::string WithoutStats(const std::string& report) {
+  Result<JsonValue> parsed = ParseJson(report);
+  EXPECT_TRUE(parsed.ok()) << report.substr(0, 200);
+  if (!parsed.ok() || !parsed->is_object()) return report;
+  std::string out;
+  for (const auto& [key, value] : parsed->object_items()) {
+    if (key == "stats" || key == "trace") continue;
+    out += key + "=" + value.Dump() + "\n";
+  }
+  return out;
+}
+
+using EngineOptions = std::vector<std::pair<std::string, std::string>>;
+
+/// POST /v1/sessions with `source` ("csv", "csv_path" or "dataset_id"
+/// set to `value`), waits, and returns the /result body.
+std::string ServerResult(int port, const std::string& algorithm,
+                         const EngineOptions& options,
+                         const std::string& source,
+                         const std::string& value) {
+  JsonWriter body;
+  body.BeginObject().Key("algorithm").String(algorithm);
+  body.Key("options").BeginObject();
+  for (const auto& [name, option] : options) body.Key(name).String(option);
+  body.EndObject().Key(source).String(value).EndObject();
+  ClientResponse created = Fetch(port, "POST", "/v1/sessions", body.str());
+  EXPECT_EQ(created.status, 201) << source << ": " << created.body;
+  const int64_t id = SessionIdOf(created.body);
+  WaitTerminal(port, id);
+  return Fetch(port, "GET",
+               "/v1/sessions/" + std::to_string(id) + "/result")
+      .body;
+}
+
+/// Runs a C ABI session bound by `bind`, returning its result JSON.
+template <typename Bind>
+std::string CApiResult(const std::string& algorithm,
+                       const EngineOptions& options, Bind bind) {
+  fastod_session_t* session = fastod_create(algorithm.c_str());
+  EXPECT_NE(session, nullptr) << algorithm;
+  if (session == nullptr) return "";
+  for (const auto& [name, value] : options) {
+    EXPECT_EQ(fastod_set_option(session, name.c_str(), value.c_str()),
+              FASTOD_OK);
+  }
+  EXPECT_EQ(bind(session), FASTOD_OK) << fastod_last_error(session);
+  EXPECT_EQ(fastod_execute(session), FASTOD_OK)
+      << fastod_last_error(session);
+  const char* json = fastod_result_json(session);
+  std::string result = json == nullptr ? "" : json;
+  fastod_destroy(session);
+  return result;
+}
+
+// Every frontend that binds data builds or shares one LoadedDataset. On
+// one fixture CSV, each of them — CLI discover, the server's inline
+// csv, csv_path and dataset_id, the C ABI's fastod_load_csv and
+// fastod_use_dataset, and the service's deferred SubmitCsv — must give
+// every registered engine the same report, stats aside.
+TEST(BindingEquivalenceTest, EveryFrontendGivesEveryEngineTheSameResult) {
+  const Table table = GenFlightLike(60, 6, 11);
+  const std::string csv = WriteCsvString(table);
+  const std::string path =
+      ::testing::TempDir() + "/binding_equivalence.csv";
+  ASSERT_TRUE(WriteCsvFile(table, path).ok());
+
+  // incremental re-validates the fastod report of the first 40 rows.
+  constexpr int64_t kBaseRows = 40;
+  auto head = LoadedDataset::LoadCsv(
+      "head", WriteCsvString(table.Head(kBaseRows)), CsvOptions(), "head");
+  ASSERT_TRUE(head.ok());
+  auto prior_engine = AlgorithmRegistry::Default().Create("fastod");
+  ASSERT_TRUE(prior_engine.ok());
+  ASSERT_TRUE((*prior_engine)->BindDataset(*head).ok());
+  ASSERT_TRUE((*prior_engine)->Execute().ok());
+  const std::string prior = (*prior_engine)->ResultJson();
+
+  const std::vector<std::pair<std::string, EngineOptions>> engines = {
+      {"fastod", {}},
+      {"tane", {}},
+      {"order", {{"max-level", "3"}}},
+      {"brute-force", {}},
+      {"approximate", {}},
+      {"conditional", {}},
+      {"incremental",
+       {{"prior", prior}, {"base-rows", std::to_string(kBaseRows)}}},
+  };
+  ASSERT_EQ(AlgorithmRegistry::Default().Names().size(), engines.size());
+
+  ServerFixture fixture;
+  const int port = fixture.port();
+  JsonWriter upload;
+  upload.BeginObject().Key("id").String("binding").Key("csv").String(csv);
+  upload.EndObject();
+  ASSERT_EQ(Fetch(port, "POST", "/v1/datasets", upload.str()).status, 201);
+  fastod_dataset_t* dataset = fastod_dataset_load_csv(path.c_str());
+  ASSERT_NE(dataset, nullptr) << fastod_last_error(nullptr);
+  DiscoveryService service(2);
+
+  for (const auto& [algorithm, options] : engines) {
+    SCOPED_TRACE(algorithm);
+    std::vector<std::string> args = {"discover", path, "--output=json",
+                                     "--algorithm=" + algorithm};
+    for (const auto& [name, value] : options) {
+      args.push_back("--" + name + "=" + value);
+    }
+    CliResult cli = RunCli(args);
+    ASSERT_EQ(cli.exit_code, 0) << cli.error;
+    const std::string expected = WithoutStats(cli.output);
+    ASSERT_NE(expected.find("algorithm="), std::string::npos) << expected;
+
+    EXPECT_EQ(WithoutStats(ServerResult(port, algorithm, options, "csv",
+                                        csv)),
+              expected)
+        << "server csv";
+    EXPECT_EQ(WithoutStats(ServerResult(port, algorithm, options,
+                                        "csv_path", path)),
+              expected)
+        << "server csv_path";
+    EXPECT_EQ(WithoutStats(ServerResult(port, algorithm, options,
+                                        "dataset_id", "binding")),
+              expected)
+        << "server dataset_id";
+    EXPECT_EQ(WithoutStats(CApiResult(algorithm, options,
+                                      [&](fastod_session_t* session) {
+                                        return fastod_load_csv(
+                                            session, path.c_str());
+                                      })),
+              expected)
+        << "fastod_load_csv";
+    EXPECT_EQ(WithoutStats(CApiResult(algorithm, options,
+                                      [&](fastod_session_t* session) {
+                                        return fastod_use_dataset(session,
+                                                                  dataset);
+                                      })),
+              expected)
+        << "fastod_use_dataset";
+
+    Result<SessionId> id = service.Create(algorithm);
+    ASSERT_TRUE(id.ok());
+    for (const auto& [name, value] : options) {
+      ASSERT_TRUE(service.SetOption(*id, name, value).ok());
+    }
+    ASSERT_TRUE(service.SubmitCsv(*id, path).ok());
+    ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
+    EXPECT_EQ(WithoutStats(*service.ResultJson(*id)), expected)
+        << "service SubmitCsv";
+  }
+  fastod_dataset_destroy(dataset);
+  std::remove(path.c_str());
 }
 
 }  // namespace

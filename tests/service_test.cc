@@ -42,7 +42,7 @@ TEST(DiscoverySessionTest, LifecycleStates) {
   EXPECT_EQ(session.state(), SessionState::kCreated);
   EXPECT_FALSE(IsTerminal(session.state()));
 
-  ASSERT_TRUE(session.LoadTable(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(session.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(session.MarkQueued().ok());
   EXPECT_EQ(session.state(), SessionState::kQueued);
 
@@ -68,12 +68,12 @@ TEST(DiscoverySessionTest, ConfigurationFrozenAfterQueueing) {
   auto algo = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(algo.ok());
   DiscoverySession session(std::move(algo).value());
-  ASSERT_TRUE(session.LoadTable(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(session.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(session.SetOption("threads", "2").ok());
   ASSERT_TRUE(session.MarkQueued().ok());
   EXPECT_EQ(session.SetOption("threads", "4").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(session.LoadTable(EmployeeTaxTable()).code(),
+  EXPECT_EQ(session.BindDataset(DatasetOf(EmployeeTaxTable())).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(session.MarkQueued().code(), StatusCode::kFailedPrecondition);
 }
@@ -123,7 +123,7 @@ TEST(DiscoveryServiceTest, SubmitPollCollectRoundTrip) {
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(service.num_sessions(), 1);
   // Results before terminal are a precondition failure, not garbage.
-  ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
   EXPECT_EQ(service.ResultJson(*id).status().code(),
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(service.Submit(*id).ok());
@@ -146,7 +146,7 @@ TEST(DiscoveryServiceTest, DoubleSubmitRejected) {
   DiscoveryService service(2);
   auto id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*id).ok());
   EXPECT_EQ(service.Submit(*id).code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(service.Wait(*id).ok());
@@ -178,7 +178,9 @@ TEST(DiscoveryServiceTest, DeferredCsvRunsAndMatchesEagerLoad) {
   ASSERT_TRUE(deferred.ok());
   ASSERT_TRUE(eager.ok());
   ASSERT_TRUE(service.SubmitCsv(*deferred, path).ok());
-  ASSERT_TRUE(service.LoadCsv(*eager, path).ok());
+  auto loaded = LoadedDataset::LoadCsvFile("eager", path, CsvOptions());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(service.BindDataset(*eager, *loaded).ok());
   ASSERT_TRUE(service.Submit(*eager).ok());
   service.WaitAll();
   auto a = service.ResultJson(*deferred);
@@ -256,7 +258,7 @@ TEST(DiscoveryServiceTest, PoolOverlapsFourSessions) {
   for (int i = 0; i < 4; ++i) {
     auto id = service.Create("sleeper");
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+    ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
     ASSERT_TRUE(service.Submit(*id).ok());
     ids.push_back(*id);
   }
@@ -275,8 +277,8 @@ TEST(DiscoveryServiceTest, QueuedSessionsWaitForFreeWorkers) {
   auto second = service.Create("tane");
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(service.LoadTable(*first, WideFlight()).ok());
-  ASSERT_TRUE(service.LoadTable(*second, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*first, DatasetOf(WideFlight())).ok());
+  ASSERT_TRUE(service.BindDataset(*second, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*first).ok());
   ASSERT_TRUE(service.Submit(*second).ok());
   service.WaitAll();
@@ -299,8 +301,9 @@ TEST(DiscoveryServiceTest, CancelQueuedSessionSkipsRun) {
   auto queued = service.Create("fastod");
   ASSERT_TRUE(blocker.ok());
   ASSERT_TRUE(queued.ok());
-  ASSERT_TRUE(service.LoadTable(*blocker, EmployeeTaxTable()).ok());
-  ASSERT_TRUE(service.LoadTable(*queued, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(
+      service.BindDataset(*blocker, DatasetOf(EmployeeTaxTable())).ok());
+  ASSERT_TRUE(service.BindDataset(*queued, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*blocker).ok());
   ASSERT_TRUE(service.Submit(*queued).ok());
   ASSERT_TRUE(service.Cancel(*queued).ok());
@@ -327,7 +330,8 @@ TEST(DiscoveryServiceTest, SecondSubmitCsvCannotRedirectPendingRun) {
   auto id = service.Create("fastod");
   ASSERT_TRUE(blocker.ok());
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*blocker, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(
+      service.BindDataset(*blocker, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*blocker).ok());
   ASSERT_TRUE(service.SubmitCsv(*id, good).ok());
   // While the first submission is still queued behind the blocker, a
@@ -350,7 +354,7 @@ TEST(DiscoveryServiceTest, SharedSinkSerializedAcrossSessions) {
   for (int i = 0; i < 4; ++i) {
     auto id = service.Create("fastod");
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+    ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
     ASSERT_TRUE(service.Submit(*id).ok());
     ids.push_back(*id);
   }
@@ -359,7 +363,7 @@ TEST(DiscoveryServiceTest, SharedSinkSerializedAcrossSessions) {
   CollectingOdSink baseline;
   FastodAlgorithm algo;
   algo.SetSink(&baseline);
-  ASSERT_TRUE(algo.LoadData(EmployeeTaxTable()).ok());
+  ASSERT_TRUE(algo.BindDataset(DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(algo.Execute().ok());
   EXPECT_EQ(shared.Total(), 4 * baseline.TotalOds());
   EXPECT_GT(shared.Total(), 0);
@@ -399,7 +403,7 @@ TEST(DiscoveryServiceTest, ConcurrentMixedBatchMatchesSequentialRuns) {
       ASSERT_TRUE((*algo)->SetOption(name, value).ok());
     }
     (*algo)->SetSink(&job.sink);
-    ASSERT_TRUE((*algo)->LoadData(job.table).ok());
+    ASSERT_TRUE((*algo)->BindDataset(DatasetOf(job.table)).ok());
     ASSERT_TRUE((*algo)->Execute().ok());
     ASSERT_GT(job.sink.TotalOds(), 0) << job.algorithm;
   }
@@ -416,7 +420,7 @@ TEST(DiscoveryServiceTest, ConcurrentMixedBatchMatchesSequentialRuns) {
   // terminating, with fast early level boundaries for the cancel to hit;
   // the timeout is a test-failure backstop, not the expected exit.
   ASSERT_TRUE(service.SetOption(*victim, "timeout", "120").ok());
-  ASSERT_TRUE(service.LoadTable(*victim, flight).ok());
+  ASSERT_TRUE(service.BindDataset(*victim, DatasetOf(flight)).ok());
   ASSERT_TRUE(service.Submit(*victim).ok());
 
   for (SequentialBaseline& job : jobs) {
@@ -427,7 +431,7 @@ TEST(DiscoveryServiceTest, ConcurrentMixedBatchMatchesSequentialRuns) {
     }
     sinks.push_back(std::make_unique<CollectingOdSink>());
     ASSERT_TRUE(service.SetSink(*id, sinks.back().get()).ok());
-    ASSERT_TRUE(service.LoadTable(*id, job.table).ok());
+    ASSERT_TRUE(service.BindDataset(*id, DatasetOf(job.table)).ok());
     ASSERT_TRUE(service.Submit(*id).ok());
     ids.push_back(*id);
   }
@@ -492,7 +496,7 @@ TEST(DiscoveryServiceTest, ThrowingSessionFailsWithoutKillingPool) {
 
   auto bad = service.Create("throwing");
   ASSERT_TRUE(bad.ok());
-  ASSERT_TRUE(service.LoadTable(*bad, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*bad, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*bad).ok());
   auto state = service.Wait(*bad);
   ASSERT_TRUE(state.ok());
@@ -506,7 +510,7 @@ TEST(DiscoveryServiceTest, ThrowingSessionFailsWithoutKillingPool) {
   // The single worker survived the throw: a healthy session completes.
   auto good = service.Create("fastod");
   ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(service.LoadTable(*good, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*good, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*good).ok());
   auto good_state = service.Wait(*good);
   ASSERT_TRUE(good_state.ok());
@@ -519,7 +523,7 @@ TEST(DiscoveryServiceTest, DestroyRunningSessionIsSafe) {
   auto id = service.Create("order");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service.SetOption(*id, "timeout", "120").ok());
-  ASSERT_TRUE(service.LoadTable(*id, WideFlight()).ok());
+  ASSERT_TRUE(service.BindDataset(*id, DatasetOf(WideFlight())).ok());
   ASSERT_TRUE(service.Submit(*id).ok());
   // Destroy while queued or running: the handle dies now, the worker
   // winds down on its own (service destruction below waits for it).
@@ -533,7 +537,7 @@ TEST(DiscoveryServiceTest, DestructorCancelsLiveSessions) {
   auto id = service->Create("order");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service->SetOption(*id, "timeout", "120").ok());
-  ASSERT_TRUE(service->LoadTable(*id, WideFlight()).ok());
+  ASSERT_TRUE(service->BindDataset(*id, DatasetOf(WideFlight())).ok());
   ASSERT_TRUE(service->Submit(*id).ok());
   // Must return promptly (cancel at the next level boundary), not after
   // the 120s timeout backstop.
@@ -554,7 +558,7 @@ TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
   // re-searches the lattice.
   auto prior_engine = AlgorithmRegistry::Default().Create("fastod");
   ASSERT_TRUE(prior_engine.ok());
-  ASSERT_TRUE((*prior_engine)->LoadData(lattice.Head(1)).ok());
+  ASSERT_TRUE((*prior_engine)->BindDataset(DatasetOf(lattice.Head(1))).ok());
   ASSERT_TRUE((*prior_engine)->Execute().ok());
   const std::string prior = (*prior_engine)->ResultJson();
 
@@ -580,7 +584,7 @@ TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
     for (const auto& [name, value] : c.options) {
       ASSERT_TRUE(service.SetOption(*id, name, value).ok());
     }
-    ASSERT_TRUE(service.LoadTable(*id, *c.table).ok());
+    ASSERT_TRUE(service.BindDataset(*id, DatasetOf(*c.table)).ok());
     ASSERT_TRUE(service.Submit(*id).ok());
     for (SessionState state = service.Poll(*id)->state;
          state != SessionState::kRunning; state = service.Poll(*id)->state) {
@@ -610,13 +614,11 @@ TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
 // 100k-row table runs 132 candidate checks, each a scan over all rows:
 // seconds of work in one level.
 TEST(DiscoveryServiceTest, OrderDeadlineStopsInsideALevel) {
-  Result<EncodedRelation> relation =
-      EncodedRelation::FromTable(GenFlightLike(100000, 12, 3));
-  ASSERT_TRUE(relation.ok());
   DiscoveryService service(1);
   auto id = service.Create("order");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadRelation(*id, *std::move(relation)).ok());
+  ASSERT_TRUE(
+      service.BindDataset(*id, DatasetOf(GenFlightLike(100000, 12, 3))).ok());
   ASSERT_TRUE(service.SetOption(*id, "max-level", "2").ok());
   ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "300").ok());
   const auto submitted = std::chrono::steady_clock::now();
@@ -694,7 +696,7 @@ TEST(DiscoveryServiceTest, SubmitDatasetUnknownIdFailsSynchronously) {
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   // The session never queued; it is still configurable and usable.
   EXPECT_EQ(service.Poll(*id)->state, SessionState::kCreated);
-  ASSERT_TRUE(store.PutTable("yes", EmployeeTaxTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(EmployeeTaxTable(), "yes")).ok());
   ASSERT_TRUE(service.SubmitDataset(*id, "yes").ok());
   ASSERT_TRUE(service.Wait(*id).ok());
   EXPECT_EQ(service.Poll(*id)->state, SessionState::kDone);
@@ -727,14 +729,14 @@ TEST(DiscoveryServiceTest, ConcurrentMixedAlgorithmsShareOneDataset) {
     for (const auto& [name, value] : job.options) {
       ASSERT_TRUE((*algo)->SetOption(name, value).ok());
     }
-    ASSERT_TRUE((*algo)->LoadData(WideFlight()).ok());
+    ASSERT_TRUE((*algo)->BindDataset(DatasetOf(WideFlight())).ok());
     ASSERT_TRUE((*algo)->Execute().ok());
     expected.push_back((*algo)->ResultJson());
   }
 
   DatasetStore store;
   DiscoveryService service(6, nullptr, &store);
-  ASSERT_TRUE(store.PutTable("shared", WideFlight()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(WideFlight(), "shared")).ok());
   std::vector<SessionId> ids;
   for (const MixedJob& job : jobs) {
     auto id = service.Create(job.algorithm);
@@ -760,10 +762,10 @@ TEST(DiscoveryServiceTest, ConcurrentMixedAlgorithmsShareOneDataset) {
 TEST(DiscoveryServiceTest, LiveSessionPinsDatasetAgainstEviction) {
   DatasetStore store;
   DiscoveryService service(1, nullptr, &store);
-  ASSERT_TRUE(store.PutTable("pinned", EmployeeTaxTable()).ok());
+  ASSERT_TRUE(store.Put(DatasetOf(EmployeeTaxTable(), "pinned")).ok());
   auto id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadDataset(*id, "pinned").ok());
+  ASSERT_TRUE(service.BindDataset(*id, "pinned").ok());
 
   store.SetBudgetBytes(1);
   ASSERT_TRUE(store.Get("pinned").ok());  // still resident

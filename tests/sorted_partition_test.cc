@@ -9,15 +9,10 @@
 #include "gen/random_table.h"
 #include "partition/sorted_partition.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 // Two integer columns a,b with one row per index.
 EncodedRelation EncodeColumns(const std::vector<int>& a,

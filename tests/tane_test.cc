@@ -9,15 +9,10 @@
 #include "gen/generators.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 bool HasFd(const TaneResult& r, AttributeSet lhs, int rhs) {
   return std::find(r.fds.begin(), r.fds.end(), ConstancyOd{lhs, rhs}) !=

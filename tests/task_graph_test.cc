@@ -31,6 +31,7 @@
 #include "gen/generators.h"
 #include "gen/random_table.h"
 #include "service/discovery_service.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -258,7 +259,8 @@ TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
   DiscoveryService service(1);
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*id, GenFlightLike(300, 8, 5)).ok());
+  ASSERT_TRUE(
+      service.BindDataset(*id, DatasetOf(GenFlightLike(300, 8, 5))).ok());
   ASSERT_TRUE(service.SetOption(*id, "threads", "4").ok());
   ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
   ASSERT_TRUE(service.Submit(*id).ok());
@@ -274,7 +276,7 @@ TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
   fault::Clear();
   Result<SessionId> next = service.Create("fastod");
   ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(service.LoadTable(*next, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*next, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*next).ok());
   Result<SessionState> next_state = service.Wait(*next);
   ASSERT_TRUE(next_state.ok());
@@ -293,7 +295,10 @@ TEST(TaskGraphShutdownTest, SubmitDuringShutdownFailsUnavailable) {
   Result<SessionId> running = service.Create("fastod");
   ASSERT_TRUE(running.ok());
   // Big enough that the run comfortably spans the shutdown request.
-  ASSERT_TRUE(service.LoadTable(*running, GenFlightLike(3000, 12, 9)).ok());
+  ASSERT_TRUE(service
+                  .BindDataset(*running,
+                               DatasetOf(GenFlightLike(3000, 12, 9)))
+                  .ok());
   ASSERT_TRUE(service.SetOption(*running, "threads", "4").ok());
   ASSERT_TRUE(service.Submit(*running).ok());
 
@@ -306,7 +311,8 @@ TEST(TaskGraphShutdownTest, SubmitDuringShutdownFailsUnavailable) {
     Result<SessionId> probe = service.Create("fastod");
     ASSERT_TRUE(probe.ok());
     probe_id = *probe;
-    ASSERT_TRUE(service.LoadTable(probe_id, EmployeeTaxTable()).ok());
+    ASSERT_TRUE(
+        service.BindDataset(probe_id, DatasetOf(EmployeeTaxTable())).ok());
     refused = service.Submit(probe_id);
     if (!refused.ok()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

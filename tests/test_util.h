@@ -4,11 +4,30 @@
 #define FASTOD_TESTS_TEST_UTIL_H_
 
 #include <cctype>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/json.h"
+#include "data/dataset_store.h"
+#include "data/encode.h"
+#include "data/table.h"
 
 namespace fastod {
+
+/// `table` encoded with FromTable: the one way a test turns a row-model
+/// Table into code columns. Aborts on a table the encoder refuses (more
+/// than 64 attributes).
+inline EncodedRelation Encode(const Table& table) {
+  return EncodedRelation::FromTable(table).value();
+}
+
+/// Encode(table) built into a dataset, the data an engine binds
+/// (Algorithm::BindDataset).
+inline std::shared_ptr<const LoadedDataset> DatasetOf(
+    const Table& table, std::string id = "table") {
+  return LoadedDataset::Build(std::move(id), Encode(table), "table");
+}
 
 /// Masks the wall-clock "seconds" values in a report JSON so two runs of
 /// identical discovery output compare equal bit-for-bit.

@@ -18,6 +18,7 @@
 #include "gen/generators.h"
 #include "obs/metrics.h"
 #include "service/discovery_service.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -103,7 +104,7 @@ TEST(SessionTrace, LevelCountersMatchDirectRun) {
   ASSERT_TRUE(direct.ok());
   Result<Table> table = ReadCsvFile(path, CsvOptions());
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*direct)->LoadData(std::move(table).value()).ok());
+  ASSERT_TRUE((*direct)->BindDataset(DatasetOf(std::move(table).value())).ok());
   ASSERT_TRUE((*direct)->Execute().ok());
   const obs::EngineStats& expected = (*direct)->stats();
   ASSERT_GT(expected.levels.size(), 0u);
@@ -162,14 +163,19 @@ TEST(SessionTrace, DeferredCsvSessionRecordsPhaseSpans) {
   ASSERT_TRUE(service.SubmitCsv(*id, path, CsvOptions()).ok());
   ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
   std::string trace = *service.TraceJson(*id);
-  // The deferred load reads straight into code columns; tokenizing stays
-  // under csv.parse and interning under encode, in that order.
+  // The deferred load reads straight into code columns and builds the
+  // session-local dataset: tokenizing under csv.parse, interning under
+  // encode, the level-1 partitions under partitions.level1, in that
+  // order and before the run.
   const size_t parse = trace.find("\"csv.parse\"");
   const size_t encode = trace.find("\"encode\"");
-  EXPECT_NE(parse, std::string::npos) << trace;
-  EXPECT_NE(encode, std::string::npos) << trace;
+  const size_t level1 = trace.find("\"partitions.level1\"");
+  const size_t execute = trace.find("\"execute\"");
+  ASSERT_NE(parse, std::string::npos) << trace;
+  ASSERT_NE(execute, std::string::npos) << trace;
   EXPECT_LT(parse, encode) << trace;
-  EXPECT_NE(trace.find("\"execute\""), std::string::npos) << trace;
+  EXPECT_LT(encode, level1) << trace;
+  EXPECT_LT(level1, execute) << trace;
   EXPECT_NE(trace.find("\"level[1]\""), std::string::npos) << trace;
 }
 
@@ -188,7 +194,7 @@ TEST(SessionTrace, DoneStateImpliesTraceAndMetricsRecorded) {
   for (int i = 0; i < 20; ++i) {
     Result<SessionId> id = service.Create("fastod");
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+    ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
     ASSERT_TRUE(service.Submit(*id).ok());
     SessionState state = SessionState::kQueued;
     while (!IsTerminal(state)) {
@@ -212,7 +218,7 @@ TEST(SessionTrace, DisabledMetricsLeaveTraceEmpty) {
   DiscoveryService service(1);
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.LoadTable(*id, EmployeeTaxTable()).ok());
+  ASSERT_TRUE(service.BindDataset(*id, DatasetOf(EmployeeTaxTable())).ok());
   ASSERT_TRUE(service.Submit(*id).ok());
   ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
   std::string trace = *service.TraceJson(*id);

@@ -6,15 +6,10 @@
 #include "data/encode.h"
 #include "gen/generators.h"
 #include "validate/violation_scanner.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
-
-EncodedRelation Encode(const Table& t) {
-  auto rel = EncodedRelation::FromTable(t);
-  EXPECT_TRUE(rel.ok());
-  return std::move(rel).value();
-}
 
 class EmployeeViolationTest : public ::testing::Test {
  protected:
