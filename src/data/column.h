@@ -86,6 +86,12 @@ class ValueDictionary {
     /// strictly ascending order — the order the encoder assigns codes.
     /// String views are copied into the arena.
     void Add(const ValueView& value);
+    /// Room for `codes` values without regrowing, for a caller that
+    /// knows the count up front.
+    void Reserve(int32_t codes) {
+      tags_.reserve(codes);
+      slots_.reserve(codes);
+    }
     ValueDictionary Build();
 
    private:

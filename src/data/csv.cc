@@ -189,25 +189,6 @@ class Tokenizer {
   std::string buf_;
 };
 
-DataType InferColumnType(const std::vector<std::string_view>& fields) {
-  bool all_int = true;
-  bool all_double = true;
-  bool any_value = false;
-  for (std::string_view f : fields) {
-    if (f.empty()) continue;  // NULL, no evidence
-    any_value = true;
-    if (all_int && !ParseInt(f).has_value()) all_int = false;
-    if (!all_int && all_double && !ParseDouble(f).has_value()) {
-      all_double = false;
-      break;
-    }
-  }
-  if (!any_value) return DataType::kString;
-  if (all_int) return DataType::kInt;
-  if (all_double) return DataType::kDouble;
-  return DataType::kString;
-}
-
 bool NeedsQuoting(const std::string& s, char delim) {
   for (char c : s) {
     if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
@@ -226,6 +207,25 @@ std::string QuoteField(const std::string& s) {
 }
 
 }  // namespace
+
+DataType InferColumnType(const std::vector<std::string_view>& fields) {
+  bool all_int = true;
+  bool all_double = true;
+  bool any_value = false;
+  for (std::string_view f : fields) {
+    if (f.empty()) continue;  // NULL, no evidence
+    any_value = true;
+    if (all_int && !ParseInt(f).has_value()) all_int = false;
+    if (!all_int && all_double && !ParseDouble(f).has_value()) {
+      all_double = false;
+      break;
+    }
+  }
+  if (!any_value) return DataType::kString;
+  if (all_int) return DataType::kInt;
+  if (all_double) return DataType::kDouble;
+  return DataType::kString;
+}
 
 ValueView ParseField(std::string_view field, DataType type) {
   ValueView v;
@@ -260,15 +260,13 @@ Result<CsvFields> TokenizeCsv(std::string_view text,
   Tokenizer tokenizer(text, options, &out);
   if (Status s = tokenizer.Run(); !s.ok()) return s;
 
-  const size_t num_cols = out.columns.size();
-  std::vector<AttributeDef> defs(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    defs[c].name = options.has_header ? std::string(tokenizer.first_record()[c])
-                                      : "col" + std::to_string(c);
-    defs[c].type = options.infer_types ? InferColumnType(out.columns[c])
-                                       : DataType::kString;
+  out.names.reserve(out.columns.size());
+  for (size_t c = 0; c < out.columns.size(); ++c) {
+    out.names.push_back(options.has_header
+                            ? std::string(tokenizer.first_record()[c])
+                            : "col" + std::to_string(c));
   }
-  out.schema = Schema(std::move(defs));
+  out.infer_types = options.infer_types;
   return out;
 }
 
@@ -284,15 +282,19 @@ Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
   Result<CsvFields> fields = TokenizeCsv(text, options);
   if (!fields.ok()) return fields.status();
-  const Schema& schema = fields->schema;
-  std::vector<std::vector<Value>> columns(schema.NumAttributes());
-  for (int c = 0; c < schema.NumAttributes(); ++c) {
+  const size_t num_cols = fields->columns.size();
+  std::vector<AttributeDef> defs(num_cols);
+  std::vector<std::vector<Value>> columns(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    defs[c].name = std::move(fields->names[c]);
+    defs[c].type = fields->infer_types ? InferColumnType(fields->columns[c])
+                                       : DataType::kString;
     columns[c].reserve(fields->num_rows);
     for (std::string_view f : fields->columns[c]) {
-      columns[c].push_back(Value::FromView(ParseField(f, schema.type(c))));
+      columns[c].push_back(Value::FromView(ParseField(f, defs[c].type)));
     }
   }
-  return Table(schema, std::move(columns));
+  return Table(Schema(std::move(defs)), std::move(columns));
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {

@@ -7,12 +7,14 @@
 // (int -> double -> string; empty fields become NULL).
 //
 // One tokenizer serves every reader: TokenizeCsv splits the text into
-// per-column field views in a single pass, copying only fields that need
-// unescaping, and infers each column's type on those views. The load
-// paths hand its output straight to the encoder
-// (EncodedRelation::FromCsv in data/encode.h) without building a Value;
-// ReadCsvString/ReadCsvFile build a Table from the same views for callers
-// that want one.
+// per-column field views (CsvFields) in a single pass, copying only
+// fields that need unescaping. It infers no types. The load paths hand
+// the CsvFields to the encoder (EncodedRelation::FromCsv in
+// data/encode.h), which consumes them column by column: it interns the
+// views, infers the column type over the distinct fields
+// (InferColumnType) and parses only those, never building a Value.
+// ReadCsvString/ReadCsvFile infer over every field and build a Table
+// from the same views for callers that want one.
 #ifndef FASTOD_DATA_CSV_H_
 #define FASTOD_DATA_CSV_H_
 
@@ -40,11 +42,13 @@ struct CsvOptions {
   int64_t max_rows = -1;
 };
 
-/// Tokenized CSV: the schema (header names or col0.., inferred types) and,
-/// per column, the whitespace-trimmed text of every data row's field. An
+/// Tokenized CSV: the attribute names (header names or col0..) and, per
+/// column, the whitespace-trimmed text of every data row's field. An
 /// empty view is a NULL. Views point into the tokenized text, which must
-/// outlive this object, or into `unescaped`. Move-only, since copies
-/// would alias the original's unescaped fields.
+/// outlive this object, or into `unescaped`. Column types are not known
+/// yet: the consumer infers them (InferColumnType) when `infer_types`
+/// is set. Move-only, since copies would alias the original's unescaped
+/// fields.
 struct CsvFields {
   CsvFields() = default;
   CsvFields(CsvFields&&) = default;
@@ -52,7 +56,10 @@ struct CsvFields {
   CsvFields(const CsvFields&) = delete;
   CsvFields& operator=(const CsvFields&) = delete;
 
-  Schema schema;
+  std::vector<std::string> names;
+  /// CsvOptions::infer_types of the tokenize; false makes every column
+  /// a string column.
+  bool infer_types = true;
   int64_t num_rows = 0;
   /// columns[c][r]: field of data row r (at most max_rows) in column c.
   std::vector<std::vector<std::string_view>> columns;
@@ -61,12 +68,19 @@ struct CsvFields {
   std::deque<std::string> unescaped;
 };
 
-/// Splits CSV text into per-column field views in one pass and infers
-/// column types on them. Fails (InvalidArgument) on an unterminated
-/// quoted field, input with no records, or ragged records — checked in
-/// that order over the whole text, even beyond max_rows.
+/// Splits CSV text into per-column field views in one pass. Fails
+/// (InvalidArgument) on an unterminated quoted field, input with no
+/// records, or ragged records — checked in that order over the whole
+/// text, even beyond max_rows.
 Result<CsvFields> TokenizeCsv(std::string_view text,
                               const CsvOptions& options = CsvOptions());
+
+/// The type of a column with these trimmed fields: int if every
+/// non-empty field parses as one, else double if every one parses as
+/// one, else string (also for a column of NULLs only). An all/any test,
+/// so the distinct fields of a column give the same answer as all of
+/// them.
+DataType InferColumnType(const std::vector<std::string_view>& fields);
 
 /// A trimmed field's value under its column type: NULL when empty (or,
 /// for a field the inferred type cannot parse, which inference rules

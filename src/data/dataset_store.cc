@@ -31,6 +31,13 @@ int64_t DatasetBytes(const EncodedRelation& relation,
 std::shared_ptr<const LoadedDataset> LoadedDataset::Build(
     std::string id, EncodedRelation relation, std::string source,
     obs::TraceRecorder* trace) {
+  return BuildOn(std::move(id), std::move(relation), std::move(source), trace,
+                 nullptr);
+}
+
+std::shared_ptr<const LoadedDataset> LoadedDataset::BuildOn(
+    std::string id, EncodedRelation relation, std::string source,
+    obs::TraceRecorder* trace, ThreadPool* pool) {
   // make_shared needs a public constructor; the explicit new keeps it
   // private to the factories.
   std::shared_ptr<LoadedDataset> dataset(new LoadedDataset());
@@ -39,15 +46,22 @@ std::shared_ptr<const LoadedDataset> LoadedDataset::Build(
   dataset->relation_ = std::move(relation);
   // Version 1 has no append block: the whole relation is "base".
   dataset->base_rows_ = dataset->relation_.NumRows();
-  dataset->Finish(trace);
+  dataset->Finish(trace, pool);
   return dataset;
 }
 
-void LoadedDataset::Finish(obs::TraceRecorder* trace) {
+void LoadedDataset::Finish(obs::TraceRecorder* trace, ThreadPool* pool) {
   const double start = trace != nullptr ? trace->Now() : 0.0;
-  singletons_.reserve(relation_.NumAttributes());
-  for (int a = 0; a < relation_.NumAttributes(); ++a) {
-    singletons_.push_back(StrippedPartition::ForAttribute(relation_.codes(a)));
+  const int attributes = relation_.NumAttributes();
+  singletons_.resize(attributes);
+  auto build = [this](int64_t a) {
+    singletons_[a] =
+        StrippedPartition::ForAttribute(relation_.codes(static_cast<int>(a)));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(attributes, build);
+  } else {
+    for (int a = 0; a < attributes; ++a) build(a);
   }
   if (trace != nullptr) {
     trace->RecordSpan("partitions.level1", start, trace->Now() - start);
@@ -58,17 +72,21 @@ void LoadedDataset::Finish(obs::TraceRecorder* trace) {
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::LoadCsv(
     std::string id, std::string_view text, const CsvOptions& options,
     std::string source) {
-  Result<EncodedRelation> encoded = EncodeCsvString(text, options);
+  std::unique_ptr<ThreadPool> pool;
+  Result<EncodedRelation> encoded = EncodeCsvString(text, options, &pool);
   if (!encoded.ok()) return encoded.status();
-  return Build(std::move(id), *std::move(encoded), std::move(source));
+  return BuildOn(std::move(id), *std::move(encoded), std::move(source),
+                 nullptr, pool.get());
 }
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::LoadCsvFile(
     std::string id, const std::string& path, const CsvOptions& options,
     obs::TraceRecorder* trace) {
-  Result<EncodedRelation> encoded = EncodeCsvFile(path, options, trace);
+  std::unique_ptr<ThreadPool> pool;
+  Result<EncodedRelation> encoded = EncodeCsvFile(path, options, trace, &pool);
   if (!encoded.ok()) return encoded.status();
-  return Build(std::move(id), *std::move(encoded), "csv:" + path, trace);
+  return BuildOn(std::move(id), *std::move(encoded), "csv:" + path, trace,
+                 pool.get());
 }
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
@@ -84,6 +102,7 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
   const int64_t n = base->NumRows();
   const int64_t d = delta.NumRows();
   const int cols = base->NumAttributes();
+  if (Status s = CheckRelationShape(n + d, cols); !s.ok()) return s;
 
   std::shared_ptr<LoadedDataset> grown(new LoadedDataset());
   grown->id_ = base->id_;

@@ -69,7 +69,9 @@ class LoadedDataset {
       obs::TraceRecorder* trace = nullptr);
 
   /// The CSV load path: tokenizes `text` and encodes the field views
-  /// directly (EncodeCsvString), never building a Table or a Value.
+  /// directly (EncodeCsvString), never building a Table or a Value. A
+  /// load of at least 2^16 cells encodes and builds its level-1
+  /// partitions on one pool private to the load (data/encode.h).
   static Result<std::shared_ptr<const LoadedDataset>> LoadCsv(
       std::string id, std::string_view text, const CsvOptions& options,
       std::string source);
@@ -123,8 +125,14 @@ class LoadedDataset {
  private:
   LoadedDataset() = default;
 
-  /// Builds the level-1 partitions and byte accounting of relation_.
-  void Finish(obs::TraceRecorder* trace = nullptr);
+  /// Build, with the level-1 partitions built on `pool` when non-null.
+  static std::shared_ptr<const LoadedDataset> BuildOn(
+      std::string id, EncodedRelation relation, std::string source,
+      obs::TraceRecorder* trace, ThreadPool* pool);
+
+  /// Builds the level-1 partitions (one ParallelFor on `pool` when
+  /// non-null) and the byte accounting of relation_.
+  void Finish(obs::TraceRecorder* trace = nullptr, ThreadPool* pool = nullptr);
 
   std::string id_;
   std::string source_;

@@ -17,15 +17,26 @@
 // carrying a value is its representative), sort only the d distinct
 // values, and remap each row's id to its value's rank — O(n + d log d)
 // instead of sorting all n rows. FromCsv interns the tokenizer's field
-// views directly, so CSV loads never build a Value; FromTable interns the
-// Values of an existing Table.
+// views directly, so CSV loads never build a Value: per column it
+// interns, frees the views, infers the type over the distinct fields,
+// parses only those into int64/double/byte keys, and sorts on the keys.
+// FromTable interns the Values of an existing Table.
+//
+// A CSV load of at least 2^16 cells encodes its columns in parallel, on
+// a pool private to that load (min(hardware threads, columns) parties),
+// and hands the pool on so the same load builds its level-1 partitions
+// on it (LoadedDataset in data/dataset_store.h). Output is the same at
+// any party count: each column is encoded by one party.
 #ifndef FASTOD_DATA_ENCODE_H_
 #define FASTOD_DATA_ENCODE_H_
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "data/column.h"
 #include "data/csv.h"
 #include "data/table.h"
@@ -41,14 +52,16 @@ class EncodedRelation {
  public:
   EncodedRelation() = default;
 
-  /// Encodes every column of `table`. Fails if the table has more than
-  /// AttributeSet::kMaxAttributes columns.
+  /// Encodes every column of `table`. Fails as CheckRelationShape does.
   static Result<EncodedRelation> FromTable(const Table& table);
 
   /// Encodes tokenized CSV (data/csv.h) with no intermediate Values:
   /// bit-for-bit what FromTable produces on the Table ReadCsvString
-  /// builds from the same text. Same attribute limit as FromTable.
-  static Result<EncodedRelation> FromCsv(const CsvFields& fields);
+  /// builds from the same text. Consumes `fields`, freeing each column's
+  /// views once they are interned. With a `pool`, encodes the columns
+  /// in one ParallelFor on it. Same limits as FromTable.
+  static Result<EncodedRelation> FromCsv(CsvFields fields,
+                                         ThreadPool* pool = nullptr);
 
   /// Wraps precomputed code columns and their dictionaries. The append
   /// path in data/dataset_store.cc merge-encodes delta rows into the
@@ -90,16 +103,30 @@ class EncodedRelation {
   std::vector<ValueDictionary> dicts_;
 };
 
-/// CSV text straight to its encoding: TokenizeCsv + FromCsv.
+/// Tuple ids are int32_t, so a relation holds at most this many rows.
+inline constexpr int64_t kMaxRows = std::numeric_limits<int32_t>::max();
+
+/// Whether a relation of `rows` x `columns` can be encoded: at most
+/// AttributeSet::kMaxAttributes columns (the lattice's attribute sets)
+/// and kMaxRows rows. InvalidArgument naming the limit otherwise.
+Status CheckRelationShape(int64_t rows, int columns);
+
+/// CSV text straight to its encoding: TokenizeCsv + FromCsv, on the
+/// load's private ingest pool when the CSV has at least 2^16 cells.
+/// With `pool`, hands that pool (null below the threshold) to the
+/// caller, so the same load can build its partitions on it.
 Result<EncodedRelation> EncodeCsvString(
-    std::string_view text, const CsvOptions& options = CsvOptions());
+    std::string_view text, const CsvOptions& options = CsvOptions(),
+    std::unique_ptr<ThreadPool>* pool = nullptr);
 
 /// The same for a file. With a `trace`, records the two session phase
-/// spans: csv.parse (read, tokenize, infer types) and, when that
-/// succeeded, encode (intern, sort distinct values, remap).
+/// spans: csv.parse (read, tokenize) and, when that succeeded, encode
+/// (intern, infer types, parse the distinct fields, sort, remap).
 Result<EncodedRelation> EncodeCsvFile(const std::string& path,
                                       const CsvOptions& options = CsvOptions(),
-                                      obs::TraceRecorder* trace = nullptr);
+                                      obs::TraceRecorder* trace = nullptr,
+                                      std::unique_ptr<ThreadPool>* pool =
+                                          nullptr);
 
 }  // namespace fastod
 

@@ -120,16 +120,6 @@ int CompareIntDouble(int64_t x, double y) {
   return y > whole ? -1 : (y < whole ? 1 : 0);
 }
 
-// NaN equals NaN and sorts after every number, so sorts see a strict
-// weak ordering.
-int CompareDoubles(double x, double y) {
-  if (x < y) return -1;
-  if (x > y) return 1;
-  if (x == y) return 0;
-  // At least one NaN.
-  return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
-}
-
 }  // namespace
 
 int ValueView::Compare(const ValueView& a, const ValueView& b) {

@@ -24,6 +24,18 @@ enum class DataType {
 /// Returns a short lowercase name ("int", "double", ...).
 const char* DataTypeName(DataType type);
 
+/// Three-way comparison of two doubles under the Value total order:
+/// numeric (-0 equals 0), and NaN equals NaN and sorts after every
+/// number, so sorts see a strict weak ordering. Inline, so the encoder's
+/// double-keyed sort (data/encode.cc) compares without a call.
+inline int CompareDoubles(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  // At least one NaN (x != x only for NaN).
+  return static_cast<int>(x != x) - static_cast<int>(y != y);
+}
+
 /// A non-owning view of one value: the string case borrows its bytes.
 /// Value, the column dictionaries and the CSV encoder all order and
 /// render through it, so there is one implementation of the total order

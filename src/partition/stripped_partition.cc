@@ -23,29 +23,37 @@ StrippedPartition StrippedPartition::ForAttribute(const CodeColumn& codes) {
   // schedules apply (contained at the session worker boundary).
   (void)FASTOD_FAULT_POINT("partition.build");
   const int64_t n = codes.size();
-  const int32_t num_distinct = codes.num_distinct();
   const uint32_t* data = codes.data();
-  // Counting sort by code keeps classes in ascending value order.
-  std::vector<int32_t> counts(num_distinct + 1, 0);
+  // Counting sort by code keeps classes in ascending value order. Only
+  // codes held by two or more tuples get a class, so the partition is
+  // sized exactly and each tuple goes straight to its slot, ascending.
+  std::vector<int32_t> next(codes.num_distinct(), 0);
   for (int64_t t = 0; t < n; ++t) {
-    FASTOD_DCHECK(data[t] < static_cast<uint32_t>(num_distinct));
-    ++counts[data[t] + 1];
+    FASTOD_DCHECK(data[t] < next.size());
+    ++next[data[t]];
   }
-  for (int32_t v = 0; v < num_distinct; ++v) counts[v + 1] += counts[v];
-  std::vector<int32_t> by_code(n);
-  std::vector<int32_t> cursor(counts.begin(), counts.end() - 1);
-  for (int64_t t = 0; t < n; ++t) {
-    by_code[cursor[data[t]]++] = static_cast<int32_t>(t);
-  }
-  PartitionBuilder builder(n);
-  for (int32_t v = 0; v < num_distinct; ++v) {
-    builder.BeginClass();
-    for (int32_t i = counts[v]; i < counts[v + 1]; ++i) {
-      builder.AddTuple(by_code[i]);
+  int32_t classes = 0;
+  for (int32_t count : next) classes += count >= 2 ? 1 : 0;
+  StrippedPartition result;
+  result.num_rows_ = n;
+  result.offsets_.reserve(classes + 1);
+  int32_t size = 0;
+  for (int32_t& slot : next) {  // count -> first slot, or -1 if stripped
+    if (slot < 2) {
+      slot = -1;
+      continue;
     }
-    builder.EndClass();
+    const int32_t start = size;
+    size += slot;
+    slot = start;
+    result.offsets_.push_back(size);
   }
-  return builder.Build();
+  result.elements_.resize(size);
+  for (int64_t t = 0; t < n; ++t) {
+    int32_t& slot = next[data[t]];
+    if (slot >= 0) result.elements_[slot++] = static_cast<int32_t>(t);
+  }
+  return result;
 }
 
 StrippedPartition StrippedPartition::ForAttribute(

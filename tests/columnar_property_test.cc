@@ -407,6 +407,70 @@ TEST(DirectCsvEncodingTest, AppendCsvEqualsPutOfConcatenation) {
   }
 }
 
+// 20k rows x 8 typed columns (160k cells) is above the parallel ingest
+// threshold, so on a machine with two or more hardware threads the
+// columns are encoded and partitioned on the load's private pool; every
+// other input here is encoded serially. The columns
+// put ties on every key type: spellings of one int, and -0 and NaN
+// first (rows 0 and 1) with unsigned spellings of the same values
+// after, so a representative other than the first row's shows up as a
+// dictionary bit difference.
+TEST(DirectCsvEncodingTest, AboveParallelThresholdMatchesTablePath) {
+  const char* ints[] = {"-9223372036854775808", "9223372036854775807",
+                        "-5",  "01", "+1", "1", "0", "-0", "", "42"};
+  const char* doubles[] = {"-0",  "0",   "0.0", "nan", "-nan", "NaN",
+                           "inf", "-inf", "2.5", "-1e300", "",
+                           "9223372036854775808"};
+  const char* quoted[] = {"\"a,b\"", "\"x\"\"y\"", "\" pad \"", "\"\"",
+                          "\"line\nbreak\"", "plain"};
+  Rng rng(2024);
+  std::string text = "i,wide,empty,d,q,word,mixed,sparse\n";
+  for (int64_t r = 0; r < 20000; ++r) {
+    text += ints[rng.Uniform(10)];
+    text += ',';
+    // Mostly distinct ints, so ranks run into the thousands.
+    text += std::to_string(static_cast<int64_t>(rng.Uniform(40000)) - 20000);
+    text += ",,";
+    text += r == 0 ? "-0" : (r == 1 ? "-nan" : doubles[rng.Uniform(12)]);
+    text += ',';
+    text += quoted[rng.Uniform(6)];
+    text += ",w";
+    text += std::to_string(rng.Uniform(300));
+    text += ',';
+    // Ints and doubles in one column: it is a double column.
+    text += rng.Uniform(2) == 0 ? std::to_string(rng.Uniform(50))
+                                : std::to_string(rng.Uniform(50)) + ".5";
+    text += ',';
+    if (rng.Uniform(4) != 0) text += std::to_string(rng.Uniform(3));
+    text += '\n';
+  }
+
+  Result<EncodedRelation> direct = EncodeCsvString(text);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  Result<Table> table = ReadCsvString(text);
+  ASSERT_TRUE(table.ok());
+  Result<EncodedRelation> via_table = EncodedRelation::FromTable(*table);
+  ASSERT_TRUE(via_table.ok());
+  ExpectSameRelation(*via_table, *direct, "20k x 8");
+  const std::vector<DataType> types = {
+      DataType::kInt,    DataType::kInt,    DataType::kString,
+      DataType::kDouble, DataType::kString, DataType::kString,
+      DataType::kDouble, DataType::kInt};
+  for (int a = 0; a < 8; ++a) {
+    EXPECT_EQ(direct->schema().type(a), types[a]) << "attr " << a;
+  }
+  EXPECT_EQ(direct->NumDistinct(2), 1);  // all NULL
+
+  auto loaded = LoadedDataset::LoadCsv("big", text, CsvOptions(), "inline");
+  ASSERT_TRUE(loaded.ok());
+  ExpectSameRelation(*via_table, (*loaded)->relation(), "20k x 8 load");
+  for (int a = 0; a < 8; ++a) {
+    EXPECT_TRUE((*loaded)->singleton_partitions()[a] ==
+                StrippedPartition::ForAttribute(via_table->codes(a)))
+        << "attr " << a;
+  }
+}
+
 TEST(DirectCsvEncodingTest, LoadedDatasetMatchesBuildOfReadTable) {
   const std::string text = WriteCsvString(Fixture());
   auto direct = LoadedDataset::LoadCsv("direct", text, CsvOptions(), "inline");

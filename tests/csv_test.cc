@@ -137,9 +137,8 @@ TEST(CsvReadTest, TokenizerViewsAreTrimmedAndColumnMajor) {
   opt.max_rows = 2;
   auto fields = TokenizeCsv(text, opt);
   ASSERT_TRUE(fields.ok());
-  EXPECT_EQ(fields->schema.name(0), "a");
-  EXPECT_EQ(fields->schema.name(1), "b");
-  EXPECT_EQ(fields->schema.type(0), DataType::kInt);
+  EXPECT_EQ(fields->names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(InferColumnType(fields->columns[0]), DataType::kInt);
   EXPECT_EQ(fields->num_rows, 2);
   ASSERT_EQ(fields->columns.size(), 2u);
   EXPECT_EQ(fields->columns[0], (std::vector<std::string_view>{"1", "2"}));

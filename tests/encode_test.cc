@@ -67,6 +67,20 @@ TEST(EncodeTest, TooManyAttributesRejected) {
   EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Tuple ids are int32_t: the row limit is checked on the count alone,
+// before anything is allocated for the rows.
+TEST(EncodeTest, MoreRowsThanTupleIdsHoldRejected) {
+  EXPECT_TRUE(CheckRelationShape(kMaxRows, 64).ok());
+  EXPECT_TRUE(CheckRelationShape(0, 0).ok());
+  const Status rows = CheckRelationShape(kMaxRows + 1, 1);
+  EXPECT_EQ(rows.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rows.message().find("2147483648 rows"), std::string::npos)
+      << rows.message();
+  EXPECT_NE(rows.message().find("at most 2147483647 rows"), std::string::npos)
+      << rows.message();
+  EXPECT_EQ(CheckRelationShape(1, 65).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EncodeTest, SchemaCarriedThrough) {
   auto t = ReadCsvString("x,y\n1,2\n");
   ASSERT_TRUE(t.ok());

@@ -27,6 +27,14 @@ struct TableParam {
   uint64_t seed;
 };
 
+// Named by its fields, so the test names ctest discovers are the same in
+// every build (the default printer dumps the struct's bytes, padding
+// included).
+void PrintTo(const TableParam& p, std::ostream* os) {
+  *os << "rows" << p.rows << "_cols" << p.cols << "_domain" << p.max_domain
+      << "_seed" << p.seed;
+}
+
 void ExpectSameOds(const FastodResult& got,
                    const BruteForceDiscoveryResult& want) {
   std::vector<ConstancyOd> got_c = got.constancy_ods;

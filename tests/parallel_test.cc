@@ -186,6 +186,13 @@ struct ParallelParam {
   uint64_t seed;
 };
 
+// Named by its fields, so the test names ctest discovers are the same in
+// every build (the default printer dumps the struct's bytes, padding
+// included).
+void PrintTo(const ParallelParam& p, std::ostream* os) {
+  *os << "threads" << p.threads << "_seed" << p.seed;
+}
+
 class ParallelFastodTest : public ::testing::TestWithParam<ParallelParam> {};
 
 TEST_P(ParallelFastodTest, OutputIdenticalToSerial) {

@@ -205,6 +205,17 @@ struct SwapParam {
   int64_t rows = 30;
 };
 
+// Named by its fields, so the test names ctest discovers are the same in
+// every build (the default printer dumps the struct's bytes, padding
+// included).
+// It also names the instances.
+void PrintTo(const SwapParam& p, std::ostream* os) {
+  const char* method = p.method == SwapCheckMethod::kAuto       ? "auto"
+                       : p.method == SwapCheckMethod::kSortBased ? "sort"
+                                                                 : "tau";
+  *os << method << "_seed" << p.seed << "_rows" << p.rows;
+}
+
 class SwapCheckerPropertyTest : public ::testing::TestWithParam<SwapParam> {};
 
 TEST_P(SwapCheckerPropertyTest, AgreesWithBruteForce) {
@@ -257,13 +268,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SwapParam{606, SwapCheckMethod::kAuto, 2000},
                       SwapParam{707, SwapCheckMethod::kTauBased, 2000}),
     [](const ::testing::TestParamInfo<SwapParam>& info) {
-      const char* method =
-          info.param.method == SwapCheckMethod::kAuto       ? "auto"
-          : info.param.method == SwapCheckMethod::kSortBased ? "sort"
-                                                             : "tau";
-      return std::string(method) + "_seed" +
-             std::to_string(info.param.seed) + "_rows" +
-             std::to_string(info.param.rows);
+      return ::testing::PrintToString(info.param);
     });
 
 }  // namespace

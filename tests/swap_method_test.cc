@@ -24,6 +24,13 @@ struct SwapMethodParam {
   int attributes;
 };
 
+// Named by its fields, so the test names ctest discovers are the same in
+// every build (the default printer dumps the struct's bytes, padding
+// and the generator's address included).
+void PrintTo(const SwapMethodParam& p, std::ostream* os) {
+  *os << p.name << "_rows" << p.rows << "_attrs" << p.attributes;
+}
+
 // One test per (dataset, thread count), so each stays short under the
 // sanitizers.
 class SwapMethodEquivalenceTest
