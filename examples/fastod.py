@@ -365,7 +365,8 @@ class Session:
         """The session's observability trace, parsed from JSON.
 
         Readable in any state: ``{"spans": [...], "engine": {...}}``
-        with phase timings (csv.parse, encode, execute, level[k]) and
+        with phase timings (csv.read, csv.tokenize, encode,
+        partitions.level1, execute, level[k]) and
         the engine's lattice-search counters once the run finished.
         Empty spans and a null engine when FASTOD_METRICS=off.
         """

@@ -233,8 +233,9 @@ const char* fastod_result_json(fastod_session_t* session);
 const char* fastod_result_text(fastod_session_t* session);
 
 /* The session's observability trace as JSON: the phase spans recorded
- * while it ran (csv.parse, encode, execute, level[k]) plus the engine's
- * search counters once terminal — {"spans":[...],"engine":...}. Unlike
+ * while it ran (csv.read, csv.tokenize, encode, partitions.level1,
+ * execute, level[k]) plus the engine's search counters once terminal —
+ * {"spans":[...],"engine":...}. Unlike
  * fastod_result_json this is readable in ANY state (a running session
  * shows the spans completed so far) and is empty-but-valid JSON when
  * metrics are disabled via FASTOD_METRICS=off. NULL only on a NULL or

@@ -1,74 +1,108 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace fastod {
 
 namespace {
 
-// One pass over the text under the RFC-4180-style grammar: a quote opens
+// Below this many cells a CSV load tokenizes, encodes and partitions on
+// the calling thread alone: starting the workers would cost more than
+// the pieces and columns save.
+constexpr int64_t kParallelIngestCells = int64_t{1} << 16;
+
+// One piece of the text, [begin, end), tokenized as if it began at a
+// record start. Its rows go to consecutive column slots from `slot`; a
+// piece holds at most as many records as line breaks, plus one for the
+// last piece, so its slots are sized by the line count. Pieces, and
+// their Tokenizers, sit side by side while each party writes its own,
+// so each gets its own cache line.
+struct alignas(64) Piece {
+  size_t begin = 0;
+  size_t end = 0;
+  int64_t slot = 0;
+  int64_t max_rows = -1;  // rows it may store; -1: every one
+  int64_t lines = 0;      // line breaks in it
+  // Filled by the Tokenizer:
+  int64_t rows = 0;           // stored in slots [slot, slot + rows)
+  int64_t ragged_width = -1;  // width of its first ragged record
+  bool in_quotes = false;     // ended inside a quoted field
+  std::deque<std::string> unescaped;
+};
+
+// One pass over a piece under the RFC-4180-style grammar: a quote opens
 // a quoted section only at the start of a field, "" inside one is a
 // literal quote, \r outside quotes is dropped, and a line with no content
 // is skipped. A field that is one contiguous slice of the text stays a
 // view; the first discontiguity (a closing quote followed by more text,
-// an escaped quote, a dropped \r) copies it into the side arena.
-class Tokenizer {
+// an escaped quote, a dropped \r) copies it into the piece's arena. With
+// `first_record`, reads only the piece's first record into it and ends
+// the piece after it; otherwise stores each record of the width of
+// `columns` in its row slot.
+class alignas(64) Tokenizer {
  public:
-  Tokenizer(std::string_view text, const CsvOptions& options, CsvFields* out)
-      : text_(text), options_(options), out_(out) {}
+  Tokenizer(std::string_view text, char delimiter, Piece* piece,
+            std::vector<std::vector<std::string_view>>* columns,
+            std::vector<std::string_view>* first_record)
+      : text_(text),
+        delim_(delimiter),
+        piece_(piece),
+        columns_(columns),
+        first_record_(first_record),
+        width_(first_record != nullptr ? SIZE_MAX : columns->size()),
+        storing_(HasRoom()),
+        pos_(piece->begin) {}
 
-  Status Run() {
+  // Tokenizes from where the last call stopped up to the piece's end. A
+  // piece that ended inside a quoted field may have its end moved on and
+  // be run again: the open field continues across the old end.
+  void Run() {
     const char* t = text_.data();
-    const size_t n = text_.size();
-    const char delim = options_.delimiter;
-    // Rows are at most the line count; reserving it up front keeps the
-    // column vectors from reallocating while they fill.
-    expected_rows_ = static_cast<size_t>(std::count(t, t + n, '\n')) + 1;
-    if (options_.max_rows >= 0) {
-      expected_rows_ = std::min(expected_rows_,
-                                static_cast<size_t>(options_.max_rows));
-    }
-    bool in_quotes = false;
-    bool field_started = false;  // true once the current record has content
-    size_t i = 0;
-    while (i < n) {
-      if (in_quotes) {
+    const size_t n = piece_->end;
+    size_t i = pos_;
+    while (i < n && !done_) {
+      if (in_quotes_) {
         size_t j = i;
         while (j < n && t[j] != '"') ++j;
         Append(i, j - i);
-        if (j == n) break;  // unterminated; reported below
+        i = j;
+        if (j == n) break;  // unterminated so far; the caller decides
         if (j + 1 < n && t[j + 1] == '"') {  // escaped quote
           Append(j, 1);
           i = j + 2;
           continue;
         }
-        in_quotes = false;
+        in_quotes_ = false;
         i = j + 1;
         continue;
       }
       const char c = t[i];
       if (c == '"' && FieldEmpty()) {
-        in_quotes = true;
-        field_started = true;
+        in_quotes_ = true;
+        field_started_ = true;
         ++i;
         continue;
       }
-      if (c == delim) {
+      if (c == delim_) {
         EndField();
-        field_started = true;
+        field_started_ = true;
         ++i;
         continue;
       }
       if (c == '\n') {
-        if (field_started || !FieldEmpty()) EndRecord();
-        field_started = false;
+        if (field_started_ || !FieldEmpty()) EndRecord();
+        field_started_ = false;
         ++i;
         continue;
       }
@@ -79,29 +113,18 @@ class Tokenizer {
       // A plain run up to the next delimiter or line break; a quote in it
       // is literal, since the field is no longer empty.
       size_t j = i + 1;
-      while (j < n && t[j] != delim && t[j] != '\n' && t[j] != '\r') ++j;
+      while (j < n && t[j] != delim_ && t[j] != '\n' && t[j] != '\r') ++j;
       Append(i, j - i);
-      field_started = true;
+      field_started_ = true;
       i = j;
     }
-    if (in_quotes) {
-      return Status::InvalidArgument("unterminated quoted CSV field");
+    pos_ = i;
+    if (done_) {
+      piece_->end = i;
+      return;
     }
-    if (field_started || !FieldEmpty()) EndRecord();
-    if (records_ == 0) {
-      return Status::InvalidArgument("CSV input contains no records");
-    }
-    if (ragged_width_ >= 0) {
-      return Status::InvalidArgument(
-          "ragged CSV: expected " + std::to_string(out_->columns.size()) +
-          " fields, found a record with " + std::to_string(ragged_width_));
-    }
-    return Status::Ok();
-  }
-
-  /// The first record's trimmed fields (the header, when there is one).
-  const std::vector<std::string_view>& first_record() const {
-    return first_record_;
+    piece_->in_quotes = in_quotes_;
+    if (!in_quotes_ && (field_started_ || !FieldEmpty())) EndRecord();
   }
 
  private:
@@ -125,18 +148,17 @@ class Tokenizer {
   }
 
   void EndField() {
-    const bool first = records_ == 0;
-    if (first || (storing_ && field_ < out_->columns.size())) {
+    if (storing_ && field_ < width_) {
       std::string_view field = text_.substr(start_, len_);
       if (copied_) {
-        out_->unescaped.push_back(std::move(buf_));
-        field = out_->unescaped.back();
+        piece_->unescaped.push_back(std::move(buf_));
+        field = piece_->unescaped.back();
       }
       field = Trim(field);
-      if (first) {
-        first_record_.push_back(field);
+      if (first_record_ != nullptr) {
+        first_record_->push_back(field);
       } else {
-        out_->columns[field_].push_back(field);
+        (*columns_)[field_][piece_->slot + piece_->rows] = field;
       }
     }
     ++field_;
@@ -148,46 +170,89 @@ class Tokenizer {
 
   void EndRecord() {
     EndField();
-    if (records_ == 0) {
-      out_->columns.resize(first_record_.size());
-      for (auto& column : out_->columns) column.reserve(expected_rows_);
-      if (!options_.has_header && HasRoom()) {
-        for (size_t c = 0; c < first_record_.size(); ++c) {
-          out_->columns[c].push_back(first_record_[c]);
-        }
-        ++out_->num_rows;
+    if (first_record_ != nullptr) {
+      done_ = true;
+    } else if (field_ != width_) {
+      if (piece_->ragged_width < 0) {
+        piece_->ragged_width = static_cast<int64_t>(field_);
       }
-    } else if (field_ != out_->columns.size()) {
-      if (ragged_width_ < 0) ragged_width_ = static_cast<int64_t>(field_);
     } else if (storing_) {
-      ++out_->num_rows;
+      ++piece_->rows;
     }
-    ++records_;
     field_ = 0;
     // Records past max_rows are still scanned (a malformed tail fails the
     // read) but not stored; nothing is stored after a ragged record.
-    storing_ = ragged_width_ < 0 && HasRoom();
+    storing_ = piece_->ragged_width < 0 && HasRoom();
   }
 
   bool HasRoom() const {
-    return options_.max_rows < 0 || out_->num_rows < options_.max_rows;
+    return piece_->max_rows < 0 || piece_->rows < piece_->max_rows;
   }
 
   std::string_view text_;
-  const CsvOptions& options_;
-  CsvFields* out_;
-  size_t expected_rows_ = 0;
-  std::vector<std::string_view> first_record_;
-  int64_t records_ = 0;
-  int64_t ragged_width_ = -1;
-  bool storing_ = true;
-  size_t field_ = 0;  // index of the current field within its record
+  char delim_;
+  Piece* piece_;
+  std::vector<std::vector<std::string_view>>* columns_;
+  std::vector<std::string_view>* first_record_;
+  size_t width_;  // fields a record must have
+  bool storing_;
+  size_t pos_;  // where the next Run goes on
+  bool in_quotes_ = false;
+  bool field_started_ = false;  // true once the current record has content
+  bool done_ = false;           // the first record has been read
+  size_t field_ = 0;   // index of the current field within its record
   // The current field: text_[start_, start_ + len_), or buf_ once copied.
   size_t start_ = 0;
   size_t len_ = 0;
   bool copied_ = false;
   std::string buf_;
 };
+
+// Reads the first record of `text` into `record`; `piece` ends after it.
+void ReadFirstRecord(std::string_view text, char delimiter, Piece* piece,
+                     std::vector<std::string_view>* record) {
+  piece->end = text.size();
+  Tokenizer(text, delimiter, piece, nullptr, record).Run();
+}
+
+int64_t CountLineBreaks(std::string_view text) {
+  int64_t count = 0;
+  const char* end = text.data() + text.size();
+  for (const char* p = text.data();; ++p, ++count) {
+    p = static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (p == nullptr) return count;
+  }
+}
+
+Status Unterminated() {
+  return Status::InvalidArgument("unterminated quoted CSV field");
+}
+
+// Cuts text[begin, end) into at most `parts` pieces of about equal
+// length, each cut just after a line break. Every piece but the last
+// ends with '\n'.
+std::vector<Piece> CutPieces(std::string_view text, size_t begin, int parts) {
+  std::vector<Piece> pieces;
+  const size_t n = text.size();
+  while (begin < n) {
+    size_t end = n;
+    const int k = static_cast<int>(pieces.size()) + 1;
+    if (k < parts) {
+      const size_t target = begin + (n - begin) / (parts - k + 1);
+      const void* line_break =
+          std::memchr(text.data() + target, '\n', n - target);
+      if (line_break != nullptr) {
+        end = static_cast<size_t>(static_cast<const char*>(line_break) -
+                                  text.data()) + 1;
+      }
+    }
+    pieces.emplace_back();
+    pieces.back().begin = begin;
+    pieces.back().end = end;
+    begin = end;
+  }
+  return pieces;
+}
 
 bool NeedsQuoting(const std::string& s, char delim) {
   for (char c : s) {
@@ -251,31 +316,177 @@ ValueView ParseField(std::string_view field, DataType type) {
   return v;
 }
 
-Result<CsvFields> TokenizeCsv(std::string_view text,
-                              const CsvOptions& options) {
+Result<CsvFields> TokenizeCsv(std::string_view text, const CsvOptions& options,
+                              ThreadPool* pool) {
   if (FASTOD_FAULT_POINT("csv.read")) {
     return Status::IoError("injected fault: csv.read");
   }
   CsvFields out;
-  Tokenizer tokenizer(text, options, &out);
-  if (Status s = tokenizer.Run(); !s.ok()) return s;
-
-  out.names.reserve(out.columns.size());
-  for (size_t c = 0; c < out.columns.size(); ++c) {
-    out.names.push_back(options.has_header
-                            ? std::string(tokenizer.first_record()[c])
-                            : "col" + std::to_string(c));
+  Piece first;
+  std::vector<std::string_view> record;
+  ReadFirstRecord(text, options.delimiter, &first, &record);
+  if (first.in_quotes) return Unterminated();
+  if (record.empty()) {
+    return Status::InvalidArgument("CSV input contains no records");
+  }
+  const size_t width = record.size();
+  out.names.reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    out.names.push_back(options.has_header ? std::string(record[c])
+                                           : "col" + std::to_string(c));
   }
   out.infer_types = options.infer_types;
+
+  // Without a header the first record is data row 0.
+  const int64_t first_rows =
+      !options.has_header && options.max_rows != 0 ? 1 : 0;
+  std::vector<Piece> pieces =
+      CutPieces(text, first.end,
+                pool != nullptr && options.max_rows < 0
+                    ? pool->num_threads() + 1
+                    : 1);
+  // Runs body(k) for k < n: on the pool when there are several pieces.
+  auto for_each = [&](size_t n, const std::function<void(int64_t)>& body) {
+    if (pieces.size() > 1) {
+      pool->ParallelFor(static_cast<int64_t>(n), body);
+    } else {
+      for (size_t k = 0; k < n; ++k) body(static_cast<int64_t>(k));
+    }
+  };
+  // Each piece's slots start where the line counts before it end; the
+  // columns are sized once and the pieces fill them in place.
+  for_each(pieces.size(), [&](int64_t k) {
+    pieces[k].lines = CountLineBreaks(text.substr(
+        pieces[k].begin, pieces[k].end - pieces[k].begin));
+  });
+  int64_t slots = first_rows;
+  for (Piece& piece : pieces) {
+    piece.slot = slots;
+    slots += piece.lines;
+  }
+  if (!pieces.empty()) ++slots;  // the last record may lack a line break
+  if (options.max_rows >= 0) {
+    if (!pieces.empty()) pieces[0].max_rows = options.max_rows - first_rows;
+    slots = std::min(slots, options.max_rows);
+  }
+  // The loading thread allocates the columns and the parties write them
+  // first, one column each: their page faults are spread across the
+  // parties, while the memory stays in the loading thread's malloc arena
+  // (allocated in the workers' arenas, the columns raised perfbench
+  // flight-50k's peak RSS by ~4 MB).
+  out.columns.resize(width);
+  for (std::vector<std::string_view>& column : out.columns) {
+    column.reserve(static_cast<size_t>(slots));
+  }
+  for_each(width, [&](int64_t c) {
+    out.columns[c].resize(static_cast<size_t>(slots));
+    if (first_rows > 0) out.columns[c][0] = record[c];
+  });
+  std::vector<Tokenizer> tokenizers;
+  tokenizers.reserve(pieces.size());
+  for (Piece& piece : pieces) {
+    tokenizers.emplace_back(text, options.delimiter, &piece, &out.columns,
+                            nullptr);
+  }
+  for_each(pieces.size(), [&](int64_t k) { tokenizers[k].Run(); });
+  // A piece is verified when every piece before it is. One that ended
+  // inside a quoted field had its successor begin mid-field, so it goes
+  // on through the successor, whose speculative rows, arena and errors
+  // are dropped, until it ends outside quotes; its rows fit, since slots
+  // were sized by line breaks. The pieces after it began at a record
+  // start and stand.
+  std::vector<Piece*> kept;
+  for (size_t k = 0; k < pieces.size();) {
+    size_t next = k + 1;
+    for (; pieces[k].in_quotes && next < pieces.size(); ++next) {
+      pieces[k].end = pieces[next].end;
+      tokenizers[k].Run();
+    }
+    kept.push_back(&pieces[k]);
+    k = next;
+  }
+  if (!kept.empty() && kept.back()->in_quotes) return Unterminated();
+  for (const Piece* piece : kept) {
+    if (piece->ragged_width >= 0) {
+      return Status::InvalidArgument(
+          "ragged CSV: expected " + std::to_string(width) +
+          " fields, found a record with " +
+          std::to_string(piece->ragged_width));
+    }
+  }
+
+  out.num_rows = first_rows;
+  out.unescaped.reserve(kept.size() + 1);
+  out.unescaped.push_back(std::move(first.unescaped));
+  for (Piece* piece : kept) {
+    out.num_rows += piece->rows;
+    out.unescaped.push_back(std::move(piece->unescaped));
+  }
+  // Moves each column's rows down over the slots the pieces left unused
+  // (blank lines, quoted line breaks, the last piece's spare slot), in
+  // place, so that columns[c][r] is data row r.
+  for_each(width, [&](int64_t c) {
+    std::vector<std::string_view>& column = out.columns[c];
+    int64_t row = first_rows;
+    for (const Piece* piece : kept) {
+      if (piece->slot != row) {  // rows only move down: a forward copy
+        std::copy(column.begin() + piece->slot,
+                  column.begin() + piece->slot + piece->rows,
+                  column.begin() + row);
+      }
+      row += piece->rows;
+    }
+    column.resize(static_cast<size_t>(out.num_rows));
+  });
   return out;
+}
+
+std::unique_ptr<ThreadPool> MakeCsvIngestPool(std::string_view text,
+                                              const CsvOptions& options) {
+  Piece first;
+  std::vector<std::string_view> record;
+  ReadFirstRecord(text, options.delimiter, &first, &record);
+  const int64_t columns =
+      first.in_quotes ? 0 : static_cast<int64_t>(record.size());
+  const int64_t parties = std::min<int64_t>(
+      std::max(1u, std::thread::hardware_concurrency()), columns);
+  if (parties < 2) return nullptr;
+  const int64_t lines_needed = (kParallelIngestCells + columns - 1) / columns;
+  if (options.max_rows >= 0 && options.max_rows < lines_needed) return nullptr;
+  const char* p = text.data();
+  const char* end = p + text.size();
+  for (int64_t lines = 1; lines < lines_needed; ++lines, ++p) {
+    p = static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (p == nullptr) return nullptr;
+  }
+  return std::make_unique<ThreadPool>(static_cast<int>(parties - 1),
+                                      "fastod-ingest");
 }
 
 Result<std::string> ReadTextFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
+  // One read sized by a regular file's length (plus a byte, to meet the
+  // end); files without one, such as pipes and /dev/stdin, grow
+  // geometrically until the read comes up short.
+  std::error_code error;
+  const uintmax_t size = std::filesystem::is_regular_file(path, error)
+                             ? std::filesystem::file_size(path, error)
+                             : 0;
+  std::string text;
+  size_t length = 0;
+  size_t want = error || size == 0 ? size_t{1} << 16
+                                   : static_cast<size_t>(size) + 1;
+  while (true) {
+    text.resize(length + want);
+    in.read(text.data() + length, static_cast<std::streamsize>(want));
+    length += static_cast<size_t>(in.gcount());
+    if (length < text.size()) break;
+    want = text.size();
+  }
+  if (in.bad()) return Status::IoError("cannot read '" + path + "'");
+  text.resize(length);
+  return text;
 }
 
 Result<Table> ReadCsvString(const std::string& text,

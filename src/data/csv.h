@@ -7,19 +7,34 @@
 // (int -> double -> string; empty fields become NULL).
 //
 // One tokenizer serves every reader: TokenizeCsv splits the text into
-// per-column field views (CsvFields) in a single pass, copying only
-// fields that need unescaping. It infers no types. The load paths hand
-// the CsvFields to the encoder (EncodedRelation::FromCsv in
-// data/encode.h), which consumes them column by column: it interns the
-// views, infers the column type over the distinct fields
-// (InferColumnType) and parses only those, never building a Value.
-// ReadCsvString/ReadCsvFile infer over every field and build a Table
-// from the same views for callers that want one.
+// per-column field views (CsvFields), copying only fields that need
+// unescaping. It infers no types. The load paths hand the CsvFields to
+// the encoder (EncodedRelation::FromCsv in data/encode.h), which
+// consumes them column by column: it interns the views, infers the
+// column type over the distinct fields (InferColumnType) and parses only
+// those, never building a Value. ReadCsvString/ReadCsvFile infer over
+// every field and build a Table from the same views for callers that
+// want one.
+//
+// Given a pool, TokenizeCsv reads the first record on the calling
+// thread, cuts the rest of the text at line breaks into one piece per
+// party and tokenizes the pieces in one ParallelFor, each as if it began
+// at a record start, into its own row slots of each column. Pieces are
+// accepted in text order (speculative parsing as in Ge et al., SIGMOD
+// 2019). One that ended inside a quoted field means the next began
+// mid-field: that piece resumes from where it stopped through the next
+// one, whose speculative result is dropped, until it ends outside
+// quotes; the pieces after it began at a record start and stand. So no
+// byte is tokenized more than twice, and text without quoted line
+// breaks only once. The slots the pieces leave unused (blank lines,
+// quoted line breaks) are closed before TokenizeCsv returns. Without a
+// pool the whole rest is one piece, so both paths run the same code.
 #ifndef FASTOD_DATA_CSV_H_
 #define FASTOD_DATA_CSV_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +44,8 @@
 #include "data/table.h"
 
 namespace fastod {
+
+class ThreadPool;
 
 struct CsvOptions {
   char delimiter = ',';
@@ -64,16 +81,33 @@ struct CsvFields {
   /// columns[c][r]: field of data row r (at most max_rows) in column c.
   std::vector<std::vector<std::string_view>> columns;
   /// Owned copies of the fields that needed unescaping (quotes, stray
-  /// \r); a deque, so the views stay valid as it grows.
-  std::deque<std::string> unescaped;
+  /// \r), one arena per tokenized piece. Each arena is kept whole and
+  /// never merged: a view of a short string points inside the string
+  /// object, so those strings must never move.
+  std::vector<std::deque<std::string>> unescaped;
 };
 
-/// Splits CSV text into per-column field views in one pass. Fails
-/// (InvalidArgument) on an unterminated quoted field, input with no
-/// records, or ragged records — checked in that order over the whole
-/// text, even beyond max_rows.
+/// Splits CSV text into per-column field views. With a `pool`, tokenizes
+/// one piece of the text per party (see above); the output is the same
+/// at any party count. Fails (InvalidArgument) on an unterminated quoted
+/// field, input with no records, or ragged records — checked in that
+/// order over the whole text, even beyond max_rows. A tokenize with
+/// max_rows set runs as one piece.
 Result<CsvFields> TokenizeCsv(std::string_view text,
-                              const CsvOptions& options = CsvOptions());
+                              const CsvOptions& options = CsvOptions(),
+                              ThreadPool* pool = nullptr);
+
+/// The private pool one load of CSV `text` tokenizes, encodes its
+/// columns and builds their level-1 partitions on: min(hardware threads,
+/// columns) parties, the caller being one of them, with threads named
+/// fastod-ingest-N. Null (all on the calling thread) below 2^16 cells,
+/// where starting the workers would cost more than the pieces save; the
+/// cells are the first record's fields times the line count (capped by
+/// max_rows), counted only as far as the threshold. Never the service's
+/// pool, which runs one ParallelFor at a time and would collide with
+/// concurrent uploads.
+std::unique_ptr<ThreadPool> MakeCsvIngestPool(
+    std::string_view text, const CsvOptions& options = CsvOptions());
 
 /// The type of a column with these trimmed fields: int if every
 /// non-empty field parses as one, else double if every one parses as

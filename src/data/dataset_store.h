@@ -70,14 +70,14 @@ class LoadedDataset {
 
   /// The CSV load path: tokenizes `text` and encodes the field views
   /// directly (EncodeCsvString), never building a Table or a Value. A
-  /// load of at least 2^16 cells encodes and builds its level-1
-  /// partitions on one pool private to the load (data/encode.h).
+  /// load of at least 2^16 cells tokenizes, encodes and builds its
+  /// level-1 partitions on one pool private to the load (data/encode.h).
   static Result<std::shared_ptr<const LoadedDataset>> LoadCsv(
       std::string id, std::string_view text, const CsvOptions& options,
       std::string source);
   /// The same for a file (EncodeCsvFile, then Build); the source is
-  /// "csv:<path>". With a `trace`, records the csv.parse, encode and
-  /// partitions.level1 spans.
+  /// "csv:<path>". With a `trace`, records the csv.read, csv.tokenize,
+  /// encode and partitions.level1 spans.
   static Result<std::shared_ptr<const LoadedDataset>> LoadCsvFile(
       std::string id, const std::string& path, const CsvOptions& options,
       obs::TraceRecorder* trace = nullptr);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/string_util.h"
@@ -23,27 +22,6 @@ Status CheckWidth(int columns) {
         std::to_string(AttributeSet::kMaxAttributes));
   }
   return Status::Ok();
-}
-
-/// Below this many cells a CSV load encodes and partitions on the
-/// calling thread alone: starting the workers would cost more than the
-/// columns save.
-constexpr int64_t kParallelIngestCells = int64_t{1} << 16;
-
-/// The private pool one CSV load encodes its columns and builds their
-/// level-1 partitions on: min(hardware threads, columns) parties, the
-/// caller being one of them, or none below kParallelIngestCells. Never
-/// the service's pool, which runs one ParallelFor at a time and would
-/// collide with concurrent uploads.
-std::unique_ptr<ThreadPool> MakeIngestPool(const CsvFields& fields) {
-  const int64_t columns = static_cast<int64_t>(fields.columns.size());
-  const int64_t parties = std::min<int64_t>(
-      std::max(1u, std::thread::hardware_concurrency()), columns);
-  if (fields.num_rows * columns < kParallelIngestCells || parties < 2) {
-    return nullptr;
-  }
-  return std::make_unique<ThreadPool>(static_cast<int>(parties - 1),
-                                      "fastod-ingest");
 }
 
 uint64_t MixBits(uint64_t z) {  // splitmix64 finalizer
@@ -391,9 +369,9 @@ int64_t EncodedRelation::ByteSize() const {
 Result<EncodedRelation> EncodeCsvString(std::string_view text,
                                         const CsvOptions& options,
                                         std::unique_ptr<ThreadPool>* pool) {
-  Result<CsvFields> fields = TokenizeCsv(text, options);
+  std::unique_ptr<ThreadPool> ingest = MakeCsvIngestPool(text, options);
+  Result<CsvFields> fields = TokenizeCsv(text, options, ingest.get());
   if (!fields.ok()) return fields.status();
-  std::unique_ptr<ThreadPool> ingest = MakeIngestPool(*fields);
   Result<EncodedRelation> relation =
       EncodedRelation::FromCsv(*std::move(fields), ingest.get());
   if (pool != nullptr) *pool = std::move(ingest);
@@ -405,20 +383,23 @@ Result<EncodedRelation> EncodeCsvFile(const std::string& path,
                                       obs::TraceRecorder* trace,
                                       std::unique_ptr<ThreadPool>* pool) {
   double start = trace != nullptr ? trace->Now() : 0.0;
+  // Records `name` from `start` to now, and starts the next span.
+  auto span = [&](const char* name) {
+    if (trace == nullptr) return;
+    const double now = trace->Now();
+    trace->RecordSpan(name, start, now - start);
+    start = now;
+  };
   Result<std::string> text = ReadTextFile(path);
-  Result<CsvFields> fields = text.ok() ? TokenizeCsv(*text, options)
-                                       : Result<CsvFields>(text.status());
-  if (trace != nullptr) {
-    trace->RecordSpan("csv.parse", start, trace->Now() - start);
-    start = trace->Now();
-  }
+  span("csv.read");
+  if (!text.ok()) return text.status();
+  std::unique_ptr<ThreadPool> ingest = MakeCsvIngestPool(*text, options);
+  Result<CsvFields> fields = TokenizeCsv(*text, options, ingest.get());
+  span("csv.tokenize");
   if (!fields.ok()) return fields.status();
-  std::unique_ptr<ThreadPool> ingest = MakeIngestPool(*fields);
   Result<EncodedRelation> relation =
       EncodedRelation::FromCsv(*std::move(fields), ingest.get());
-  if (trace != nullptr) {
-    trace->RecordSpan("encode", start, trace->Now() - start);
-  }
+  span("encode");
   if (pool != nullptr) *pool = std::move(ingest);
   return relation;
 }

@@ -22,11 +22,14 @@
 // parses only those into int64/double/byte keys, and sorts on the keys.
 // FromTable interns the Values of an existing Table.
 //
-// A CSV load of at least 2^16 cells encodes its columns in parallel, on
-// a pool private to that load (min(hardware threads, columns) parties),
-// and hands the pool on so the same load builds its level-1 partitions
-// on it (LoadedDataset in data/dataset_store.h). Output is the same at
-// any party count: each column is encoded by one party.
+// A CSV load of at least 2^16 cells (line count x first-record fields)
+// makes a pool private to that load (MakeCsvIngestPool in data/csv.h)
+// before it tokenizes. The load tokenizes the text in pieces on it
+// (TokenizeCsv), encodes the columns in parallel, and hands the pool on
+// so the same load builds its level-1 partitions on it (LoadedDataset
+// in data/dataset_store.h). Output is the same at any party count: the
+// pieces give the serial tokenizer's fields, and each column is encoded
+// by one party.
 #ifndef FASTOD_DATA_ENCODE_H_
 #define FASTOD_DATA_ENCODE_H_
 
@@ -57,9 +60,10 @@ class EncodedRelation {
 
   /// Encodes tokenized CSV (data/csv.h) with no intermediate Values:
   /// bit-for-bit what FromTable produces on the Table ReadCsvString
-  /// builds from the same text. Consumes `fields`, freeing each column's
-  /// views once they are interned. With a `pool`, encodes the columns
-  /// in one ParallelFor on it. Same limits as FromTable.
+  /// builds from the same text. Consumes `fields`, closing each
+  /// column's gaps and freeing its views once they are interned. With a
+  /// `pool`, encodes the columns in one ParallelFor on it. Same limits
+  /// as FromTable.
   static Result<EncodedRelation> FromCsv(CsvFields fields,
                                          ThreadPool* pool = nullptr);
 
@@ -112,15 +116,17 @@ inline constexpr int64_t kMaxRows = std::numeric_limits<int32_t>::max();
 Status CheckRelationShape(int64_t rows, int columns);
 
 /// CSV text straight to its encoding: TokenizeCsv + FromCsv, on the
-/// load's private ingest pool when the CSV has at least 2^16 cells.
+/// load's private ingest pool when the CSV has at least 2^16 cells,
+/// made before tokenizing.
 /// With `pool`, hands that pool (null below the threshold) to the
 /// caller, so the same load can build its partitions on it.
 Result<EncodedRelation> EncodeCsvString(
     std::string_view text, const CsvOptions& options = CsvOptions(),
     std::unique_ptr<ThreadPool>* pool = nullptr);
 
-/// The same for a file. With a `trace`, records the two session phase
-/// spans: csv.parse (read, tokenize) and, when that succeeded, encode
+/// The same for a file. With a `trace`, records the session phase spans
+/// csv.read (read the file) and, as long as the previous step
+/// succeeded, csv.tokenize (make the ingest pool, tokenize) and encode
 /// (intern, infer types, parse the distinct fields, sort, remap).
 Result<EncodedRelation> EncodeCsvFile(const std::string& path,
                                       const CsvOptions& options = CsvOptions(),

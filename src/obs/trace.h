@@ -3,8 +3,8 @@
 // A TraceRecorder collects two kinds of evidence about one discovery
 // session:
 //
-//   * timed spans — named phases (csv.parse, encode, execute, level[k])
-//     with start offsets relative to the recorder's creation, recorded by
+//   * timed spans — named phases (csv.read, csv.tokenize, encode,
+//     partitions.level1, execute, level[k]) with start offsets relative to the recorder's creation, recorded by
 //     the code that runs the phase;
 //   * engine stats — the lattice-search counters every engine already
 //     accumulates internally (nodes visited/pruned per level, swap/split

@@ -42,22 +42,28 @@ bool SortedSweepFindsSwap(std::span<int32_t> tuples,
 
 }  // namespace
 
-SortedPartitions::SortedPartitions(const EncodedRelation& relation) {
-  const int64_t n = relation.NumRows();
-  orders_.resize(relation.NumAttributes());
-  for (int a = 0; a < relation.NumAttributes(); ++a) {
-    const CodeColumn& codes = relation.codes(a);
-    const int32_t num_distinct = relation.NumDistinct(a);
-    const uint32_t* data = codes.data();
+SortedPartitions::SortedPartitions(const EncodedRelation& relation)
+    : relation_(relation),
+      orders_(relation.NumAttributes()),
+      built_(std::make_unique<std::once_flag[]>(relation.NumAttributes())) {}
+
+const std::vector<int32_t>& SortedPartitions::TupleOrder(int attr) const {
+  FASTOD_DCHECK(attr >= 0 && attr < static_cast<int>(orders_.size()));
+  std::call_once(built_[attr], [this, attr] {
+    const int64_t n = relation_.NumRows();
+    const int32_t num_distinct = relation_.NumDistinct(attr);
+    const uint32_t* data = relation_.codes(attr).data();
     // Counting sort: stable, so ties stay in ascending tuple order.
     std::vector<int32_t> counts(num_distinct + 1, 0);
     for (int64_t t = 0; t < n; ++t) ++counts[data[t] + 1];
     for (int32_t v = 0; v < num_distinct; ++v) counts[v + 1] += counts[v];
-    orders_[a].resize(n);
+    std::vector<int32_t>& order = orders_[attr];
+    order.resize(n);
     for (int64_t t = 0; t < n; ++t) {
-      orders_[a][counts[data[t]]++] = static_cast<int32_t>(t);
+      order[counts[data[t]]++] = static_cast<int32_t>(t);
     }
-  }
+  });
+  return orders_[attr];
 }
 
 SwapChecker::SwapChecker(const EncodedRelation* relation,

@@ -37,6 +37,8 @@
 #define FASTOD_PARTITION_SORTED_PARTITION_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/encode.h"
@@ -45,19 +47,21 @@
 namespace fastod {
 
 /// τ_A for every attribute: tuple ids in ascending A-rank order (ties by
-/// tuple id). Computed once and shared by all swap checks.
+/// tuple id), shared by all swap checks. Each order is built on first use
+/// (a run scans τ for only some attributes), once, by whichever thread
+/// asks first; concurrent callers wait for it. The relation must outlive
+/// this object.
 class SortedPartitions {
  public:
   explicit SortedPartitions(const EncodedRelation& relation);
 
-  /// Tuples sorted ascending by attribute `attr`.
-  const std::vector<int32_t>& TupleOrder(int attr) const {
-    FASTOD_DCHECK(attr >= 0 && attr < static_cast<int>(orders_.size()));
-    return orders_[attr];
-  }
+  /// Tuples sorted ascending by attribute `attr`. Thread-safe.
+  const std::vector<int32_t>& TupleOrder(int attr) const;
 
  private:
-  std::vector<std::vector<int32_t>> orders_;
+  const EncodedRelation& relation_;
+  mutable std::vector<std::vector<int32_t>> orders_;
+  mutable std::unique_ptr<std::once_flag[]> built_;
 };
 
 enum class SwapCheckMethod {

@@ -111,10 +111,10 @@ class DiscoverySession {
 
   // ---- Observability ------------------------------------------------
   /// The session's trace (obs/trace.h): phase spans recorded by Run()
-  /// (csv.parse, encode, partitions.level1, execute, level[k]) plus the
-  /// engine's search counters, captured when the run finishes. Safe to
-  /// render from any thread at any time; spans appear as the run passes
-  /// through them.
+  /// (csv.read, csv.tokenize, encode, partitions.level1, execute,
+  /// level[k]) plus the engine's search counters, captured when the run
+  /// finishes. Safe to render from any thread at any time; spans appear
+  /// as the run passes through them.
   /// Empty when metrics are disabled (FASTOD_METRICS=off).
   const obs::TraceRecorder& trace() const { return trace_; }
   std::string trace_json() const { return trace_.ToJson(); }

@@ -463,15 +463,17 @@ TEST_F(CliTest, DiscoverStatsJsonEmbedsTrace) {
   CliResult r = RunCli({"discover", path_, "--stats", "--output=json"});
   EXPECT_EQ(r.exit_code, 0) << r.error;
   EXPECT_NE(r.output.find("\"trace\":"), std::string::npos) << r.output;
-  // The fused CSV-to-codes load keeps both ingest spans, then the
+  // The fused CSV-to-codes load keeps its three ingest spans, then the
   // dataset's level-1 partitions, in order and before the run.
-  const size_t parse = r.output.find("\"csv.parse\"");
+  const size_t read = r.output.find("\"csv.read\"");
+  const size_t tokenize = r.output.find("\"csv.tokenize\"");
   const size_t encode = r.output.find("\"encode\"");
   const size_t level1 = r.output.find("\"partitions.level1\"");
   const size_t execute = r.output.find("\"execute\"");
-  ASSERT_NE(parse, std::string::npos) << r.output;
+  ASSERT_NE(read, std::string::npos) << r.output;
   ASSERT_NE(execute, std::string::npos) << r.output;
-  EXPECT_LT(parse, encode) << r.output;
+  EXPECT_LT(read, tokenize) << r.output;
+  EXPECT_LT(tokenize, encode) << r.output;
   EXPECT_LT(encode, level1) << r.output;
   EXPECT_LT(level1, execute) << r.output;
   EXPECT_NE(r.output.find("\"nodes_visited\""), std::string::npos);

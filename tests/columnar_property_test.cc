@@ -408,13 +408,13 @@ TEST(DirectCsvEncodingTest, AppendCsvEqualsPutOfConcatenation) {
 }
 
 // 20k rows x 8 typed columns (160k cells) is above the parallel ingest
-// threshold, so on a machine with two or more hardware threads the
-// columns are encoded and partitioned on the load's private pool; every
-// other input here is encoded serially. The columns
-// put ties on every key type: spellings of one int, and -0 and NaN
-// first (rows 0 and 1) with unsigned spellings of the same values
-// after, so a representative other than the first row's shows up as a
-// dictionary bit difference.
+// threshold, so on a machine with two or more hardware threads the text
+// is tokenized in pieces and the columns are encoded and partitioned on
+// the load's private pool; every other input here is encoded serially.
+// The columns put ties on every key type: spellings of one int, and -0
+// and NaN first (rows 0 and 1) with unsigned spellings of the same
+// values after, so a representative other than the first row's shows up
+// as a dictionary bit difference.
 TEST(DirectCsvEncodingTest, AboveParallelThresholdMatchesTablePath) {
   const char* ints[] = {"-9223372036854775808", "9223372036854775807",
                         "-5",  "01", "+1", "1", "0", "-0", "", "42"};

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/csv.h"
 #include "gen/random_table.h"
 
@@ -250,6 +252,150 @@ TEST_P(CsvFuzzTest, RandomTablesRoundTripLosslessly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzTest,
                          ::testing::Values(1001, 2002, 3003, 4004));
+
+// A tokenize in comparable form: its error code and message, or the
+// names, the row count and every field's text.
+std::string Describe(Result<CsvFields> fields) {
+  std::string out;
+  if (!fields.ok()) {
+    out += "error ";
+    out += std::to_string(static_cast<int>(fields.status().code()));
+    out += ": ";
+    out += fields.status().message();
+    return out;
+  }
+  out += std::to_string(fields->num_rows);
+  out += " rows;";
+  for (const std::string& name : fields->names) {
+    out += " <";
+    out += name;
+    out += '>';
+  }
+  for (size_t c = 0; c < fields->columns.size(); ++c) {
+    out += '\n';
+    out += std::to_string(fields->columns[c].size());
+    out += ':';
+    for (std::string_view field : fields->columns[c]) {
+      out += " <";
+      out += field;
+      out += '>';
+    }
+  }
+  return out;
+}
+
+// Texts whose pieces meet every case the speculative split must undo or
+// keep: quoted line breaks and "" at and across the cuts, CRLF, blank
+// lines, literal quotes in mid-field, a missing final newline, a ragged
+// record early with an unterminated quote at the end, and a quoted field
+// across several cuts.
+std::vector<std::string> ChunkCorpusSeeds() {
+  std::string quoted = "id,note,k\n";
+  std::string crlf = "a,b\r\n";
+  std::string blank = "\n\na,b\n";
+  std::string literal = "a,b\n";
+  std::string ragged = "a,b\n1\n";
+  for (int r = 0; r < 30; ++r) {
+    const std::string n = std::to_string(r);
+    quoted += n + ",\"x\n\"\"" + n + "\"\"\n\"," + std::to_string(r % 4) + "\n";
+    crlf += n + ",\"c\r\nd\"\r\n";
+    blank += n + "," + n + (r % 3 == 0 ? "\n\n\n" : "\n");
+    literal += "a\"" + n + ",\"q\"" + n + "\n";
+    ragged += n + ",\"" + n + "\"\n";
+  }
+  std::string unterminated_tail = quoted;
+  unterminated_tail.pop_back();
+  std::string spanning = "a,b\n0,x\n1,\"";
+  for (int line = 0; line < 40; ++line) {
+    spanning += "\"\"" + std::to_string(line) + "\n";
+  }
+  spanning += "\"\n";
+  for (int r = 2; r < 20; ++r) spanning += std::to_string(r) + ",y\n";
+  return {quoted,  crlf, blank, literal, ragged + "9,\"open\n",
+          unterminated_tail, quoted + "7,\"last\"\",1", spanning};
+}
+
+// One to four random edits (insert a CSV-significant byte, delete a
+// byte, copy a slice elsewhere).
+std::string Mutate(std::string text, Rng* rng) {
+  const char alphabet[] = ",\"\n\r a1";
+  for (int64_t edits = 1 + rng->Uniform(4); edits > 0; --edits) {
+    const size_t at = static_cast<size_t>(rng->Uniform(
+        static_cast<int64_t>(text.size()) + 1));
+    switch (rng->Uniform(3)) {
+      case 0:
+        text.insert(at, 1, alphabet[rng->Uniform(sizeof(alphabet) - 1)]);
+        break;
+      case 1:
+        if (at < text.size()) text.erase(at, 1);
+        break;
+      default: {
+        const size_t from = static_cast<size_t>(
+            rng->Uniform(static_cast<int64_t>(text.size()) + 1));
+        text.insert(at, text.substr(from, rng->Uniform(12)));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+// Tokenizing in pieces on 2-8 parties gives what one piece gives, field
+// for field and error for error, on a fixed-seed mutation corpus.
+TEST(CsvChunkTest, PiecesMatchOnePieceOnAMutationCorpus) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int workers = 1; workers <= 7; ++workers) {
+    pools.push_back(std::make_unique<ThreadPool>(workers, "csv-test"));
+  }
+  CsvOptions no_header;
+  no_header.has_header = false;
+  CsvOptions few_rows;
+  few_rows.max_rows = 3;
+  const std::vector<CsvOptions> variants = {CsvOptions(), no_header,
+                                            few_rows};
+  Rng rng(20261019);
+  int errors = 0;
+  int texts = 0;
+  for (const std::string& seed : ChunkCorpusSeeds()) {
+    for (int mutant = 0; mutant < 40; ++mutant) {
+      const std::string text = mutant == 0 ? seed : Mutate(seed, &rng);
+      ++texts;
+      for (const CsvOptions& options : variants) {
+        const std::string expected = Describe(TokenizeCsv(text, options));
+        errors += expected.rfind("error", 0) == 0;
+        for (const auto& pool : pools) {
+          ASSERT_EQ(Describe(TokenizeCsv(text, options, pool.get())),
+                    expected)
+              << "parties " << pool->num_threads() + 1 << ", has_header "
+              << options.has_header << ", max_rows " << options.max_rows
+              << ", text:\n" << text;
+        }
+      }
+    }
+  }
+  // The corpus reaches both outcomes.
+  EXPECT_GT(errors, 0);
+  EXPECT_LT(errors, texts * static_cast<int>(variants.size()));
+}
+
+// The seeds' errors come in the serial order over the whole text.
+TEST(CsvChunkTest, SeedErrorsKeepTheSerialOrder) {
+  ThreadPool pool(3, "csv-test");
+  const std::vector<std::string> seeds = ChunkCorpusSeeds();
+  // A ragged record in the first piece loses to an unterminated quote in
+  // the last.
+  auto unterminated = TokenizeCsv(seeds[4], CsvOptions(), &pool);
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.status().message(), "unterminated quoted CSV field");
+  auto ragged = TokenizeCsv(seeds[4].substr(0, seeds[4].size() - 8),
+                            CsvOptions(), &pool);
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().message(),
+            "ragged CSV: expected 2 fields, found a record with 1");
+  auto quoted = TokenizeCsv(seeds[0], CsvOptions(), &pool);
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  EXPECT_EQ(quoted->num_rows, 30);
+}
 
 }  // namespace
 }  // namespace fastod

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,6 +53,35 @@ TEST(SortedPartitionsTest, TupleOrderSortsByRankThenId) {
   SortedPartitions sorted(rel);
   // values 3,1,2,1 -> ascending: rows 1,3 (value 1), 2, 0.
   EXPECT_EQ(sorted.TupleOrder(0), (std::vector<int32_t>{1, 3, 2, 0}));
+}
+
+// τ orders are built on first use; threads asking for them at once, each
+// in its own attribute order, all get the order an eager stable sort by
+// rank (ties by tuple id) gives.
+TEST(SortedPartitionsTest, ConcurrentFirstUseBuildsEachOrderOnce) {
+  Table t = GenRandomTable(3000, 6, 40, 17);
+  EncodedRelation rel = Encode(t);
+  std::vector<std::vector<int32_t>> expected(rel.NumAttributes());
+  for (int a = 0; a < rel.NumAttributes(); ++a) {
+    expected[a].resize(rel.NumRows());
+    std::iota(expected[a].begin(), expected[a].end(), 0);
+    std::stable_sort(expected[a].begin(), expected[a].end(),
+                     [&](int32_t s, int32_t u) {
+                       return rel.rank(s, a) < rel.rank(u, a);
+                     });
+  }
+  SortedPartitions sorted(rel);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&, i] {
+      for (int k = 0; k < rel.NumAttributes(); ++k) {
+        const int a = (k + i) % rel.NumAttributes();
+        EXPECT_EQ(sorted.TupleOrder(a), expected[a])
+            << "thread " << i << " attr " << a;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 TEST(SwapCheckerTest, DetectsSimpleSwap) {

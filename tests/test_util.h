@@ -52,9 +52,9 @@ inline std::string MaskSeconds(std::string json) {
 /// Drops the "trace" member the server splices into /result bodies while
 /// metrics are enabled, and renders the rest with JsonValue::Dump.
 /// Traces carry wall-clock spans and source-dependent cache counters (a
-/// dataset-bound session skips the csv.parse span and seeds its
-/// partition cache), so bit-for-bit comparisons of the discovery output
-/// strip the trace first, from both sides. A body that is not a JSON
+/// dataset-bound session skips the csv.read and csv.tokenize spans and
+/// seeds its partition cache), so bit-for-bit comparisons of the
+/// discovery output strip the trace first, from both sides. A body that is not a JSON
 /// object comes back unchanged.
 inline std::string StripTrace(const std::string& json) {
   Result<JsonValue> parsed = ParseJson(json);

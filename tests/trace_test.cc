@@ -164,16 +164,18 @@ TEST(SessionTrace, DeferredCsvSessionRecordsPhaseSpans) {
   ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
   std::string trace = *service.TraceJson(*id);
   // The deferred load reads straight into code columns and builds the
-  // session-local dataset: tokenizing under csv.parse, interning under
-  // encode, the level-1 partitions under partitions.level1, in that
-  // order and before the run.
-  const size_t parse = trace.find("\"csv.parse\"");
+  // session-local dataset: reading the file under csv.read, tokenizing
+  // under csv.tokenize, interning under encode, the level-1 partitions
+  // under partitions.level1, in that order and before the run.
+  const size_t read = trace.find("\"csv.read\"");
+  const size_t tokenize = trace.find("\"csv.tokenize\"");
   const size_t encode = trace.find("\"encode\"");
   const size_t level1 = trace.find("\"partitions.level1\"");
   const size_t execute = trace.find("\"execute\"");
-  ASSERT_NE(parse, std::string::npos) << trace;
+  ASSERT_NE(read, std::string::npos) << trace;
   ASSERT_NE(execute, std::string::npos) << trace;
-  EXPECT_LT(parse, encode) << trace;
+  EXPECT_LT(read, tokenize) << trace;
+  EXPECT_LT(tokenize, encode) << trace;
   EXPECT_LT(encode, level1) << trace;
   EXPECT_LT(level1, execute) << trace;
   EXPECT_NE(trace.find("\"level[1]\""), std::string::npos) << trace;
