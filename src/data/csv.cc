@@ -12,6 +12,7 @@
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "data/interner.h"
 
 namespace fastod {
 
@@ -22,10 +23,19 @@ namespace {
 // the pieces and columns save.
 constexpr int64_t kParallelIngestCells = int64_t{1} << 16;
 
+using FieldInterner = Interner<std::string_view, std::hash<std::string_view>>;
+
+// Rows a piece holds as field views before it interns them, a column at
+// a time: then one column's table stays in cache and its probes are
+// independent. Interning each field as it was read made the 4-party
+// tokenize of flight 200k x12 more than twice as slow.
+constexpr int64_t kBlockRows = 64;
+
 // One piece of the text, [begin, end), tokenized as if it began at a
-// record start. Its rows go to consecutive column slots from `slot`; a
-// piece holds at most as many records as line breaks, plus one for the
-// last piece, so its slots are sized by the line count. Pieces, and
+// record start. Its rows go to consecutive column slots from `slot`, as
+// ids into its own per-column dictionaries; a piece holds at most as
+// many records as line breaks, plus one for the last piece, so its
+// slots are sized by the line count. Pieces, and
 // their Tokenizers, sit side by side while each party writes its own,
 // so each gets its own cache line.
 struct alignas(64) Piece {
@@ -39,6 +49,7 @@ struct alignas(64) Piece {
   int64_t ragged_width = -1;  // width of its first ragged record
   bool in_quotes = false;     // ended inside a quoted field
   std::deque<std::string> unescaped;
+  std::vector<FieldInterner> interners;  // one per column
 };
 
 // One pass over a piece under the RFC-4180-style grammar: a quote opens
@@ -48,12 +59,14 @@ struct alignas(64) Piece {
 // view; the first discontiguity (a closing quote followed by more text,
 // an escaped quote, a dropped \r) copies it into the piece's arena. With
 // `first_record`, reads only the piece's first record into it and ends
-// the piece after it; otherwise stores each record of the width of
-// `columns` in its row slot.
+// the piece after it; otherwise keeps the records of the width of
+// `columns` in blocks of kBlockRows rows, and interns each block's
+// fields in the piece's dictionary for their column, storing the ids in
+// the records' row slots.
 class alignas(64) Tokenizer {
  public:
   Tokenizer(std::string_view text, char delimiter, Piece* piece,
-            std::vector<std::vector<std::string_view>>* columns,
+            std::vector<CsvColumn>* columns,
             std::vector<std::string_view>* first_record)
       : text_(text),
         delim_(delimiter),
@@ -62,7 +75,9 @@ class alignas(64) Tokenizer {
         first_record_(first_record),
         width_(first_record != nullptr ? SIZE_MAX : columns->size()),
         storing_(HasRoom()),
-        pos_(piece->begin) {}
+        pos_(piece->begin) {
+    if (first_record == nullptr) block_.resize(width_ * kBlockRows);
+  }
 
   // Tokenizes from where the last call stopped up to the piece's end. A
   // piece that ended inside a quoted field may have its end moved on and
@@ -124,7 +139,9 @@ class alignas(64) Tokenizer {
       return;
     }
     piece_->in_quotes = in_quotes_;
-    if (!in_quotes_ && (field_started_ || !FieldEmpty())) EndRecord();
+    if (in_quotes_) return;  // the open record goes on in the next run
+    if (field_started_ || !FieldEmpty()) EndRecord();
+    InternBlock();
   }
 
  private:
@@ -158,7 +175,7 @@ class alignas(64) Tokenizer {
       if (first_record_ != nullptr) {
         first_record_->push_back(field);
       } else {
-        (*columns_)[field_][piece_->slot + piece_->rows] = field;
+        block_[field_ * kBlockRows + block_rows_] = field;
       }
     }
     ++field_;
@@ -178,6 +195,7 @@ class alignas(64) Tokenizer {
       }
     } else if (storing_) {
       ++piece_->rows;
+      if (++block_rows_ == kBlockRows) InternBlock();
     }
     field_ = 0;
     // Records past max_rows are still scanned (a malformed tail fails the
@@ -189,14 +207,31 @@ class alignas(64) Tokenizer {
     return piece_->max_rows < 0 || piece_->rows < piece_->max_rows;
   }
 
+  // Interns the block's rows, the last stored, into their row slots.
+  void InternBlock() {
+    if (block_rows_ == 0) return;
+    const int64_t slot = piece_->slot + piece_->rows - block_rows_;
+    for (size_t c = 0; c < width_; ++c) {
+      FieldInterner& interner = piece_->interners[c];
+      const std::string_view* fields = &block_[c * kBlockRows];
+      uint32_t* ids = (*columns_)[c].ids.data() + slot;
+      interner.Intern(fields, static_cast<size_t>(block_rows_), ids);
+    }
+    block_rows_ = 0;
+  }
+
   std::string_view text_;
   char delim_;
   Piece* piece_;
-  std::vector<std::vector<std::string_view>>* columns_;
+  std::vector<CsvColumn>* columns_;
   std::vector<std::string_view>* first_record_;
   size_t width_;  // fields a record must have
   bool storing_;
   size_t pos_;  // where the next Run goes on
+  // Stored rows not yet interned: block_[c * kBlockRows + b] is column c
+  // of the b-th.
+  std::vector<std::string_view> block_;
+  int64_t block_rows_ = 0;
   bool in_quotes_ = false;
   bool field_started_ = false;  // true once the current record has content
   bool done_ = false;           // the first record has been read
@@ -229,12 +264,12 @@ Status Unterminated() {
 }
 
 // Cuts text[begin, end) into at most `parts` pieces of about equal
-// length, each cut just after a line break. Every piece but the last
-// ends with '\n'.
+// length, each cut just after a line break; one empty piece if the text
+// ends at `begin`. Every piece but the last ends with '\n'.
 std::vector<Piece> CutPieces(std::string_view text, size_t begin, int parts) {
   std::vector<Piece> pieces;
   const size_t n = text.size();
-  while (begin < n) {
+  do {
     size_t end = n;
     const int k = static_cast<int>(pieces.size()) + 1;
     if (k < parts) {
@@ -250,7 +285,7 @@ std::vector<Piece> CutPieces(std::string_view text, size_t begin, int parts) {
     pieces.back().begin = begin;
     pieces.back().end = end;
     begin = end;
-  }
+  } while (begin < n);
   return pieces;
 }
 
@@ -364,9 +399,11 @@ Result<CsvFields> TokenizeCsv(std::string_view text, const CsvOptions& options,
     piece.slot = slots;
     slots += piece.lines;
   }
-  if (!pieces.empty()) ++slots;  // the last record may lack a line break
+  // A last record without a line break; otherwise, text made of
+  // records alone fills its slots exactly, so the ids need no trim.
+  if (text.empty() || text.back() != '\n') ++slots;
   if (options.max_rows >= 0) {
-    if (!pieces.empty()) pieces[0].max_rows = options.max_rows - first_rows;
+    pieces[0].max_rows = options.max_rows - first_rows;
     slots = std::min(slots, options.max_rows);
   }
   // The loading thread allocates the columns and the parties write them
@@ -375,12 +412,15 @@ Result<CsvFields> TokenizeCsv(std::string_view text, const CsvOptions& options,
   // (allocated in the workers' arenas, the columns raised perfbench
   // flight-50k's peak RSS by ~4 MB).
   out.columns.resize(width);
-  for (std::vector<std::string_view>& column : out.columns) {
-    column.reserve(static_cast<size_t>(slots));
+  for (CsvColumn& column : out.columns) {
+    column.ids.reserve(static_cast<size_t>(slots));
   }
+  for (Piece& piece : pieces) piece.interners.resize(width);
   for_each(width, [&](int64_t c) {
-    out.columns[c].resize(static_cast<size_t>(slots));
-    if (first_rows > 0) out.columns[c][0] = record[c];
+    out.columns[c].ids.resize(static_cast<size_t>(slots));
+    if (first_rows > 0) {
+      out.columns[c].ids[0] = pieces[0].interners[c].Intern(record[c]);
+    }
   });
   std::vector<Tokenizer> tokenizers;
   tokenizers.reserve(pieces.size());
@@ -405,7 +445,7 @@ Result<CsvFields> TokenizeCsv(std::string_view text, const CsvOptions& options,
     kept.push_back(&pieces[k]);
     k = next;
   }
-  if (!kept.empty() && kept.back()->in_quotes) return Unterminated();
+  if (kept.back()->in_quotes) return Unterminated();
   for (const Piece* piece : kept) {
     if (piece->ragged_width >= 0) {
       return Status::InvalidArgument(
@@ -422,21 +462,39 @@ Result<CsvFields> TokenizeCsv(std::string_view text, const CsvOptions& options,
     out.num_rows += piece->rows;
     out.unescaped.push_back(std::move(piece->unescaped));
   }
-  // Moves each column's rows down over the slots the pieces left unused
-  // (blank lines, quoted line breaks, the last piece's spare slot), in
-  // place, so that columns[c][r] is data row r.
+  // Merges each column's piece dictionaries into the first piece's, in
+  // text order, so the merged ids are in first-row order. The other
+  // pieces' tables are freed first, and their keys once merged. The same
+  // pass moves each piece's rows down over the slots the pieces left
+  // unused (blank lines, quoted line breaks, the last piece's spare
+  // slot) and maps them to merged ids, in place, so that ids[r] is data
+  // row r. The first piece's rows already sit at their rows with their
+  // merged ids.
   for_each(width, [&](int64_t c) {
-    std::vector<std::string_view>& column = out.columns[c];
-    int64_t row = first_rows;
-    for (const Piece* piece : kept) {
-      if (piece->slot != row) {  // rows only move down: a forward copy
-        std::copy(column.begin() + piece->slot,
-                  column.begin() + piece->slot + piece->rows,
-                  column.begin() + row);
-      }
-      row += piece->rows;
+    std::vector<uint32_t>& ids = out.columns[c].ids;
+    std::vector<std::vector<std::string_view>> keys(kept.size());
+    size_t total = 0;
+    for (size_t k = 1; k < kept.size(); ++k) {
+      keys[k] = std::move(kept[k]->interners[c]).TakeKeys();
+      total += keys[k].size();
     }
-    column.resize(static_cast<size_t>(out.num_rows));
+    FieldInterner merged = std::move(kept[0]->interners[c]);
+    merged.Reserve(merged.keys().size() + total);
+    int64_t row = first_rows + kept[0]->rows;
+    std::vector<uint32_t> to_merged;
+    for (size_t k = 1; k < kept.size(); ++k) {
+      const std::vector<std::string_view> local = std::move(keys[k]);
+      to_merged.resize(local.size());
+      merged.Intern(local.data(), local.size(), to_merged.data());
+      // Rows only move down: a forward pass.
+      const uint32_t* from = ids.data() + kept[k]->slot;
+      for (int64_t r = 0; r < kept[k]->rows; ++r) {
+        ids[row + r] = to_merged[from[r]];
+      }
+      row += kept[k]->rows;
+    }
+    ids.resize(static_cast<size_t>(out.num_rows));
+    out.columns[c].distinct = std::move(merged).TakeKeys();
   });
   return out;
 }
@@ -497,13 +555,17 @@ Result<Table> ReadCsvString(const std::string& text,
   std::vector<AttributeDef> defs(num_cols);
   std::vector<std::vector<Value>> columns(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
+    const CsvColumn& column = fields->columns[c];
     defs[c].name = std::move(fields->names[c]);
-    defs[c].type = fields->infer_types ? InferColumnType(fields->columns[c])
+    defs[c].type = fields->infer_types ? InferColumnType(column.distinct)
                                        : DataType::kString;
-    columns[c].reserve(fields->num_rows);
-    for (std::string_view f : fields->columns[c]) {
-      columns[c].push_back(Value::FromView(ParseField(f, defs[c].type)));
+    std::vector<Value> values;
+    values.reserve(column.distinct.size());
+    for (std::string_view f : column.distinct) {
+      values.push_back(Value::FromView(ParseField(f, defs[c].type)));
     }
+    columns[c].reserve(column.ids.size());
+    for (uint32_t id : column.ids) columns[c].push_back(values[id]);
   }
   return Table(Schema(std::move(defs)), std::move(columns));
 }

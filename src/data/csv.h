@@ -7,28 +7,33 @@
 // (int -> double -> string; empty fields become NULL).
 //
 // One tokenizer serves every reader: TokenizeCsv splits the text into
-// per-column field views (CsvFields), copying only fields that need
-// unescaping. It infers no types. The load paths hand the CsvFields to
-// the encoder (EncodedRelation::FromCsv in data/encode.h), which
-// consumes them column by column: it interns the views, infers the
-// column type over the distinct fields (InferColumnType) and parses only
-// those, never building a Value. ReadCsvString/ReadCsvFile infer over
-// every field and build a Table from the same views for callers that
-// want one.
+// fields and interns them as it goes, so its output (CsvFields) holds,
+// per column, each data row's field as a 4-byte id into the column's
+// distinct fields in first-row order. It copies only fields that need
+// unescaping, and infers no types. The load paths hand the CsvFields to
+// the encoder (EncodedRelation::FromCsv in data/encode.h), which infers
+// each column's type over its distinct fields (InferColumnType), parses
+// only those and turns the ids into codes in place, never building a
+// Value.
+// ReadCsvString/ReadCsvFile build a Table from the same output, parsing
+// each distinct field once, for callers that want one.
 //
 // Given a pool, TokenizeCsv reads the first record on the calling
 // thread, cuts the rest of the text at line breaks into one piece per
 // party and tokenizes the pieces in one ParallelFor, each as if it began
-// at a record start, into its own row slots of each column. Pieces are
-// accepted in text order (speculative parsing as in Ge et al., SIGMOD
-// 2019). One that ended inside a quoted field means the next began
-// mid-field: that piece resumes from where it stopped through the next
-// one, whose speculative result is dropped, until it ends outside
-// quotes; the pieces after it began at a record start and stand. So no
-// byte is tokenized more than twice, and text without quoted line
-// breaks only once. The slots the pieces leave unused (blank lines,
-// quoted line breaks) are closed before TokenizeCsv returns. Without a
-// pool the whole rest is one piece, so both paths run the same code.
+// at a record start, into its own row slots of each column and its own
+// dictionary per column. Pieces are accepted in text order (speculative
+// parsing as in Ge et al., SIGMOD 2019). One that ended inside a quoted
+// field means the next began mid-field: that piece resumes from where it
+// stopped through the next one, whose speculative result is dropped,
+// until it ends outside quotes; the pieces after it began at a record
+// start and stand. So no byte is tokenized more than twice, and text
+// without quoted line breaks only once. Then one ParallelFor over the
+// columns merges each column's piece dictionaries in text order, which
+// gives the ids of a one-piece tokenize, and in the same pass maps each
+// piece's rows to merged ids and closes the slots the pieces left unused
+// (blank lines, quoted line breaks). Without a pool the whole rest is
+// one piece, which needs no merge, so both paths run the same code.
 #ifndef FASTOD_DATA_CSV_H_
 #define FASTOD_DATA_CSV_H_
 
@@ -59,13 +64,20 @@ struct CsvOptions {
   int64_t max_rows = -1;
 };
 
+/// One tokenized column: every data row's whitespace-trimmed field, as
+/// ids[r] into `distinct`, the column's distinct fields in first-row
+/// order. An empty field is a NULL.
+struct CsvColumn {
+  std::vector<uint32_t> ids;
+  std::vector<std::string_view> distinct;
+};
+
 /// Tokenized CSV: the attribute names (header names or col0..) and, per
-/// column, the whitespace-trimmed text of every data row's field. An
-/// empty view is a NULL. Views point into the tokenized text, which must
-/// outlive this object, or into `unescaped`. Column types are not known
-/// yet: the consumer infers them (InferColumnType) when `infer_types`
-/// is set. Move-only, since copies would alias the original's unescaped
-/// fields.
+/// column, its interned fields. The distinct fields point into the
+/// tokenized text, which must outlive this object, or into `unescaped`.
+/// Column types are not known yet: the consumer infers them
+/// (InferColumnType) when `infer_types` is set. Move-only, since copies
+/// would alias the original's unescaped fields.
 struct CsvFields {
   CsvFields() = default;
   CsvFields(CsvFields&&) = default;
@@ -77,9 +89,9 @@ struct CsvFields {
   /// CsvOptions::infer_types of the tokenize; false makes every column
   /// a string column.
   bool infer_types = true;
+  /// Data rows, at most max_rows; every column has this many ids.
   int64_t num_rows = 0;
-  /// columns[c][r]: field of data row r (at most max_rows) in column c.
-  std::vector<std::vector<std::string_view>> columns;
+  std::vector<CsvColumn> columns;
   /// Owned copies of the fields that needed unescaping (quotes, stray
   /// \r), one arena per tokenized piece. Each arena is kept whole and
   /// never merged: a view of a short string points inside the string
@@ -87,9 +99,9 @@ struct CsvFields {
   std::vector<std::deque<std::string>> unescaped;
 };
 
-/// Splits CSV text into per-column field views. With a `pool`, tokenizes
-/// one piece of the text per party (see above); the output is the same
-/// at any party count. Fails (InvalidArgument) on an unterminated quoted
+/// Splits CSV text into per-column interned fields. With a `pool`,
+/// tokenizes one piece of the text per party (see above); the output is
+/// the same at any party count. Fails (InvalidArgument) on an unterminated quoted
 /// field, input with no records, or ragged records — checked in that
 /// order over the whole text, even beyond max_rows. A tokenize with
 /// max_rows set runs as one piece.

@@ -68,10 +68,11 @@ class LoadedDataset {
       std::string id, EncodedRelation relation, std::string source,
       obs::TraceRecorder* trace = nullptr);
 
-  /// The CSV load path: tokenizes `text` and encodes the field views
-  /// directly (EncodeCsvString), never building a Table or a Value. A
-  /// load of at least 2^16 cells tokenizes, encodes and builds its
-  /// level-1 partitions on one pool private to the load (data/encode.h).
+  /// The CSV load path: tokenizes and interns `text` and encodes the
+  /// interned fields directly (EncodeCsvString), never building a Table
+  /// or a Value. A load of at least 2^16 cells tokenizes, encodes and
+  /// builds its level-1 partitions on one pool private to the load
+  /// (data/encode.h).
   static Result<std::shared_ptr<const LoadedDataset>> LoadCsv(
       std::string id, std::string_view text, const CsvOptions& options,
       std::string source);

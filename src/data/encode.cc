@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "data/interner.h"
 #include "od/attribute_set.h"
 
 namespace fastod {
@@ -29,65 +30,6 @@ uint64_t MixBits(uint64_t z) {  // splitmix64 finalizer
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-/// Open-addressing hash set over the rows of one column, handing each
-/// distinct value a dense id in first-row order. It stores rows, not
-/// values: `hash(row)` and `eq(row, row)` read the column, and each id
-/// keeps the first row carrying its value (4 bytes a distinct value).
-/// Slots keep the low 32 hash bits beside the id: they place the row on
-/// a rehash and filter probes, so a probe compares values only on a
-/// likely match. The table doubles at half load; row counts fit int32,
-/// so 32 bits address every slot.
-template <typename Hash, typename Eq>
-class Interner {
- public:
-  Interner(Hash hash, Eq eq) : hash_(hash), eq_(eq), slots_(16) {}
-
-  /// The id of row `row`'s value, assigning the next one on first sight.
-  uint32_t Intern(uint32_t row) {
-    const uint32_t h = static_cast<uint32_t>(hash_(row));
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = h & mask;; s = (s + 1) & mask) {
-      Slot& slot = slots_[s];
-      if (slot.id == 0) {
-        const uint32_t id = static_cast<uint32_t>(first_rows_.size());
-        slot = Slot{h, id + 1};
-        first_rows_.push_back(row);
-        if (first_rows_.size() * 2 > slots_.size()) Grow();
-        return id;
-      }
-      if (slot.hash == h && eq_(first_rows_[slot.id - 1], row)) {
-        return slot.id - 1;
-      }
-    }
-  }
-
-  /// The first row of each id; leaves the interner empty.
-  std::vector<uint32_t> TakeFirstRows() && { return std::move(first_rows_); }
-
- private:
-  struct Slot {
-    uint32_t hash = 0;
-    uint32_t id = 0;  // 1-based; 0 marks an empty slot
-  };
-
-  void Grow() {
-    std::vector<Slot> bigger(slots_.size() * 2);
-    const size_t mask = bigger.size() - 1;
-    for (const Slot& slot : slots_) {
-      if (slot.id == 0) continue;
-      size_t s = slot.hash & mask;
-      while (bigger[s].id != 0) s = (s + 1) & mask;
-      bigger[s] = slot;
-    }
-    slots_.swap(bigger);
-  }
-
-  Hash hash_;
-  Eq eq_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> first_rows_;
-};
 
 /// Hash consistent with Value::Compare equality: an integral double
 /// hashes as the int it equals (so 2 and 2.0 collide, as do 0.0 and
@@ -111,20 +53,6 @@ uint64_t HashValue(const Value& value) {
       return std::hash<std::string_view>()(value.AsString());
   }
   return 0;
-}
-
-/// Interns every row of `column` (anything indexable by row): each
-/// row's id, in first-row order, and the first row of each id.
-template <typename Column, typename Hash, typename Eq>
-std::vector<uint32_t> InternRows(const Column& column, Hash hash, Eq eq,
-                                 std::vector<uint32_t>* first_rows) {
-  std::vector<uint32_t> ids(column.size());
-  Interner<Hash, Eq> interner(hash, eq);
-  for (size_t r = 0; r < column.size(); ++r) {
-    ids[r] = interner.Intern(static_cast<uint32_t>(r));
-  }
-  *first_rows = std::move(interner).TakeFirstRows();
-  return ids;
 }
 
 struct ColumnEncoding {
@@ -221,33 +149,17 @@ std::vector<Keyed<Key>> KeyDistinct(std::vector<std::string_view> distinct,
   return keyed;
 }
 
-/// Encodes one tokenized CSV column and frees its field views: interns
-/// them in first-row order, keeps one view per distinct field and frees
-/// the rest, infers the type over the distinct fields (when `infer`),
-/// parses each distinct field once into the type's key, and ranks.
-ColumnEncoding EncodeCsvColumn(std::vector<std::string_view>* fields,
-                               bool infer, DataType* type) {
-  // Interning the trimmed text first means only distinct fields are
-  // parsed; fields spelling one value differently ("1", "01") get
-  // separate ids here and one code in RankDistinct.
-  const std::vector<std::string_view>& column = *fields;
-  std::vector<uint32_t> first_rows;
-  std::vector<uint32_t> ids = InternRows(
-      column,
-      [&column](uint32_t r) { return std::hash<std::string_view>()(column[r]); },
-      [&column](uint32_t a, uint32_t b) { return column[a] == column[b]; },
-      &first_rows);
-  std::vector<std::string_view> distinct(first_rows.size());
-  for (size_t id = 0; id < distinct.size(); ++id) {
-    distinct[id] = column[first_rows[id]];
-  }
-  std::vector<uint32_t>().swap(first_rows);
-  std::vector<std::string_view>().swap(*fields);
+/// Encodes one tokenized CSV column: infers the type over its distinct
+/// fields (when `infer`), parses each once into the type's key, and
+/// ranks, turning the column's ids into its codes in place.
+ColumnEncoding EncodeCsvColumn(CsvColumn column, bool infer, DataType* type) {
+  std::vector<std::string_view>& distinct = column.distinct;
   *type = infer ? InferColumnType(distinct) : DataType::kString;
   const uint32_t d = static_cast<uint32_t>(distinct.size());
   // The empty field is NULL whatever the type; interning leaves at most
   // one. Inference admitted a numeric type only if every other field
-  // parses as it.
+  // parses as it. Fields spelling one value differently ("1", "01") have
+  // separate ids and get one code in RankDistinct.
   const auto empty =
       std::find(distinct.begin(), distinct.end(), std::string_view());
   const int64_t null = empty == distinct.end() ? -1 : empty - distinct.begin();
@@ -258,19 +170,19 @@ ColumnEncoding EncodeCsvColumn(std::vector<std::string_view>* fields,
                                [](std::string_view f) {
                                  return ParseInt(f).value();
                                }),
-          d, null, std::move(ids));
+          d, null, std::move(column.ids));
     case DataType::kDouble:
       return RankDistinct(
           KeyDistinct<double>(std::move(distinct), null,
                               [](std::string_view f) {
                                 return ParseDouble(f).value();
                               }),
-          d, null, std::move(ids));
+          d, null, std::move(column.ids));
     default:
       return RankDistinct(
           KeyDistinct<std::string_view>(std::move(distinct), null,
                                         [](std::string_view f) { return f; }),
-          d, null, std::move(ids));
+          d, null, std::move(column.ids));
   }
 }
 
@@ -299,13 +211,16 @@ Result<EncodedRelation> EncodedRelation::FromTable(const Table& table) {
   rel.dicts_.reserve(table.NumColumns());
   for (int c = 0; c < table.NumColumns(); ++c) {
     const std::vector<Value>& col = table.column(c);
-    std::vector<uint32_t> first_rows;
-    std::vector<uint32_t> ids = InternRows(
-        col, [&col](uint32_t r) { return HashValue(col[r]); },
-        [&col](uint32_t a, uint32_t b) {
-          return Value::Compare(col[a], col[b]) == 0;
-        },
-        &first_rows);
+    auto hash = [&col](uint32_t r) { return HashValue(col[r]); };
+    auto eq = [&col](uint32_t a, uint32_t b) {
+      return Value::Compare(col[a], col[b]) == 0;
+    };
+    Interner<uint32_t, decltype(hash), decltype(eq)> interner(hash, eq);
+    std::vector<uint32_t> ids(col.size());
+    for (size_t r = 0; r < col.size(); ++r) {
+      ids[r] = interner.Intern(static_cast<uint32_t>(r));
+    }
+    const std::vector<uint32_t>& first_rows = interner.keys();
     std::vector<Keyed<ValueView>> keyed;
     keyed.reserve(first_rows.size());
     for (uint32_t id = 0; id < first_rows.size(); ++id) {
@@ -333,8 +248,8 @@ Result<EncodedRelation> EncodedRelation::FromCsv(CsvFields fields,
   std::vector<AttributeDef> defs(columns);
   auto encode = [&](int64_t c) {
     defs[c].name = std::move(fields.names[c]);
-    ColumnEncoding encoded = EncodeCsvColumn(&fields.columns[c],
-                                             fields.infer_types, &defs[c].type);
+    ColumnEncoding encoded = EncodeCsvColumn(
+        std::move(fields.columns[c]), fields.infer_types, &defs[c].type);
     rel.codes_[c] = std::move(encoded.codes);
     rel.dicts_[c] = std::move(encoded.dict);
   };

@@ -12,15 +12,17 @@
 // value), which replaces retaining the raw Value table for rendering and
 // for merge-encoding appended deltas.
 //
-// Every encoder runs the same core per column: hash-intern the cells,
-// giving each distinct value an id in first-row order (the first row
-// carrying a value is its representative), sort only the d distinct
-// values, and remap each row's id to its value's rank — O(n + d log d)
-// instead of sorting all n rows. FromCsv interns the tokenizer's field
-// views directly, so CSV loads never build a Value: per column it
-// interns, frees the views, infers the type over the distinct fields,
-// parses only those into int64/double/byte keys, and sorts on the keys.
-// FromTable interns the Values of an existing Table.
+// Every encoder runs the same core per column: hash-intern the cells
+// (data/interner.h), giving each distinct value an id in first-row
+// order (the first row carrying a value is its representative), sort
+// only the d distinct values, and remap each row's id to its value's
+// rank in place — O(n + d log d) instead of sorting all n rows. For a
+// CSV load the tokenizer has interned the trimmed fields already
+// (data/csv.h), so CSV loads never build a Value: per column FromCsv
+// infers the type over the distinct fields, parses only those into
+// int64/double/byte keys, sorts on the keys, and ranks the tokenizer's
+// ids in place, which become the code column. FromTable interns the
+// Values of an existing Table.
 //
 // A CSV load of at least 2^16 cells (line count x first-record fields)
 // makes a pool private to that load (MakeCsvIngestPool in data/csv.h)
@@ -28,8 +30,8 @@
 // (TokenizeCsv), encodes the columns in parallel, and hands the pool on
 // so the same load builds its level-1 partitions on it (LoadedDataset
 // in data/dataset_store.h). Output is the same at any party count: the
-// pieces give the serial tokenizer's fields, and each column is encoded
-// by one party.
+// pieces give the serial tokenizer's ids and distinct fields, and each
+// column is encoded by one party.
 #ifndef FASTOD_DATA_ENCODE_H_
 #define FASTOD_DATA_ENCODE_H_
 
@@ -60,10 +62,9 @@ class EncodedRelation {
 
   /// Encodes tokenized CSV (data/csv.h) with no intermediate Values:
   /// bit-for-bit what FromTable produces on the Table ReadCsvString
-  /// builds from the same text. Consumes `fields`, closing each
-  /// column's gaps and freeing its views once they are interned. With a
-  /// `pool`, encodes the columns in one ParallelFor on it. Same limits
-  /// as FromTable.
+  /// builds from the same text. Consumes `fields`: each column's ids
+  /// become its codes. With a `pool`, encodes the columns in one
+  /// ParallelFor on it. Same limits as FromTable.
   static Result<EncodedRelation> FromCsv(CsvFields fields,
                                          ThreadPool* pool = nullptr);
 
@@ -126,8 +127,9 @@ Result<EncodedRelation> EncodeCsvString(
 
 /// The same for a file. With a `trace`, records the session phase spans
 /// csv.read (read the file) and, as long as the previous step
-/// succeeded, csv.tokenize (make the ingest pool, tokenize) and encode
-/// (intern, infer types, parse the distinct fields, sort, remap).
+/// succeeded, csv.tokenize (make the ingest pool, tokenize and intern,
+/// merge the pieces' dictionaries) and encode (infer types, parse the
+/// distinct fields, sort, remap).
 Result<EncodedRelation> EncodeCsvFile(const std::string& path,
                                       const CsvOptions& options = CsvOptions(),
                                       obs::TraceRecorder* trace = nullptr,

@@ -11,7 +11,7 @@
 //   3. The versioned-append path — merge-encoding a delta against the
 //      parent's dictionaries must equal FromTable on the concatenation,
 //      and discovery over the grown dataset must still match the golden.
-//   4. The direct CSV encoder — FromCsv on the tokenizer's field views
+//   4. The direct CSV encoder — FromCsv on the tokenizer's interned fields
 //      must equal FromTable(ReadCsvString(text)) on hostile, generated
 //      and option-varied inputs, and a CSV append must equal a load of
 //      the concatenated text.
@@ -264,7 +264,7 @@ void ExpectSameRelation(const EncodedRelation& want,
   }
 }
 
-// The direct route (tokenizer views -> FromCsv) against the Table route
+// The direct route (tokenizer ids -> FromCsv) against the Table route
 // (ReadCsvString -> FromTable): the same StatusCode on failure, the same
 // relation otherwise.
 void ExpectDirectMatchesTablePath(const std::string& text,

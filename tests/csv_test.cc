@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/csv.h"
+#include "data/encode.h"
 #include "gen/random_table.h"
 
 namespace fastod {
@@ -140,11 +142,15 @@ TEST(CsvReadTest, TokenizerViewsAreTrimmedAndColumnMajor) {
   auto fields = TokenizeCsv(text, opt);
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(fields->names, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(InferColumnType(fields->columns[0]), DataType::kInt);
+  EXPECT_EQ(InferColumnType(fields->columns[0].distinct), DataType::kInt);
   EXPECT_EQ(fields->num_rows, 2);
   ASSERT_EQ(fields->columns.size(), 2u);
-  EXPECT_EQ(fields->columns[0], (std::vector<std::string_view>{"1", "2"}));
-  EXPECT_EQ(fields->columns[1], (std::vector<std::string_view>{"x", "y"}));
+  EXPECT_EQ(fields->columns[0].distinct,
+            (std::vector<std::string_view>{"1", "2"}));
+  EXPECT_EQ(fields->columns[0].ids, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(fields->columns[1].distinct,
+            (std::vector<std::string_view>{"x", "y"}));
+  EXPECT_EQ(fields->columns[1].ids, (std::vector<uint32_t>{0, 1}));
 }
 
 TEST(CsvReadTest, ErrorsCoverTheWholeTextInOrder) {
@@ -254,7 +260,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzTest,
                          ::testing::Values(1001, 2002, 3003, 4004));
 
 // A tokenize in comparable form: its error code and message, or the
-// names, the row count and every field's text.
+// names, the row count and, per column, its ids, its distinct fields and
+// every row's field decoded through them.
 std::string Describe(Result<CsvFields> fields) {
   std::string out;
   if (!fields.ok()) {
@@ -271,24 +278,50 @@ std::string Describe(Result<CsvFields> fields) {
     out += name;
     out += '>';
   }
-  for (size_t c = 0; c < fields->columns.size(); ++c) {
-    out += '\n';
-    out += std::to_string(fields->columns[c].size());
-    out += ':';
-    for (std::string_view field : fields->columns[c]) {
+  for (const CsvColumn& column : fields->columns) {
+    out += "\nids " + std::to_string(column.ids.size()) + ':';
+    for (uint32_t id : column.ids) out += ' ' + std::to_string(id);
+    out += "\ndistinct " + std::to_string(column.distinct.size()) + ':';
+    for (std::string_view field : column.distinct) {
       out += " <";
       out += field;
+      out += '>';
+    }
+    out += "\nfields:";
+    for (uint32_t id : column.ids) {
+      out += " <";
+      out += id < column.distinct.size() ? column.distinct[id] : "?";
       out += '>';
     }
   }
   return out;
 }
 
+// `rows` records of four edge-case columns: `id`, every field distinct
+// and out of order (like flight_id); `spelled`, the ints 1 and 2 spelled
+// several ways (quoted, padded, signed, zero-led), with NULLs; `nulls`,
+// only NULLs, bare or quoted; `esc`, a value spelled escaped ("a""b"),
+// which copies it into the piece's arena, and literally.
+std::string EdgeColumns(int rows) {
+  const char* spellings[] = {"1",   "01", " 1 ", "\"1\"", "+1",
+                             "\" 01\"", "",   "2",   "02"};
+  const char* escaped[] = {"\"a\"\"b\"", "\"a\"\"c\"", " a\"b"};
+  std::string text = "id,spelled,nulls,esc\n";
+  for (int r = 0; r < rows; ++r) {
+    text += std::to_string(static_cast<int64_t>(r) * 7919 % rows) + ',';
+    text += spellings[r % 9];
+    text += r % 2 == 0 ? ",," : ",\"\",";
+    text += escaped[r % 3];
+    text += '\n';
+  }
+  return text;
+}
+
 // Texts whose pieces meet every case the speculative split must undo or
 // keep: quoted line breaks and "" at and across the cuts, CRLF, blank
 // lines, literal quotes in mid-field, a missing final newline, a ragged
-// record early with an unterminated quote at the end, and a quoted field
-// across several cuts.
+// record early with an unterminated quote at the end, a quoted field
+// across several cuts, and the edge-case columns.
 std::vector<std::string> ChunkCorpusSeeds() {
   std::string quoted = "id,note,k\n";
   std::string crlf = "a,b\r\n";
@@ -312,7 +345,8 @@ std::vector<std::string> ChunkCorpusSeeds() {
   spanning += "\"\n";
   for (int r = 2; r < 20; ++r) spanning += std::to_string(r) + ",y\n";
   return {quoted,  crlf, blank, literal, ragged + "9,\"open\n",
-          unterminated_tail, quoted + "7,\"last\"\",1", spanning};
+          unterminated_tail, quoted + "7,\"last\"\",1", spanning,
+          EdgeColumns(61)};
 }
 
 // One to four random edits (insert a CSV-significant byte, delete a
@@ -395,6 +429,85 @@ TEST(CsvChunkTest, SeedErrorsKeepTheSerialOrder) {
   auto quoted = TokenizeCsv(seeds[0], CsvOptions(), &pool);
   ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
   EXPECT_EQ(quoted->num_rows, 30);
+}
+
+// An encoding in comparable form, bit for bit: its error, or per column
+// the name, the type, every row's code, and the dictionary's entries
+// (tag and int, double bits or bytes) and byte size.
+std::string DescribeEncoding(const Result<EncodedRelation>& rel) {
+  if (!rel.ok()) {
+    return "error " + std::to_string(static_cast<int>(rel.status().code())) +
+           ": " + rel.status().message();
+  }
+  std::string out = std::to_string(rel->NumRows()) + " rows";
+  for (int a = 0; a < rel->NumAttributes(); ++a) {
+    out += "\n<" + rel->schema().name(a) + "> type " +
+           std::to_string(static_cast<int>(rel->schema().type(a))) +
+           " codes:";
+    for (int64_t r = 0; r < rel->NumRows(); ++r) {
+      out += ' ' + std::to_string(rel->rank(r, a));
+    }
+    const ValueDictionary& dict = rel->dictionary(a);
+    out += "\ndictionary " + std::to_string(dict.ByteSize()) + " bytes:";
+    for (int32_t code = 0; code < dict.size(); ++code) {
+      const ValueView v = dict.View(code);
+      out += ' ' + std::to_string(static_cast<int>(v.type)) + '=';
+      if (v.type == DataType::kInt) out += std::to_string(v.i);
+      if (v.type == DataType::kDouble) {
+        out += std::to_string(std::bit_cast<uint64_t>(v.d));
+      }
+      if (v.type == DataType::kString) out += '<' + std::string(v.s) + '>';
+    }
+  }
+  return out;
+}
+
+// The serial EncodeCsvString and the pooled path (pieces tokenized and
+// columns encoded on 2-8 parties) give bit-identical codes, dictionaries
+// and types on every corpus text; and on an edge-case text above the
+// parallel ingest threshold, where EncodeCsvString takes the pooled path
+// itself, the same as a serial tokenize and encode.
+TEST(CsvChunkTest, EncodingsMatchTheSerialPath) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int workers = 1; workers <= 7; ++workers) {
+    pools.push_back(std::make_unique<ThreadPool>(workers, "csv-test"));
+  }
+  CsvOptions no_header;
+  no_header.has_header = false;
+  for (const std::string& text : ChunkCorpusSeeds()) {
+    for (const CsvOptions& options : {CsvOptions(), no_header}) {
+      const std::string expected =
+          DescribeEncoding(EncodeCsvString(text, options));
+      for (const auto& pool : pools) {
+        Result<CsvFields> fields = TokenizeCsv(text, options, pool.get());
+        const std::string got = DescribeEncoding(
+            fields.ok() ? EncodedRelation::FromCsv(*std::move(fields),
+                                                   pool.get())
+                        : Result<EncodedRelation>(fields.status()));
+        ASSERT_EQ(got, expected)
+            << "parties " << pool->num_threads() + 1 << ", has_header "
+            << options.has_header << ", text:\n" << text;
+      }
+    }
+  }
+
+  const std::string big = EdgeColumns(20000);  // 80k cells
+  Result<CsvFields> fields = TokenizeCsv(big);
+  ASSERT_TRUE(fields.ok());
+  Result<EncodedRelation> serial = EncodedRelation::FromCsv(*std::move(fields));
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(DescribeEncoding(EncodeCsvString(big)), DescribeEncoding(serial));
+  const std::vector<DataType> types = {DataType::kInt, DataType::kInt,
+                                       DataType::kString, DataType::kString};
+  for (int a = 0; a < 4; ++a) {
+    EXPECT_EQ(serial->schema().type(a), types[a]) << "attr " << a;
+  }
+  EXPECT_EQ(serial->NumDistinct(0), 20000);
+  // spelled: NULL < 1 < 2, each represented by its first row's spelling.
+  EXPECT_EQ(serial->NumDistinct(1), 3);
+  EXPECT_EQ(serial->NumDistinct(2), 1);
+  // esc: a"b (escaped and literal) < a"c.
+  EXPECT_EQ(serial->NumDistinct(3), 2);
 }
 
 }  // namespace
