@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the Section 4.6 machinery that
 // dominates FASTOD's runtime: dictionary encoding, single-attribute
 // partition construction, the refine-by-column step that derives every
-// lattice partition (next to the pairwise product it replaced), both
+// lattice partition (in the shapes a flight profile spends its time on,
+// next to the pairwise product it replaced), both
 // swap-check strategies, and the O(1)-after-refinement FD error check.
 #include <benchmark/benchmark.h>
 
@@ -80,6 +81,62 @@ void BM_PartitionRefine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PartitionRefine)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The refine shapes that dominate a flight-50k profile, timed per parent
+// element (items): BM_PartitionRefine above is the easy one, a dozen
+// large classes split eight ways.
+void RunRefine(benchmark::State& state, const StrippedPartition& parent,
+               const CodeColumn& codes) {
+  RefineScratch scratch;
+  for (auto _ : state) {
+    StrippedPartition p = parent.Refine(codes, &scratch);
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetItemsProcessed(state.iterations() * parent.NumElements());
+  state.counters["parent_classes"] = parent.NumClasses();
+}
+
+// Π*_{origin,dest} (2,500 classes of ~20 at 50k rows) split by carrier.
+void BM_PartitionRefineRouteByCarrier(benchmark::State& state) {
+  auto rel =
+      EncodedRelation::FromTable(FlightTable(state.range(0)).Head(
+          state.range(0)));
+  const StrippedPartition route =
+      StrippedPartition::ForAttribute(rel->codes(7)).Refine(rel->codes(8));
+  RunRefine(state, route, rel->codes(6));
+}
+BENCHMARK(BM_PartitionRefineRouteByCarrier)->Arg(50000)->Arg(200000);
+
+// Π*_{delay} (131 classes) split by duration's ~375 codes.
+void BM_PartitionRefineDelayByDuration(benchmark::State& state) {
+  auto rel =
+      EncodedRelation::FromTable(FlightTable(state.range(0)).Head(
+          state.range(0)));
+  RunRefine(state, StrippedPartition::ForAttribute(rel->codes(11)),
+            rel->codes(10));
+}
+BENCHMARK(BM_PartitionRefineDelayByDuration)->Arg(50000)->Arg(200000);
+
+// A parent of 2- and 3-member classes (alternating, members scattered
+// over the rows), split by carrier: the kernel's direct paths.
+void BM_PartitionRefinePairsAndTriples(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  auto rel = EncodedRelation::FromTable(FlightTable(rows).Head(rows));
+  std::vector<int32_t> ranks(rows);
+  int32_t code = 0;
+  for (int64_t t = 0; t < rows;) {
+    const int64_t size = std::min<int64_t>(code % 2 == 0 ? 2 : 3, rows - t);
+    for (int64_t i = 0; i < size; ++i) ranks[t + i] = code;
+    t += size;
+    ++code;
+  }
+  for (int64_t t = rows - 1; t > 0; --t) {  // Knuth shuffle, fixed seed
+    std::swap(ranks[t], ranks[(t * 2654435761u) % (t + 1)]);
+  }
+  RunRefine(state, StrippedPartition::ForAttribute(ranks, code),
+            rel->codes(6));
+}
+BENCHMARK(BM_PartitionRefinePairsAndTriples)->Arg(50000)->Arg(200000);
 
 void BM_SwapCheckSortBased(benchmark::State& state) {
   auto rel =

@@ -23,7 +23,8 @@ LatticeWalk::LatticeWalk(const EncodedRelation& relation,
       pool_(limits.num_threads > 1
                 ? std::make_unique<ThreadPool>(limits.num_threads - 1,
                                                pool_name)
-                : nullptr) {}
+                : nullptr),
+      scratch_(std::max(1, limits.num_threads)) {}
 
 LatticeWalkStats LatticeWalk::Run() {
   WallTimer total_timer;
@@ -168,7 +169,8 @@ LatticeLevel LatticeWalk::Join(int l) {
   std::vector<PartitionCache::Derived> derived(parents.size());
   RunBatch(derived.size(), /*node_tasks=*/false, [&](size_t i) {
     derived[i] = cache_.Derive(relation_, parents[i].first, parents[i].second,
-                               next.nodes[i].determined);
+                               next.nodes[i].determined,
+                               &scratch_[ThreadPool::CurrentParty()]);
   });
   for (size_t i = 0; i < derived.size(); ++i) {
     next.nodes[i].partition_reused = derived[i].reused;

@@ -161,6 +161,9 @@ class LatticeWalk {
   Deadline deadline_;
   std::unique_ptr<ThreadPool> pool_;  // null on a serial run
   PartitionCache cache_;
+  // The derive batch's refine buffers, one per party
+  // (ThreadPool::CurrentParty), freed with the walk.
+  std::vector<RefineScratch> scratch_;
   LatticeLevel previous_;  // level l-1, finished
   LatticeLevel current_;   // level l
   double level_busy_seconds_ = 0.0;  // level l's summed task time

@@ -31,7 +31,8 @@ const PartitionHandle& PartitionCache::Lookup(AttributeSet set) const {
 PartitionCache::Derived PartitionCache::Derive(const EncodedRelation& relation,
                                                AttributeSet left,
                                                AttributeSet right,
-                                               AttributeSet determined) const {
+                                               AttributeSet determined,
+                                               RefineScratch* scratch) const {
   const AttributeSet set = left.Union(right);
   FASTOD_DCHECK(set.ContainsAll(determined));
   std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -60,7 +61,7 @@ PartitionCache::Derived PartitionCache::Derive(const EncodedRelation& relation,
   const PartitionHandle parent = *smallest;
   lock.unlock();
   return Derived{std::make_shared<const StrippedPartition>(
-                     parent->Refine(relation.codes(refine_by))),
+                     parent->Refine(relation.codes(refine_by), scratch)),
                  false};
 }
 

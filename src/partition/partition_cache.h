@@ -81,9 +81,11 @@ class PartitionCache {
   ///   3. otherwise refine the cached Π*_{X\A} with the fewest elements
   ///      (ties to the lowest A) by the codes of A in `relation`.
   /// Looks everything up under one shared lock and copies one handle; the
-  /// refinement (rule 3) runs outside the lock.
+  /// refinement (rule 3) runs outside the lock, in the caller's
+  /// `scratch`, which no other call may use at the same time.
   Derived Derive(const EncodedRelation& relation, AttributeSet left,
-                 AttributeSet right, AttributeSet determined) const;
+                 AttributeSet right, AttributeSet determined,
+                 RefineScratch* scratch) const;
 
   /// True iff Π*_X is cached.
   bool Contains(AttributeSet set) const {

@@ -3,8 +3,6 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <numeric>
-#include <type_traits>
 
 namespace fastod {
 
@@ -143,70 +141,138 @@ StrippedPartition StrippedPartition::FromCodeColumns(
   return builder.Build();
 }
 
-template <typename Key>
-StrippedPartition StrippedPartition::RefineByKeys(const Key* keys,
-                                                  int32_t num_keys) const {
-  // One slot per key: it counts the key's members in the current class,
-  // then becomes the write cursor of the key's group (-1 for a singleton
-  // group, which is stripped). Only the slots a class touched are reset,
-  // so the loop is linear in the parent's elements.
-  std::vector<int32_t> slot(num_keys, 0);
-  std::vector<Key> touched;     // keys of the current class, first seen
-  std::vector<Key> class_keys;  // keys of the current class, by member
+namespace {
+
+// `*buffer` with at least `size` elements. It never shrinks, so a
+// scratch buffer is zero-filled only when the largest call grows it.
+template <typename T>
+T* AtLeast(std::vector<T>* buffer, int64_t size) {
+  if (static_cast<int64_t>(buffer->size()) < size) buffer->resize(size);
+  return buffer->data();
+}
+
+}  // namespace
+
+StrippedPartition StrippedPartition::RefineByKeys(
+    const uint32_t* keys, int64_t num_keys, RefineScratch* scratch) const {
   StrippedPartition result;
   result.num_rows_ = num_rows_;
-  result.elements_.resize(elements_.size());
+  const int64_t n = NumElements();
+  if (n == 0) return result;
+  // Gather the parent's keys once, in element order: independent loads,
+  // so the random reads of the key column overlap.
+  uint32_t* key_of = AtLeast(&scratch->keys_, n);
+  const int32_t* members = elements_.data();
+  for (int64_t i = 0; i < n; ++i) {
+    FASTOD_DCHECK(keys[members[i]] < num_keys);
+    key_of[i] = keys[members[i]];
+  }
+  int32_t* slot = AtLeast(&scratch->slots_, num_keys);
+  uint32_t* touched = AtLeast(&scratch->touched_, std::min(n, num_keys) + 1);
+  // Staging: the result has at most n elements and n/2 classes, plus
+  // one trash cell at index n that every singleton group writes to.
+  int32_t* out = AtLeast(&scratch->elements_, n + 1);
+  int32_t* ends = AtLeast(&scratch->ends_, n / 2 + 2);
+  const int32_t trash = static_cast<int32_t>(n);
+  // The result's elements so far and its classes so far. A class's
+  // groups are written at or after `written`, which never passes the
+  // class's own start in the parent, so the 2- and 3-member paths may
+  // write all their members before knowing how many they keep.
   int32_t written = 0;
+  int32_t classes = 0;
+  ends[0] = 0;
   for (int32_t c = 0; c < NumClasses(); ++c) {
-    const auto cls = Class(c);
-    class_keys.resize(cls.size());
-    touched.clear();
-    for (size_t i = 0; i < cls.size(); ++i) {
-      const Key key = keys[cls[i]];
-      class_keys[i] = key;
-      if constexpr (std::is_signed_v<Key>) {
-        if (key < 0) continue;
-      }
-      if (slot[key]++ == 0) touched.push_back(key);
+    const int32_t begin = offsets_[c];
+    const int32_t size = offsets_[c + 1] - begin;
+    const uint32_t* k = key_of + begin;
+    const int32_t* m = members + begin;
+    if (size == 2) {
+      out[written] = m[0];
+      out[written + 1] = m[1];
+      const bool kept = k[0] == k[1];
+      written += kept ? 2 : 0;
+      ends[classes + 1] = written;
+      classes += kept;
+      continue;
     }
-    for (Key key : touched) {
+    if (size == 3) {
+      // All three share a key, one pair does (01, 02 or 12), or none.
+      const bool k01 = k[0] == k[1], k02 = k[0] == k[2], k12 = k[1] == k[2];
+      out[written] = k12 && !k01 ? m[1] : m[0];
+      out[written + 1] = k01 ? m[1] : m[2];
+      out[written + 2] = m[2];
+      const int32_t kept = k01 && k02 ? 3 : (k01 || k02 || k12) ? 2 : 0;
+      written += kept;
+      ends[classes + 1] = written;
+      classes += kept != 0;
+      continue;
+    }
+    // Count: the slot of a key counts its members in this class, and a
+    // key's first touch appends it to `touched` without a branch (every
+    // member writes the cell past the list, hence its one spare cell).
+    int32_t distinct = 0;
+    for (int32_t i = 0; i < size; ++i) {
+      const uint32_t key = k[i];
       const int32_t count = slot[key];
-      if (count < 2) {
-        slot[key] = -1;
-        continue;
-      }
-      slot[key] = written;
-      written += count;
-      result.offsets_.push_back(written);
+      slot[key] = count + 1;
+      touched[distinct] = key;
+      distinct += count == 0;
+    }
+    if (distinct == 1) {  // one group: the class itself
+      std::copy(m, m + size, out + written);
+      written += size;
+      ends[++classes] = written;
+      slot[touched[0]] = 0;
+      continue;
+    }
+    // Route: each group, in first-seen order, gets its write cursor; a
+    // singleton group gets the trash cell.
+    for (int32_t j = 0; j < distinct; ++j) {
+      int32_t& s = slot[touched[j]];
+      const int32_t count = s;
+      const bool kept = count >= 2;
+      s = kept ? written : trash;
+      written += kept ? count : 0;
+      ends[classes + 1] = written;
+      classes += kept;
     }
     // Scatter in member order, so every group stays ascending.
-    for (size_t i = 0; i < cls.size(); ++i) {
-      const Key key = class_keys[i];
-      if constexpr (std::is_signed_v<Key>) {
-        if (key < 0) continue;
-      }
-      if (slot[key] >= 0) result.elements_[slot[key]++] = cls[i];
-    }
-    for (Key key : touched) slot[key] = 0;
+    for (int32_t i = 0; i < size; ++i) out[slot[k[i]]++] = m[i];
+    for (int32_t j = 0; j < distinct; ++j) slot[touched[j]] = 0;
   }
   // Cached partitions live for up to three levels: keep no slack.
-  result.elements_.resize(written);
-  result.elements_.shrink_to_fit();
-  result.offsets_.shrink_to_fit();
+  result.elements_.assign(out, out + written);
+  result.offsets_.assign(ends, ends + classes + 1);
   return result;
 }
 
-StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
+StrippedPartition StrippedPartition::Refine(const CodeColumn& codes,
+                                            RefineScratch* scratch) const {
   FASTOD_DCHECK(codes.size() == num_rows_);
-  return RefineByKeys(codes.data(), codes.num_distinct());
+  return RefineByKeys(codes.data(), codes.num_distinct(), scratch);
+}
+
+StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
+  RefineScratch scratch;
+  return Refine(codes, &scratch);
 }
 
 StrippedPartition StrippedPartition::Product(
     const StrippedPartition& other) const {
   FASTOD_DCHECK(num_rows_ == other.num_rows_);
-  std::vector<int32_t> class_of;
-  other.FillClassIndex(&class_of);
-  return RefineByKeys(class_of.data(), other.NumClasses());
+  // Key each tuple by its class in `other`, and each of `other`'s
+  // stripped singletons by a key of its own, so it drops out as a
+  // singleton group.
+  const int64_t classes = other.NumClasses();
+  std::vector<uint32_t> keys(num_rows_);
+  for (int64_t t = 0; t < num_rows_; ++t) {
+    keys[t] = static_cast<uint32_t>(classes + t);
+  }
+  for (int32_t c = 0; c < classes; ++c) {
+    for (int32_t t : other.Class(c)) keys[t] = static_cast<uint32_t>(c);
+  }
+  RefineScratch scratch;
+  return RefineByKeys(keys.data(), classes + num_rows_, &scratch);
 }
 
 void StrippedPartition::FillClassIndex(std::vector<int32_t>* class_of) const {

@@ -23,6 +23,25 @@
 
 namespace fastod {
 
+/// The reusable buffers of the refine kernel (StrippedPartition::Refine):
+/// the parent's gathered keys, the per-key slot array and the staged
+/// output. They grow to the largest call and keep their capacity, so a
+/// caller that refines many times (the lattice walk holds one per party)
+/// allocates them once. One call at a time per scratch; the slot array
+/// is all zero between calls.
+class RefineScratch {
+ public:
+  RefineScratch() = default;
+
+ private:
+  friend class StrippedPartition;
+  std::vector<uint32_t> keys_;      // the parent's keys, by element
+  std::vector<int32_t> slots_;      // per key: a count, then a cursor
+  std::vector<uint32_t> touched_;   // a class's keys, first seen
+  std::vector<int32_t> elements_;   // the result's elements, staged
+  std::vector<int32_t> ends_;       // the result's offsets, staged
+};
+
 class StrippedPartition {
  public:
   StrippedPartition() = default;
@@ -51,14 +70,21 @@ class StrippedPartition {
 
   /// Π*_{X∪{A}} from `*this` = Π*_X and the code column of A: splits
   /// every class by its members' codes (the probing-table refinement of
-  /// the TANE/HyFD family), in one pass per class through a slot array of
-  /// size num_distinct(A). Classes keep the parent's class order and,
-  /// within a class, first-seen code order; members stay ascending. The
-  /// result is sized exactly.
+  /// the TANE/HyFD family). One kernel serves Refine and Product. It
+  /// gathers the parent's keys once, then splits each class in place:
+  /// classes of 2 and 3 members compare their keys directly, larger ones
+  /// count codes in `scratch`'s slot array, route singleton groups to one
+  /// trash cell and scatter the rest into staging. The result is copied
+  /// once into exactly sized arrays. Classes keep the parent's class
+  /// order and, within a class, first-seen code order; members stay
+  /// ascending. `scratch` serves one call at a time; the overload without
+  /// it uses a call-local one.
+  StrippedPartition Refine(const CodeColumn& codes,
+                           RefineScratch* scratch) const;
   StrippedPartition Refine(const CodeColumn& codes) const;
 
   /// The partition product Π*_{X∪Y} = Π*_X · Π*_Y: refines `*this` by
-  /// `other`'s class index (its stripped singletons drop out). Kept for
+  /// `other`'s classes (its stripped singletons drop out). Kept for
   /// callers holding two partitions rather than a code column.
   StrippedPartition Product(const StrippedPartition& other) const;
 
@@ -98,10 +124,10 @@ class StrippedPartition {
   std::string ToString() const;
 
  private:
-  // The grouping loop behind Refine and Product: splits every class by
-  // `keys[t]` in [0, num_keys); tuples with a negative key are dropped.
-  template <typename Key>
-  StrippedPartition RefineByKeys(const Key* keys, int32_t num_keys) const;
+  // The refine kernel behind Refine and Product: splits every class by
+  // `keys[t]` in [0, num_keys).
+  StrippedPartition RefineByKeys(const uint32_t* keys, int64_t num_keys,
+                                 RefineScratch* scratch) const;
 
   int64_t num_rows_ = 0;
   std::vector<int32_t> elements_;

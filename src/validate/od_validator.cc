@@ -81,9 +81,10 @@ const StrippedPartition& OdValidator::ContextPartition(AttributeSet context) {
       partition = StrippedPartition::ForAttribute(relation_->codes(first));
       covered = AttributeSet::Single(first);
     }
+    RefineScratch scratch;
     for (int a = context.First(); a >= 0; a = context.Next(a)) {
       if (covered.Contains(a)) continue;
-      partition = partition.Refine(relation_->codes(a));
+      partition = partition.Refine(relation_->codes(a), &scratch);
     }
   }
   auto [pos, inserted] = context_cache_.emplace(context, std::move(partition));

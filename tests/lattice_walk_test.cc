@@ -26,6 +26,10 @@ struct FastodCounters {
   int64_t nodes_pruned;
   int64_t constancy_checks;
   int64_t swap_checks;
+  // The swap checker's sampled refutations and full scans: a refine that
+  // reorders a partition's classes moves them, with identical ODs.
+  int64_t swap_sample_refutes;
+  int64_t swap_full_scans;
   int64_t key_prune_hits;
   int64_t cache_gets;
   int64_t cache_puts;
@@ -52,16 +56,24 @@ struct Input {
 
 Table FlightInput() { return GenFlightLike(2000, 9, 7); }
 Table HepatitisInput() { return GenHepatitisLike(80, 11, 7); }
+Table DbtesmaInput() { return GenDbtesmaLike(3000, 10, 7); }
 
 // Values recorded from the engines' earlier, separate level walks: the
-// shared walk must reproduce them exactly.
+// shared walk must reproduce them exactly. The first two inputs' contexts
+// mostly fit the swap checker's 256-tuple witness sample whole; the
+// dbtesma-like one's do not, so its sample refutes and full scans (taken
+// from the refine loop that preceded today's kernel) move if a refine
+// reorders classes.
 const Input kInputs[] = {
     {"flight-like 2000x9 seed 7", &FlightInput,
-     {6, 171, 11, 233, 366, 18, 1032, 172, 120, 20, 8},
+     {6, 171, 11, 233, 366, 358, 6, 18, 1032, 172, 120, 20, 8},
      {5, 63, 390, 64, 14, 18}},
     {"hepatitis-like 80x11 seed 7", &HepatitisInput,
-     {9, 1033, 18, 3892, 9163, 122, 17923, 1034, 244, 192, 370},
+     {9, 1033, 18, 3892, 9163, 8793, 0, 122, 17923, 1034, 244, 192, 370},
      {8, 817, 8514, 818, 51, 159}},
+    {"dbtesma-like 3000x10 seed 7", &DbtesmaInput,
+     {7, 817, 61, 1084, 2561, 2404, 107, 32, 5887, 818, 571, 59, 50},
+     {6, 475, 2909, 476, 243, 59}},
 };
 
 EncodedRelation Encode(const Input& input) {
@@ -78,7 +90,7 @@ TEST(LatticeCounterTest, FastodCountersArePinned) {
       FastodOptions opt;
       opt.num_threads = threads;
       const FastodResult r = Fastod(opt).Discover(rel);
-      FastodCounters got{r.levels_processed, r.total_nodes, 0, 0, 0, 0,
+      FastodCounters got{r.levels_processed, r.total_nodes, 0, 0, 0, 0, 0, 0,
                          r.partition_cache_gets, r.partition_cache_puts,
                          r.partitions_reused, r.num_constancy,
                          r.num_compatibility};
@@ -86,6 +98,8 @@ TEST(LatticeCounterTest, FastodCountersArePinned) {
         got.nodes_pruned += level.nodes_pruned;
         got.constancy_checks += level.constancy_checks;
         got.swap_checks += level.swap_checks;
+        got.swap_sample_refutes += level.swap_sample_refutes;
+        got.swap_full_scans += level.swap_full_scans;
         got.key_prune_hits += level.key_prune_hits;
       }
       const FastodCounters& want = input.fastod;
@@ -94,6 +108,8 @@ TEST(LatticeCounterTest, FastodCountersArePinned) {
       EXPECT_EQ(got.nodes_pruned, want.nodes_pruned);
       EXPECT_EQ(got.constancy_checks, want.constancy_checks);
       EXPECT_EQ(got.swap_checks, want.swap_checks);
+      EXPECT_EQ(got.swap_sample_refutes, want.swap_sample_refutes);
+      EXPECT_EQ(got.swap_full_scans, want.swap_full_scans);
       EXPECT_EQ(got.key_prune_hits, want.key_prune_hits);
       EXPECT_EQ(got.cache_gets, want.cache_gets);
       EXPECT_EQ(got.cache_puts, want.cache_puts);

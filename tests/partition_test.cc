@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "partition/partition_cache.h"
@@ -213,8 +215,141 @@ TEST_P(PartitionRefinePropertyTest, RefineMatchesDirectConstruction) {
   }
 }
 
+// The classes of `p` in stored order, members in stored order.
+std::vector<std::vector<int32_t>> ClassesInOrder(const StrippedPartition& p) {
+  std::vector<std::vector<int32_t>> classes;
+  for (int32_t c = 0; c < p.NumClasses(); ++c) {
+    classes.emplace_back(p.Class(c).begin(), p.Class(c).end());
+  }
+  return classes;
+}
+
+// The refinement written out the slow way: each parent class, in order,
+// grouped by code in first-seen code order, members in parent order,
+// singleton groups dropped.
+std::vector<std::vector<int32_t>> NaiveRefine(const StrippedPartition& parent,
+                                              const CodeColumn& codes) {
+  std::vector<std::vector<int32_t>> classes;
+  for (int32_t c = 0; c < parent.NumClasses(); ++c) {
+    std::map<uint32_t, size_t> group_of;  // code -> index in groups
+    std::vector<std::vector<int32_t>> groups;
+    for (int32_t t : parent.Class(c)) {
+      const auto [it, first] = group_of.emplace(codes[t], groups.size());
+      if (first) groups.emplace_back();
+      groups[it->second].push_back(t);
+    }
+    for (std::vector<int32_t>& group : groups) {
+      if (group.size() >= 2) classes.push_back(std::move(group));
+    }
+  }
+  return classes;
+}
+
+// Refine and Product against NaiveRefine, class by class and in order,
+// on parents of random, 2- and 3-member and universe classes and an empty
+// parent, by code domains from 1 to past the parent's element count and
+// an all-distinct column (an all-singleton result). One scratch serves
+// every call, across columns and relation sizes, so slot state a call
+// leaves behind would corrupt a later one.
+TEST_P(PartitionRefinePropertyTest, RefineMatchesNaiveReferenceInOrder) {
+  RefineScratch scratch;
+  for (int64_t n : {0, 1, 2, 3, 7, 64, 1000, 20000}) {
+    Rng rng(GetParam() * 7919 + static_cast<uint64_t>(n));
+    auto random_column = [&](int64_t domain) {
+      std::vector<int32_t> ranks(n);
+      for (int32_t& r : ranks) r = static_cast<int32_t>(rng.Uniform(domain));
+      return CodeColumn::FromRanks(ranks, static_cast<int32_t>(domain));
+    };
+    std::vector<int32_t> permutation(n);
+    for (int64_t t = 0; t < n; ++t) permutation[t] = static_cast<int32_t>(t);
+    for (int64_t t = n - 1; t > 0; --t) {
+      std::swap(permutation[t], permutation[rng.Uniform(t + 1)]);
+    }
+    // Codes 0,0,1,1,1,2,2,3,3,3,... over the shuffled rows: classes of
+    // two and three members (the last one may be a stripped singleton).
+    std::vector<int32_t> pairs_and_triples(n);
+    int32_t groups = 0;
+    for (int64_t i = 0; i < n; ++groups) {
+      for (int64_t j = 0; j < 2 + groups % 2 && i < n; ++j, ++i) {
+        pairs_and_triples[permutation[i]] = groups;
+      }
+    }
+    const CodeColumn distinct = CodeColumn::FromRanks(
+        permutation, static_cast<int32_t>(std::max<int64_t>(n, 1)));
+    std::vector<StrippedPartition> parents = {
+        StrippedPartition::Universe(n),
+        StrippedPartition::ForAttribute(pairs_and_triples,
+                                        std::max(groups, 1)),
+        StrippedPartition::ForAttribute(random_column(3)),
+        StrippedPartition::ForAttribute(random_column(n / 4 + 1)),
+        StrippedPartition::ForAttribute(distinct),  // empty
+    };
+    parents.push_back(parents[3].Refine(random_column(2), &scratch));
+    std::vector<CodeColumn> columns;
+    for (int64_t domain : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{7},
+                           n / 8 + 1, n + 5}) {
+      columns.push_back(random_column(domain));
+    }
+    columns.push_back(distinct);
+    for (size_t p = 0; p < parents.size(); ++p) {
+      for (size_t a = 0; a < columns.size(); ++a) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " parent=" +
+                     std::to_string(p) + " column=" + std::to_string(a));
+        const auto want = NaiveRefine(parents[p], columns[a]);
+        const StrippedPartition refined =
+            parents[p].Refine(columns[a], &scratch);
+        EXPECT_EQ(ClassesInOrder(refined), want);
+        EXPECT_EQ(refined.num_rows(), n);
+        EXPECT_EQ(ClassesInOrder(parents[p].Refine(columns[a])), want);
+        EXPECT_EQ(ClassesInOrder(parents[p].Product(
+                      StrippedPartition::ForAttribute(columns[a]))),
+                  want);
+      }
+    }
+    // The all-distinct column leaves no class of a non-empty parent.
+    EXPECT_TRUE(parents[0].Refine(distinct, &scratch).IsSuperkey());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionRefinePropertyTest,
                          ::testing::Values(1, 5, 17, 23, 101));
+
+// The lattice walk's scratch protocol on its own: refines run on a pool,
+// each in the scratch of its party (ThreadPool::CurrentParty), and give
+// what serial refines give. Under TSan a party sharing a scratch races.
+TEST(RefineScratchTest, PerPartyScratchOnAPoolMatchesSerial) {
+  constexpr int kParties = 4;
+  constexpr int64_t kRows = 3000;
+  Rng rng(11);
+  std::vector<CodeColumn> columns;
+  for (int64_t domain : {2, 5, 40, 700}) {
+    std::vector<int32_t> ranks(kRows);
+    for (int32_t& r : ranks) r = static_cast<int32_t>(rng.Uniform(domain));
+    columns.push_back(
+        CodeColumn::FromRanks(ranks, static_cast<int32_t>(domain)));
+  }
+  const int num_columns = static_cast<int>(columns.size());
+  std::vector<StrippedPartition> parents;
+  for (const CodeColumn& codes : columns) {
+    parents.push_back(StrippedPartition::ForAttribute(codes));
+  }
+  std::vector<StrippedPartition> serial;
+  for (int i = 0; i < 64; ++i) {
+    serial.push_back(parents[i % num_columns].Refine(
+        columns[(i / num_columns) % num_columns]));
+  }
+  std::vector<RefineScratch> scratch(kParties);
+  std::vector<StrippedPartition> pooled(serial.size());
+  ThreadPool pool(kParties - 1);
+  pool.ParallelFor(static_cast<int64_t>(serial.size()), [&](int64_t i) {
+    pooled[i] = parents[i % num_columns].Refine(
+        columns[(i / num_columns) % num_columns],
+        &scratch[ThreadPool::CurrentParty()]);
+  });
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(ClassesInOrder(pooled[i]), ClassesInOrder(serial[i])) << i;
+  }
+}
 
 TEST(PartitionCacheTest, PutGetEvict) {
   PartitionCache cache;
@@ -307,7 +442,7 @@ class PartitionDeriveTest : public ::testing::Test {
 
   PartitionCache::Derived Derive(AttributeSet left, AttributeSet right,
                                  AttributeSet determined) const {
-    return cache_.Derive(relation_, left, right, determined);
+    return cache_.Derive(relation_, left, right, determined, &scratch_);
   }
 
   static AttributeSet Set(std::initializer_list<int> attrs) {
@@ -335,6 +470,7 @@ class PartitionDeriveTest : public ::testing::Test {
 
   EncodedRelation relation_;
   PartitionCache cache_;
+  mutable RefineScratch scratch_;
 };
 
 TEST_F(PartitionDeriveTest, DeterminedAttributeSharesTheParentPartition) {
