@@ -17,8 +17,7 @@ using namespace fastod::bench;
 
 void Row(const char* dataset, const char* label,
          const EncodedRelation& rel, FastodOptions options) {
-  options.timeout_seconds = 120.0;
-  AlgoCell cell = RunFastod(rel, options);
+  AlgoCell cell = RunFastod(rel, options, 120.0);
   RecordJson(std::string("dataset=") + dataset + " config=" + label,
              cell.seconds);
   std::printf("  %-28s %-12s %s\n", label, cell.TimeString().c_str(),
@@ -28,10 +27,12 @@ void Row(const char* dataset, const char* label,
 // One swap-method row, with the per-stage split of its swap checks.
 void SwapRow(const char* dataset, const char* label,
              const EncodedRelation& rel, SwapCheckMethod method) {
+  ExecutionControl control;
+  ArmCutoff(&control, 120.0);
   FastodOptions options;
   options.swap_method = method;
   options.emit_ods = false;
-  options.timeout_seconds = 120.0;
+  options.control = &control;
   WallTimer timer;
   FastodResult result = Fastod(options).Discover(rel);
   AlgoCell cell;

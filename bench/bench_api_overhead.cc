@@ -167,7 +167,7 @@ class SleeperAlgorithm : public Algorithm {
 
  protected:
   Status ExecuteInternal() override {
-    while (control() == nullptr || !control()->StopRequested()) {
+    while (!control()->StopRequested()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::Ok();

@@ -32,9 +32,7 @@ void RunDataset(const char* name, Generator gen, int64_t rows,
     auto rel = EncodedRelation::FromTable(table);
     if (!rel.ok()) return;
     AlgoCell tane = RunTane(*rel, 60.0);
-    FastodOptions fast_options;
-    fast_options.timeout_seconds = 120.0;
-    AlgoCell fast = RunFastod(*rel, fast_options);
+    AlgoCell fast = RunFastod(*rel, FastodOptions(), 120.0);
     AlgoCell order = RunOrder(*rel, order_timeout);
     std::string params = std::string("dataset=") + name +
                          " rows=" + std::to_string(rows) +

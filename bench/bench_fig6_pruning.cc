@@ -18,8 +18,7 @@ AlgoCell RunNoPruning(const EncodedRelation& rel, double timeout) {
   options.minimality_pruning = false;
   options.level_pruning = false;
   options.key_pruning = false;
-  options.timeout_seconds = timeout;
-  return RunFastod(rel, options);
+  return RunFastod(rel, options, timeout);
 }
 
 void Row(const char* sweep, const char* label,

@@ -24,10 +24,12 @@ int main(int argc, char** argv) {
   auto rel = EncodedRelation::FromTable(table);
   if (!rel.ok()) return 1;
 
+  ExecutionControl control;
+  ArmCutoff(&control, 300.0);
   FastodOptions options;
   options.collect_level_stats = true;
   options.emit_ods = false;
-  options.timeout_seconds = 300.0;
+  options.control = &control;
   Fastod algo(options);
   FastodResult result = algo.Discover(*rel);
 

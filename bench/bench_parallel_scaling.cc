@@ -1,7 +1,7 @@
 // Parallel scaling of FASTOD (our extension): speedup across thread counts
 // on relations where per-level node counts are large enough to keep
 // workers busy. Output is identical across thread counts (tested in
-// tests/parallel_test.cc and tests/task_graph_test.cc); this bench
+// tests/parallel_test.cc and tests/lattice_node_test.cc); this bench
 // measures the wall-clock effect of the level walk's parallel batches
 // (ThreadPool::ParallelFor loops: one validate task per node, one derive
 // task per child).
@@ -56,9 +56,8 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4, 8}) {
       FastodOptions options;
       options.num_threads = threads;
-      options.timeout_seconds = 300.0;
       options.max_level = w.max_level;
-      AlgoCell cell = RunFastod(*rel, options);
+      AlgoCell cell = RunFastod(*rel, options, 300.0);
       if (threads == 1) serial_seconds = cell.seconds;
       double speedup = cell.seconds > 0 ? serial_seconds / cell.seconds
                                         : 0.0;

@@ -24,6 +24,7 @@
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
+#include "common/cancellation.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "data/dataset_store.h"
@@ -143,8 +144,19 @@ struct AlgoCell {
   }
 };
 
+/// Arms `control` with the paper's wall-clock cutoff, `seconds` from now
+/// (0 = none): a run past it returns its partial result flagged
+/// timed_out, which prints as a "*" cell.
+inline void ArmCutoff(ExecutionControl* control, double seconds) {
+  control->SetDeadlineAfterMillis(static_cast<int64_t>(seconds * 1000.0));
+}
+
 inline AlgoCell RunFastod(const EncodedRelation& rel,
-                          FastodOptions options = FastodOptions()) {
+                          FastodOptions options = FastodOptions(),
+                          double cutoff_seconds = 0.0) {
+  ExecutionControl control;
+  ArmCutoff(&control, cutoff_seconds);
+  options.control = &control;
   options.collect_level_stats = false;
   options.emit_ods = false;
   Fastod algo(options);
@@ -157,9 +169,11 @@ inline AlgoCell RunFastod(const EncodedRelation& rel,
   return cell;
 }
 
-inline AlgoCell RunTane(const EncodedRelation& rel, double timeout_seconds) {
+inline AlgoCell RunTane(const EncodedRelation& rel, double cutoff_seconds) {
+  ExecutionControl control;
+  ArmCutoff(&control, cutoff_seconds);
   TaneOptions options;
-  options.timeout_seconds = timeout_seconds;
+  options.control = &control;
   Tane algo(options);
   WallTimer timer;
   TaneResult result = algo.Discover(rel);
@@ -170,9 +184,11 @@ inline AlgoCell RunTane(const EncodedRelation& rel, double timeout_seconds) {
   return cell;
 }
 
-inline AlgoCell RunOrder(const EncodedRelation& rel, double timeout_seconds) {
+inline AlgoCell RunOrder(const EncodedRelation& rel, double cutoff_seconds) {
+  ExecutionControl control;
+  ArmCutoff(&control, cutoff_seconds);
   OrderOptions options;
-  options.timeout_seconds = timeout_seconds;
+  options.control = &control;
   OrderBaseline algo(options);
   WallTimer timer;
   OrderResult result = algo.Discover(rel);

@@ -539,7 +539,7 @@ def _smoke(csv_path: str) -> int:
         assert error.code == ERR_UNAVAILABLE, error
     print("  retry_unavailable: backoff + typed give-up verified")
 
-    # A 1 ms hard deadline on the tiny table may or may not trip — but
+    # A 1 ms deadline on the tiny table may or may not trip — but
     # when it does, it must surface as the dedicated deadline code.
     with Session("fastod") as session:
         session.load_csv(csv_path)

@@ -98,8 +98,10 @@ int main() {
   }
 
   // Show what the incomplete baseline would do with the same table.
+  ExecutionControl order_control;
+  order_control.SetDeadlineAfterMillis(5000);
   OrderOptions order_opt;
-  order_opt.timeout_seconds = 5.0;
+  order_opt.control = &order_control;
   order_opt.max_level = 3;
   OrderResult order = OrderBaseline(order_opt).Discover(*encoded);
   std::printf("For comparison, the ORDER baseline reports %zu list ODs "

@@ -58,7 +58,7 @@ class Run final : public LatticePolicy {
                   SwapChecker(&relation, &sorted_, options.swap_method)),
         walk_(relation, singletons,
               LatticeWalkLimits{options.num_threads, options.max_level,
-                                options.timeout_seconds, options.control},
+                                options.control},
               "fastod-od", this) {}
 
   FastodResult Execute() {

@@ -57,10 +57,6 @@ struct FastodOptions {
   /// Stop after processing lattice level `max_level` (0 = no limit).
   int max_level = 0;
 
-  /// Abort after this many seconds, returning partial results flagged
-  /// timed_out (0 = no limit). Mirrors the paper's 5-hour cutoff.
-  double timeout_seconds = 0.0;
-
   /// Approximate discovery (the paper's future-work extension, algo/
   /// approximate.h): accept an OD when its g3 removal error is at most
   /// this threshold. 0 = exact discovery. Candidate pruning stays sound
@@ -97,8 +93,11 @@ struct FastodOptions {
   /// outlive the discovery run.
   OdSink* sink = nullptr;
 
-  /// Cooperative cancellation + progress (common/cancellation.h), polled
-  /// at the same cadence as the timeout deadline. Must outlive the run.
+  /// Cancellation, the wall-clock deadline and progress
+  /// (common/cancellation.h), polled at the start of every node task and
+  /// between levels. A passed deadline stops the run with partial results
+  /// flagged timed_out (the paper's 5-hour cutoff); a cancel flags them
+  /// cancelled. Null = run to completion. Must outlive the run.
   ExecutionControl* control = nullptr;
 
 };

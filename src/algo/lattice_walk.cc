@@ -17,9 +17,6 @@ LatticeWalk::LatticeWalk(const EncodedRelation& relation,
       singletons_(singletons),
       limits_(limits),
       policy_(policy),
-      deadline_(limits.timeout_seconds > 0.0
-                    ? Deadline::After(limits.timeout_seconds)
-                    : Deadline::Infinite()),
       pool_(limits.num_threads > 1
                 ? std::make_unique<ThreadPool>(limits.num_threads - 1,
                                                pool_name)
@@ -96,7 +93,7 @@ void LatticeWalk::ProcessLevel(int l) {
     if (StopRequested()) return;
     // "fail" ends the run cancelled, like a control stop; "throw" surfaces
     // through ParallelFor; "sleep" reorders completions for stress tests.
-    if (FASTOD_FAULT_POINT("task_graph.task")) {
+    if (FASTOD_FAULT_POINT("lattice.node")) {
       cancelled_.store(true);
       return;
     }
@@ -214,17 +211,18 @@ void LatticeWalk::FinishLevel(const WallTimer& timer) {
   policy_->FinishLevel(seconds, occupancy);
 }
 
-// Latches the soft timeout as timed_out and a control stop as cancelled.
-// A control's deadline is the hard timeout-ms; Algorithm::Execute turns
-// it into a kDeadlineExceeded error afterwards.
+// Latches the control's cancel as cancelled and its passed deadline as
+// timed_out; Algorithm::Execute turns the latter into a
+// kDeadlineExceeded error afterwards.
 bool LatticeWalk::StopRequested() {
   if (Stopped()) return true;
-  if (deadline_.Exceeded()) {
-    timed_out_.store(true);
+  if (limits_.control == nullptr) return false;
+  if (limits_.control->CancelRequested()) {
+    cancelled_.store(true);
     return true;
   }
-  if (limits_.control != nullptr && limits_.control->StopRequested()) {
-    cancelled_.store(true);
+  if (limits_.control->DeadlineExceeded()) {
+    timed_out_.store(true);
     return true;
   }
   return false;

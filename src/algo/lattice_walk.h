@@ -89,10 +89,9 @@ class LatticePolicy {
 
 /// Limits of one walk, copied from the engine's options.
 struct LatticeWalkLimits {
-  int num_threads = 1;           // parties, the calling thread included
-  int max_level = 0;             // 0 = no cap
-  double timeout_seconds = 0.0;  // the soft timeout; 0 = none
-  ExecutionControl* control = nullptr;
+  int num_threads = 1;  // parties, the calling thread included
+  int max_level = 0;    // 0 = no cap
+  ExecutionControl* control = nullptr;  // cancel, deadline, progress
 };
 
 /// The walk's own counters, as named in FastodResult and TaneResult.
@@ -133,10 +132,10 @@ class LatticeWalk {
               const LatticeWalkLimits& limits, const char* pool_name,
               LatticePolicy* policy);
 
-  /// Walks the lattice once. The soft timeout stops the run timed_out; a
-  /// control stop (cancel or the hard deadline) or a "fail" at the
-  /// `task_graph.task` fault point stops it cancelled. Every node task
-  /// polls them all first, and the calling thread again between levels.
+  /// Walks the lattice once. The control's passed deadline stops the run
+  /// timed_out; its cancel or a "fail" at the `lattice.node` fault point
+  /// stops it cancelled. Every node task polls them all first, and the
+  /// calling thread again between levels.
   LatticeWalkStats Run();
 
   /// Level l-1, finished, while level l's node tasks run.
@@ -158,7 +157,6 @@ class LatticeWalk {
   const std::vector<StrippedPartition>* singletons_;
   const LatticeWalkLimits limits_;
   LatticePolicy* const policy_;
-  Deadline deadline_;
   std::unique_ptr<ThreadPool> pool_;  // null on a serial run
   PartitionCache cache_;
   // The derive batch's refine buffers, one per party

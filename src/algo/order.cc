@@ -31,10 +31,7 @@ class Run {
       const std::vector<StrippedPartition>* singletons)
       : relation_(relation),
         options_(options),
-        validator_(&relation, singletons),
-        deadline_(options.timeout_seconds > 0.0
-                      ? Deadline::After(options.timeout_seconds)
-                      : Deadline::Infinite()) {}
+        validator_(&relation, singletons) {}
 
   OrderResult Execute() {
     WallTimer timer;
@@ -104,15 +101,16 @@ class Run {
   }
 
   // Polled before every node and between levels, as one level can take
-  // seconds: latches the soft timeout as timed_out and a control stop
-  // (cancel or the hard timeout-ms) as cancelled.
+  // seconds: latches the control's cancel as cancelled and its passed
+  // deadline as timed_out.
   bool StopRequested() {
-    if (deadline_.Exceeded()) {
-      result_.timed_out = true;
+    if (options_.control == nullptr) return false;
+    if (options_.control->CancelRequested()) {
+      result_.cancelled = true;
       return true;
     }
-    if (options_.control != nullptr && options_.control->StopRequested()) {
-      result_.cancelled = true;
+    if (options_.control->DeadlineExceeded()) {
+      result_.timed_out = true;
       return true;
     }
     return false;
@@ -217,7 +215,6 @@ class Run {
   const EncodedRelation& relation_;
   const OrderOptions& options_;
   OdValidator validator_;
-  Deadline deadline_;
   OdSet swapped_;
   OdSet split_failed_;
   OdSet valid_;

@@ -35,9 +35,6 @@ namespace fastod {
 class OdSink;
 
 struct OrderOptions {
-  /// Abort after this many seconds (0 = no limit) — the paper aborts ORDER
-  /// runs at 5 hours ("* 5h").
-  double timeout_seconds = 0.0;
   /// Stop after lattice level `max_level` (list length; 0 = no limit).
   int max_level = 0;
   /// Disable the swap/split pruning rules. The paper reports that with
@@ -49,8 +46,10 @@ struct OrderOptions {
   /// the result vector is still populated, because ORDER consults it for
   /// its list-minimality (implication) checks.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress; the stop is polled before
-  /// every lattice node, like the timeout.
+  /// Cancellation, the wall-clock deadline and progress, polled before
+  /// every lattice node: a passed deadline flags the partial result
+  /// timed_out (the paper aborts ORDER runs at 5 hours, "* 5h"), a cancel
+  /// flags it cancelled.
   ExecutionControl* control = nullptr;
 };
 

@@ -20,7 +20,7 @@ class Run final : public LatticePolicy {
       : options_(options),
         walk_(relation, singletons,
               LatticeWalkLimits{options.num_threads, options.max_level,
-                                options.timeout_seconds, options.control},
+                                options.control},
               "fastod-fd", this) {}
 
   TaneResult Execute() {

@@ -25,8 +25,6 @@ namespace fastod {
 class OdSink;
 
 struct TaneOptions {
-  /// Abort after this many seconds (0 = no limit).
-  double timeout_seconds = 0.0;
   /// Stop after lattice level `max_level` (0 = no limit).
   int max_level = 0;
   /// Keep discovered FDs in the result vector (true) or only count them
@@ -37,10 +35,11 @@ struct TaneOptions {
   /// emit_fds, so a run can stream and still render its full report.
   /// Must outlive the run.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress. The stop is polled at the
-  /// start of every node task and between levels, like the timeout
-  /// (algo/lattice_walk.h); a run stopped before its first node task
-  /// reports no FDs.
+  /// Cancellation, the wall-clock deadline and progress. The stop is
+  /// polled at the start of every node task and between levels
+  /// (algo/lattice_walk.h): a passed deadline flags the partial result
+  /// timed_out, a cancel flags it cancelled. A run stopped before its
+  /// first node task reports no FDs.
   ExecutionControl* control = nullptr;
   /// Worker threads. 1 = serial. With more threads, each level's node
   /// validations and partition refinements run as two batches on a thread

@@ -10,13 +10,13 @@ namespace fastod {
 Algorithm::Algorithm(std::string name, std::string description)
     : name_(std::move(name)), description_(std::move(description)) {
   // Registered here so *every* engine — including ones with no native
-  // checkpointing — carries the hard-deadline contract: exceeding it
-  // turns Execute() into a kDeadlineExceeded error. Engines with
-  // checkpoints stop mid-run (StopRequested at cancellation safepoints);
-  // the rest are caught at the Execute() boundary.
+  // checkpointing — carries the deadline contract: exceeding it turns
+  // Execute() into a kDeadlineExceeded error. Engines with checkpoints
+  // stop mid-run (StopRequested at cancellation safepoints); the rest
+  // are caught at the Execute() boundary.
   options_.AddInt64("timeout-ms", &timeout_ms_,
-                    "hard deadline in milliseconds; exceeding it fails "
-                    "the run with DeadlineExceeded (0 = none)",
+                    "deadline in milliseconds; exceeding it stops the "
+                    "run and fails it with DeadlineExceeded (0 = none)",
                     0, std::numeric_limits<int64_t>::max());
 }
 
@@ -36,20 +36,14 @@ Status Algorithm::Execute() {
     return Status::FailedPrecondition(
         "Execute() requires BindDataset() first (algorithm '" + name_ + "')");
   }
-  // (Re)arm the hard deadline for this run; 0 disarms. Going through the
-  // attached ExecutionControl lets engines honor it at the cancellation
-  // safepoints; the local Deadline backstops runs with no control.
-  Deadline local = timeout_ms_ > 0
-                       ? Deadline::After(timeout_ms_ / 1000.0)
-                       : Deadline::Infinite();
-  if (control_ != nullptr) control_->SetDeadlineAfterMillis(timeout_ms_);
+  // (Re)arm the deadline for this run; 0 disarms. Engines honor it at
+  // the cancellation safepoints of control().
+  control_->SetDeadlineAfterMillis(timeout_ms_);
   stats_ = obs::EngineStats();
   WallTimer timer;
   Status status = ExecuteInternal();
   execute_seconds_ = timer.ElapsedSeconds();
-  if (status.ok() && timeout_ms_ > 0 &&
-      (control_ != nullptr ? control_->DeadlineExceeded()
-                           : local.Exceeded())) {
+  if (status.ok() && control_->DeadlineExceeded()) {
     status = Status::DeadlineExceeded(
         "run exceeded timeout-ms=" + std::to_string(timeout_ms_) +
         " (algorithm '" + name_ + "')");

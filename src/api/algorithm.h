@@ -94,7 +94,9 @@ class Algorithm {
   /// Runs the engine on the bound data. Requires BindDataset; may be
   /// called again after reconfiguring with SetOption. Cancellation
   /// (through the attached ExecutionControl) is not an error: engines
-  /// stop cleanly and report partial results.
+  /// stop cleanly and report partial results. A passed "timeout-ms"
+  /// deadline is: the engine stops at its next safepoint and Execute()
+  /// returns kDeadlineExceeded.
   Status Execute();
   bool executed() const { return executed_; }
 
@@ -116,7 +118,11 @@ class Algorithm {
   /// RequestCancel/StopRequested are safe from any thread at any time;
   /// multi-threaded engines poll it at task boundaries, so observance
   /// latency is one lattice-node task, same as the serial safepoints.
-  void SetControl(ExecutionControl* control) { control_ = control; }
+  /// Null detaches it: the algorithm falls back to a control of its own,
+  /// which still carries the "timeout-ms" deadline.
+  void SetControl(ExecutionControl* control) {
+    control_ = control != nullptr ? control : &own_control_;
+  }
 
   // ---- Results ------------------------------------------------------
   /// Human-readable result summary; valid after Execute().
@@ -151,6 +157,7 @@ class Algorithm {
     return &dataset_->singleton_partitions();
   }
   OdSink* sink() const { return sink_; }
+  /// The attached control, else the algorithm's own; never null.
   ExecutionControl* control() const { return control_; }
 
   /// Where ExecuteInternal() deposits the run's search telemetry
@@ -163,11 +170,11 @@ class Algorithm {
   OptionRegistry options_;
   std::shared_ptr<const LoadedDataset> dataset_;
   OdSink* sink_ = nullptr;
-  ExecutionControl* control_ = nullptr;
-  // Hard wall-clock deadline for Execute() (the "timeout-ms" option every
-  // engine inherits): exceeding it is a kDeadlineExceeded *error*, unlike
-  // the engines' own soft "timeout" option, which ends a run cleanly with
-  // timed_out=true in the report. 0 = none.
+  ExecutionControl own_control_;
+  ExecutionControl* control_ = &own_control_;
+  // The run's wall-clock deadline (the "timeout-ms" option every engine
+  // inherits), armed on control() by Execute(): the engine stops at its
+  // next safepoint and Execute() returns kDeadlineExceeded. 0 = none.
   int64_t timeout_ms_ = 0;
   obs::EngineStats stats_;
   bool executed_ = false;

@@ -19,8 +19,6 @@ RelationInfo Info(const EncodedRelation& relation) {
   return RelationInfo{relation.NumRows(), &relation.schema()};
 }
 
-constexpr double kNoLimit = std::numeric_limits<double>::max();
-
 FastodOptions ApproximateDefaults() {
   FastodOptions defaults;
   defaults.max_error = 0.01;
@@ -81,9 +79,6 @@ FastodAlgorithm::FastodAlgorithm(std::string name, std::string description,
       swap_method_choice_(static_cast<int>(defaults.swap_method)) {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
   options().AddInt("max-level", &opts_.max_level,
                    "stop after lattice level L (0 = none)", 0, 64);
   options().AddDouble("max-error", &opts_.max_error,
@@ -151,9 +146,6 @@ TaneAlgorithm::TaneAlgorithm()
                 "comparator)") {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
   options().AddInt("max-level", &opts_.max_level,
                    "stop after lattice level L (0 = none)", 0, 64);
   // Named like fastod's "emit-ods".
@@ -192,9 +184,6 @@ OrderAlgorithm::OrderAlgorithm()
     : Algorithm("order",
                 "ORDER (Langer & Naumann): list-based baseline, incomplete "
                 "by Section 4.5 (the Exp-3 comparator)") {
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
   options().AddInt("max-level", &opts_.max_level,
                    "stop after list length L (0 = none)", 0, 64);
   options().AddBool("pruning", &opts_.enable_pruning,

@@ -57,7 +57,7 @@
 #define FASTOD_ERR_RESOURCE_EXHAUSTED 6
 #define FASTOD_ERR_NULL_HANDLE 7
 #define FASTOD_ERR_INTERNAL 8
-/* The run's hard wall-clock deadline passed (the "timeout-ms" option);
+/* The run's wall-clock deadline passed (the "timeout-ms" option);
  * the session is FASTOD_STATE_FAILED with this code in its status. */
 #define FASTOD_ERR_DEADLINE 9
 /* Transient overload or shutdown (admission cap, pool stopping); the

@@ -1,18 +1,20 @@
-// Cooperative cancellation, deadlines, and progress reporting for long
-// discovery runs.
+// Cooperative cancellation, the wall-clock deadline, and progress
+// reporting for long discovery runs.
 //
 // An ExecutionControl is shared between a caller (typically through
 // api/algorithm.h) and a running engine: the caller flips the cancel flag
-// (or arms a monotonic deadline) from another thread, the engine polls
+// from any thread, or arms the run's one deadline (the "timeout-ms"
+// option, which Algorithm::Execute arms here), and the engine polls
 // StopRequested() at its safepoints — one check covers both stop
-// reasons — and aborts cleanly with partial results. Progress flows the
+// reasons — and stops cleanly with partial results. Progress flows the
 // other way: engines report a coarse [0, 1] fraction (lattice level over
 // attribute count) that frontends may display.
 //
-// Cancellation and deadline expiry are deliberately distinguishable
-// after the stop: cancellation is a clean early exit (partial results
-// kept), while a passed deadline is an error the session layer reports
-// as kDeadlineExceeded.
+// The two stop reasons stay distinguishable after the stop. The
+// level-wise engines and ORDER flag their partial result cancelled or
+// timed_out (read DeadlineExceeded() for the reason); Algorithm::Execute
+// turns a passed deadline into a kDeadlineExceeded error, while a cancel
+// is a clean early exit.
 #ifndef FASTOD_COMMON_CANCELLATION_H_
 #define FASTOD_COMMON_CANCELLATION_H_
 

@@ -22,8 +22,8 @@
 // thread for a short pseudo-random duration derived deterministically
 // from the hit index — it never trips the site's failure path. The
 // determinism stress tests use it to randomize the completion order of
-// the lattice engines' batch tasks at "task_graph.task" and then assert
-// output is order-independent (tests/task_graph_test.cc).
+// the lattice engines' node tasks at "lattice.node" and then assert
+// output is order-independent (tests/lattice_node_test.cc).
 //
 // With no schedule installed — every production run — a fault point is
 // one relaxed atomic load and a never-taken branch. The registry itself

@@ -25,31 +25,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// A soft wall-clock budget: algorithms poll Exceeded() at their safepoints
-/// and abort cleanly, mirroring the paper's "* 5h" timeout handling.
-class Deadline {
- public:
-  /// A deadline that never expires.
-  Deadline() : budget_seconds_(-1.0) {}
-
-  /// A deadline `budget_seconds` from now. Non-positive means "no limit"
-  /// except via the explicit Infinite() factory.
-  static Deadline After(double budget_seconds) {
-    Deadline d;
-    d.budget_seconds_ = budget_seconds;
-    return d;
-  }
-  static Deadline Infinite() { return Deadline(); }
-
-  bool Exceeded() const {
-    return budget_seconds_ >= 0.0 && timer_.ElapsedSeconds() > budget_seconds_;
-  }
-
- private:
-  WallTimer timer_;
-  double budget_seconds_;
-};
-
 }  // namespace fastod
 
 #endif  // FASTOD_COMMON_TIMER_H_

@@ -79,7 +79,7 @@ TEST(OptionRegistryTest, UnknownOptionListsAvailable) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unknown option 'swap-method'"),
             std::string::npos);
-  EXPECT_NE(s.message().find("timeout"), std::string::npos);
+  EXPECT_NE(s.message().find("timeout-ms"), std::string::npos);
   EXPECT_NE(s.message().find("max-level"), std::string::npos);
 }
 
@@ -87,13 +87,13 @@ TEST(OptionRegistryTest, GetNeededOptions) {
   FastodAlgorithm fastod;
   std::vector<std::string> names = fastod.GetNeededOptions();
   for (const char* expected :
-       {"timeout-ms", "threads", "timeout", "max-level", "max-error",
+       {"timeout-ms", "threads", "max-level", "max-error",
         "bidirectional", "emit-ods", "minimality-pruning", "level-pruning",
         "key-pruning", "level-stats", "swap-method"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 11u);
 }
 
 TEST(OptionRegistryTest, FindOptionMetadata) {
@@ -110,13 +110,11 @@ TEST(OptionRegistryTest, DescribeOptionsSnapshot) {
   // The generated help is load-bearing for the CLI; pin its shape.
   TaneAlgorithm algo;
   EXPECT_EQ(algo.DescribeOptions(),
-            "  --timeout-ms=<int>               hard deadline in "
-            "milliseconds; exceeding it fails the run with DeadlineExceeded "
+            "  --timeout-ms=<int>               deadline in milliseconds; "
+            "exceeding it stops the run and fails it with DeadlineExceeded "
             "(0 = none) (default: 0)\n"
             "  --threads=<int>                  worker threads for "
             "intra-level parallelism (default: 1)\n"
-            "  --timeout=<double>               abort after this many "
-            "seconds (0 = none) (default: 0)\n"
             "  --max-level=<int>                stop after lattice level L "
             "(0 = none) (default: 0)\n"
             "  --emit-ods=<bool>                materialize FDs (false = "
@@ -152,7 +150,7 @@ TEST(OptionRegistryTest, KindsMatchTypeNames) {
   // The kind enum crosses the C ABI; it must agree with the string form.
   FastodAlgorithm algo;
   EXPECT_EQ(algo.FindOption("threads")->kind, OptionKind::kInt);
-  EXPECT_EQ(algo.FindOption("timeout")->kind, OptionKind::kDouble);
+  EXPECT_EQ(algo.FindOption("max-error")->kind, OptionKind::kDouble);
   EXPECT_EQ(algo.FindOption("bidirectional")->kind, OptionKind::kBool);
   EXPECT_EQ(algo.FindOption("swap-method")->kind, OptionKind::kEnum);
   ConditionalAlgorithm conditional;

@@ -77,7 +77,7 @@ TEST(CApiTest, OptionIntrospectionThroughC) {
   fastod_session_t* session = fastod_create("fastod");
   ASSERT_NE(session, nullptr);
   int count = fastod_option_count(session);
-  EXPECT_EQ(count, 12);
+  EXPECT_EQ(count, 11);
   bool saw_threads = false;
   bool saw_swap = false;
   for (int i = 0; i < count; ++i) {

@@ -172,8 +172,10 @@ TEST(FastodTest, MaxLevelCapsSearch) {
 
 TEST(FastodTest, TimeoutProducesPartialResult) {
   Table t = GenHepatitisLike(150, 18, 5);
+  ExecutionControl control;
+  ExpireDeadline(&control);
   FastodOptions opt;
-  opt.timeout_seconds = 1e-9;  // expire immediately
+  opt.control = &control;
   FastodResult result = Fastod(opt).Discover(Encode(t));
   EXPECT_TRUE(result.timed_out);
 }

@@ -173,8 +173,10 @@ TEST(IntegrationTest, WideRelationStaysWithinBudget) {
   // 20 attributes on a small sample completes quickly thanks to pruning
   // (the paper's flight 1K×20 case finishes in under a second).
   Table t = GenFlightLike(500, 20, 2);
+  ExecutionControl control;
+  control.SetDeadlineAfterMillis(60'000);
   FastodOptions opt;
-  opt.timeout_seconds = 60.0;
+  opt.control = &control;
   FastodResult result = Fastod(opt).Discover(Encode(t));
   EXPECT_FALSE(result.timed_out);
   EXPECT_GT(result.NumOds(), 0);

@@ -9,7 +9,7 @@
 //    run each time, a throwing task surfaces from Discover() after the
 //    batch drained, and pool workers take a share of the node tasks;
 //  * scheduler stress — 50 seeds of random tables run under the
-//    "task_graph.task:sleep:1" latency fault, which perturbs task
+//    "lattice.node:sleep:1" latency fault, which perturbs task
 //    completion order on every hit; output must stay bit-identical to
 //    the serial baseline regardless of interleaving (the CI stress job
 //    additionally runs this under TSan);
@@ -44,7 +44,7 @@ struct ScheduleGuard {
 
 // Counts hits at the node-task fault point without ever sleeping: a
 // "sleep" schedule only stalls from hit N onward.
-constexpr char kCountTasksOnly[] = "task_graph.task:sleep:1000000000";
+constexpr char kCountTasksOnly[] = "lattice.node:sleep:1000000000";
 
 void ExpectSameOds(const FastodResult& a, const FastodResult& b) {
   EXPECT_EQ(a.constancy_ods, b.constancy_ods);
@@ -53,7 +53,7 @@ void ExpectSameOds(const FastodResult& a, const FastodResult& b) {
   EXPECT_EQ(a.levels_processed, b.levels_processed);
 }
 
-TEST(TaskGraphTest, DrainsEverySeededTask) {
+TEST(LatticeNodeTest, DrainsEverySeededTask) {
   ScheduleGuard guard;
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
@@ -64,7 +64,7 @@ TEST(TaskGraphTest, DrainsEverySeededTask) {
   FastodResult r = Fastod(opt).Discover(*rel);
   // One node task per lattice node, each run exactly once.
   EXPECT_GT(r.total_nodes, 0);
-  EXPECT_EQ(fault::Hits("task_graph.task"), r.total_nodes);
+  EXPECT_EQ(fault::Hits("lattice.node"), r.total_nodes);
   EXPECT_EQ(r.tasks_spawned, r.total_nodes);
   EXPECT_GE(r.tasks_stolen, 0);
   EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
@@ -78,12 +78,12 @@ TEST(TaskGraphTest, DrainsEverySeededTask) {
   tane_opt.num_threads = 4;
   TaneResult tane = Tane(tane_opt).Discover(*rel);
   EXPECT_GT(tane.total_nodes, 0);
-  EXPECT_EQ(fault::Hits("task_graph.task"), tane.total_nodes);
+  EXPECT_EQ(fault::Hits("lattice.node"), tane.total_nodes);
   EXPECT_EQ(tane.tasks_spawned, tane.total_nodes);
   EXPECT_FALSE(tane.cancelled);
 }
 
-TEST(TaskGraphTest, NullPoolRunsInline) {
+TEST(LatticeNodeTest, NullPoolRunsInline) {
   ScheduleGuard guard;
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
@@ -92,7 +92,7 @@ TEST(TaskGraphTest, NullPoolRunsInline) {
   // calling thread, and no scheduling telemetry is recorded.
   ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
   FastodResult serial = Fastod().Discover(*rel);
-  EXPECT_EQ(fault::Hits("task_graph.task"), serial.total_nodes);
+  EXPECT_EQ(fault::Hits("lattice.node"), serial.total_nodes);
   EXPECT_EQ(serial.tasks_spawned, 0);
   EXPECT_EQ(serial.tasks_stolen, 0);
   for (const FastodLevelStats& level : serial.level_stats) {
@@ -101,7 +101,7 @@ TEST(TaskGraphTest, NullPoolRunsInline) {
 
   ASSERT_TRUE(fault::SetSchedule(kCountTasksOnly));
   TaneResult tane_serial = Tane().Discover(*rel);
-  EXPECT_EQ(fault::Hits("task_graph.task"), tane_serial.total_nodes);
+  EXPECT_EQ(fault::Hits("lattice.node"), tane_serial.total_nodes);
   EXPECT_EQ(tane_serial.tasks_spawned, 0);
   EXPECT_EQ(tane_serial.tasks_stolen, 0);
 
@@ -111,7 +111,7 @@ TEST(TaskGraphTest, NullPoolRunsInline) {
   ExpectSameOds(serial, Fastod(opt).Discover(*rel));
 }
 
-TEST(TaskGraphTest, ReusableAcrossSequentialRuns) {
+TEST(LatticeNodeTest, ReusableAcrossSequentialRuns) {
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
   ASSERT_TRUE(rel.ok());
@@ -128,7 +128,7 @@ TEST(TaskGraphTest, ReusableAcrossSequentialRuns) {
   }
 }
 
-TEST(TaskGraphTest, FirstExceptionRethrownAfterDrain) {
+TEST(LatticeNodeTest, FirstExceptionRethrownAfterDrain) {
   ScheduleGuard guard;
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
@@ -141,14 +141,14 @@ TEST(TaskGraphTest, FirstExceptionRethrownAfterDrain) {
   FastodOptions opt;
   opt.num_threads = 4;
   const Fastod fastod(opt);
-  ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
+  ASSERT_TRUE(fault::SetSchedule("lattice.node:throw:4"));
   EXPECT_THROW(fastod.Discover(*rel), fault::FaultInjected);
-  EXPECT_GE(fault::Hits("task_graph.task"), 4);
+  EXPECT_GE(fault::Hits("lattice.node"), 4);
 
   TaneOptions tane_opt;
   tane_opt.num_threads = 4;
   const Tane tane(tane_opt);
-  ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
+  ASSERT_TRUE(fault::SetSchedule("lattice.node:throw:4"));
   EXPECT_THROW(tane.Discover(*rel), fault::FaultInjected);
 
   // The same engines then complete normal runs.
@@ -159,7 +159,7 @@ TEST(TaskGraphTest, FirstExceptionRethrownAfterDrain) {
   EXPECT_EQ(tane_serial.num_fds, tane_after.num_fds);
 }
 
-TEST(TaskGraphTest, StealsHappenUnderSkewedLoad) {
+TEST(LatticeNodeTest, StealsHappenUnderSkewedLoad) {
   ScheduleGuard guard;
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
@@ -169,11 +169,11 @@ TEST(TaskGraphTest, StealsHappenUnderSkewedLoad) {
   // level takes far longer than a worker needs to wake: the workers
   // must claim node tasks alongside the caller, and every task still
   // runs exactly once.
-  ASSERT_TRUE(fault::SetSchedule("task_graph.task:sleep:1"));
+  ASSERT_TRUE(fault::SetSchedule("lattice.node:sleep:1"));
   FastodOptions opt;
   opt.num_threads = 4;
   FastodResult r = Fastod(opt).Discover(*rel);
-  EXPECT_EQ(fault::Hits("task_graph.task"), r.total_nodes);
+  EXPECT_EQ(fault::Hits("lattice.node"), r.total_nodes);
   EXPECT_EQ(r.tasks_spawned, r.total_nodes);
   EXPECT_GT(r.tasks_stolen, 0);
   EXPECT_LE(r.tasks_stolen, r.tasks_spawned);
@@ -186,7 +186,7 @@ TEST(TaskGraphTest, StealsHappenUnderSkewedLoad) {
 // order; the canonical-order merge must make the scramble invisible.
 // Runs under TSan in the CI stress job, which also makes this the
 // scheduler's data-race certification.
-TEST(TaskGraphStressTest, FiftySeedsDeterministicUnderRandomLatency) {
+TEST(LatticeNodeStressTest, FiftySeedsDeterministicUnderRandomLatency) {
   ScheduleGuard guard;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     Table t = GenRandomTable(30, 5, 3, seed);
@@ -197,11 +197,11 @@ TEST(TaskGraphStressTest, FiftySeedsDeterministicUnderRandomLatency) {
 
     // Sleep from the first hit onward: every task gets a
     // deterministic-per-hit but schedule-shuffling delay.
-    ASSERT_TRUE(fault::SetSchedule("task_graph.task:sleep:1"));
+    ASSERT_TRUE(fault::SetSchedule("lattice.node:sleep:1"));
     FastodOptions opt;
     opt.num_threads = 1 + static_cast<int>(seed % 4) + 1;  // 2..5
     FastodResult parallel = Fastod(opt).Discover(*rel);
-    EXPECT_GT(fault::Hits("task_graph.task"), 0) << "seed " << seed;
+    EXPECT_GT(fault::Hits("lattice.node"), 0) << "seed " << seed;
 
     EXPECT_EQ(serial.constancy_ods, parallel.constancy_ods)
         << "seed " << seed;
@@ -214,7 +214,7 @@ TEST(TaskGraphStressTest, FiftySeedsDeterministicUnderRandomLatency) {
   }
 }
 
-TEST(TaskGraphStressTest, TaneDeterministicUnderRandomLatency) {
+TEST(LatticeNodeStressTest, TaneDeterministicUnderRandomLatency) {
   ScheduleGuard guard;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Table t = GenRandomTable(40, 6, 4, seed * 17);
@@ -223,11 +223,11 @@ TEST(TaskGraphStressTest, TaneDeterministicUnderRandomLatency) {
     fault::Clear();
     TaneResult serial = Tane().Discover(*rel);
 
-    ASSERT_TRUE(fault::SetSchedule("task_graph.task:sleep:1"));
+    ASSERT_TRUE(fault::SetSchedule("lattice.node:sleep:1"));
     TaneOptions opt;
     opt.num_threads = 4;
     TaneResult parallel = Tane(opt).Discover(*rel);
-    EXPECT_GT(fault::Hits("task_graph.task"), 0) << "seed " << seed;
+    EXPECT_GT(fault::Hits("lattice.node"), 0) << "seed " << seed;
 
     EXPECT_EQ(serial.fds, parallel.fds) << "seed " << seed;
     EXPECT_EQ(serial.num_fds, parallel.num_fds) << "seed " << seed;
@@ -237,7 +237,7 @@ TEST(TaskGraphStressTest, TaneDeterministicUnderRandomLatency) {
 
 // ------------------------------------------------- fault-point paths
 
-TEST(TaskGraphFaultTest, FailActionCancelsTheRunCleanly) {
+TEST(LatticeNodeFaultTest, FailActionCancelsTheRunCleanly) {
   ScheduleGuard guard;
   Table t = GenFlightLike(300, 8, 5);
   auto rel = EncodedRelation::FromTable(t);
@@ -245,16 +245,16 @@ TEST(TaskGraphFaultTest, FailActionCancelsTheRunCleanly) {
   // The safepoint sits in the level walk's node task, so the serial
   // walk honours it too.
   for (int threads : {1, 4}) {
-    ASSERT_TRUE(fault::SetSchedule("task_graph.task:fail:4"));
+    ASSERT_TRUE(fault::SetSchedule("lattice.node:fail:4"));
     FastodOptions opt;
     opt.num_threads = threads;
     FastodResult r = Fastod(opt).Discover(*rel);
     EXPECT_TRUE(r.cancelled) << threads << " threads";
-    EXPECT_GE(fault::Hits("task_graph.task"), 4) << threads << " threads";
+    EXPECT_GE(fault::Hits("lattice.node"), 4) << threads << " threads";
   }
 }
 
-TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
+TEST(LatticeNodeFaultTest, ThrowActionSurfacesAsFailedSession) {
   ScheduleGuard guard;
   DiscoveryService service(1);
   Result<SessionId> id = service.Create("fastod");
@@ -262,7 +262,7 @@ TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
   ASSERT_TRUE(
       service.BindDataset(*id, DatasetOf(GenFlightLike(300, 8, 5))).ok());
   ASSERT_TRUE(service.SetOption(*id, "threads", "4").ok());
-  ASSERT_TRUE(fault::SetSchedule("task_graph.task:throw:4"));
+  ASSERT_TRUE(fault::SetSchedule("lattice.node:throw:4"));
   ASSERT_TRUE(service.Submit(*id).ok());
   Result<SessionState> state = service.Wait(*id);
   ASSERT_TRUE(state.ok());
@@ -290,7 +290,7 @@ TEST(TaskGraphFaultTest, ThrowActionSurfacesAsFailedSession) {
 // must fail that session kUnavailable, not queue it forever (the
 // pre-Shutdown service had no way to observe the stopped pool short of
 // destruction).
-TEST(TaskGraphShutdownTest, SubmitDuringShutdownFailsUnavailable) {
+TEST(ThreadPoolShutdownTest, SubmitDuringShutdownFailsUnavailable) {
   DiscoveryService service(1);
   Result<SessionId> running = service.Create("fastod");
   ASSERT_TRUE(running.ok());

@@ -123,8 +123,10 @@ TEST(OrderTest, MinimalityDropsPrefixImpliedOds) {
 
 TEST(OrderTest, TimeoutFlagPropagates) {
   Table t = GenNcvoterLike(300, 14, 4);
+  ExecutionControl control;
+  ExpireDeadline(&control);
   OrderOptions opt;
-  opt.timeout_seconds = 1e-9;
+  opt.control = &control;
   OrderResult r = OrderBaseline(opt).Discover(Encode(t));
   EXPECT_TRUE(r.timed_out);
 }

@@ -1,10 +1,13 @@
-// Production-hardening coverage: hard deadlines (timeout-ms), admission
+// Production-hardening coverage: deadlines (timeout-ms), admission
 // control at the service and server layers, per-client quotas, bounded
 // request bodies, graceful drain, and the ThreadPool submit-after-stop
 // race. The acceptance bars:
 //
 //  * a timeout-ms=50 session on a non-trivial table ends failed with
 //    kDeadlineExceeded and the worker is reusable immediately after;
+//  * timeout-ms stops fastod, tane and order inside the run even with
+//    no control attached (the CLI's case), and an engine run directly
+//    reports a passed deadline as timed_out, a cancel as cancelled;
 //  * with the admission cap saturated the next POST /v1/sessions is a
 //    429 carrying Retry-After, while the in-flight stream keeps
 //    delivering and closes with a clean end line;
@@ -237,11 +240,10 @@ class StepAlgorithm : public Algorithm {
       // Cancellation is an atomic flag with no one to notify the gate,
       // so wake periodically to observe it.
       std::unique_lock<std::mutex> lock(gate_->mutex);
-      while (gate_->released <= step &&
-             !(control() != nullptr && control()->StopRequested())) {
+      while (gate_->released <= step && !control()->StopRequested()) {
         gate_->cv.wait_for(lock, std::chrono::milliseconds(5));
       }
-      if (control() != nullptr && control()->StopRequested()) break;
+      if (control()->StopRequested()) break;
     }
     return Status::Ok();
   }
@@ -252,7 +254,7 @@ class StepAlgorithm : public Algorithm {
 };
 
 /// Spins (1 ms naps) until StopRequested or `max_ms` — a run long
-/// enough that any sane hard deadline fires first, stopping at the
+/// enough that any sane deadline fires first, stopping at the
 /// same safepoints real engines use.
 class SpinAlgorithm : public Algorithm {
  public:
@@ -268,7 +270,7 @@ class SpinAlgorithm : public Algorithm {
   Status ExecuteInternal() override {
     WallTimer timer;
     while (timer.ElapsedSeconds() * 1000.0 < max_ms_) {
-      if (control() != nullptr && control()->StopRequested()) break;
+      if (control()->StopRequested()) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::Ok();
@@ -435,6 +437,68 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   Result<SessionState> next_state = service.Wait(*next);
   ASSERT_TRUE(next_state.ok());
   EXPECT_EQ(*next_state, SessionState::kDone);
+}
+
+// With no control attached — the CLI's case — timeout-ms still stops the
+// run at a safepoint inside it, not after it. Hepatitis-like 155x16 is a
+// deep, wide lattice (FASTOD takes ~0.4 s on it serially); ORDER's list
+// lattice is factorial, so both its runs stop at list length 3.
+TEST(DeadlineTest, TimeoutMsWithNoControlStopsInsideTheRun) {
+  std::shared_ptr<const LoadedDataset> dataset =
+      DatasetOf(GenHepatitisLike(155, 16, 7));
+  for (const std::string engine : {"fastod", "tane", "order"}) {
+    SCOPED_TRACE(engine);
+    const std::string max_level = engine == "order" ? "3" : "0";
+    Result<std::unique_ptr<Algorithm>> full =
+        AlgorithmRegistry::Default().Create(engine);
+    Result<std::unique_ptr<Algorithm>> limited =
+        AlgorithmRegistry::Default().Create(engine);
+    ASSERT_TRUE(full.ok() && limited.ok());
+    for (Algorithm* algo : {full->get(), limited->get()}) {
+      ASSERT_TRUE(algo->SetOption("max-level", max_level).ok());
+      ASSERT_TRUE(algo->BindDataset(dataset).ok());
+    }
+    ASSERT_TRUE((*full)->Execute().ok());
+    ASSERT_TRUE((*limited)->SetOption("timeout-ms", "1").ok());
+    Status status = (*limited)->Execute();
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << status.ToString();
+    EXPECT_LT((*limited)->stats().nodes_visited,
+              (*full)->stats().nodes_visited);
+  }
+}
+
+// {timed_out, cancelled} of FASTOD, TANE and ORDER run directly (not
+// through Algorithm) under `control`.
+std::vector<std::pair<bool, bool>> DirectStopFlags(ExecutionControl* control) {
+  EncodedRelation relation = Encode(GenHepatitisLike(155, 16, 7));
+  FastodOptions fastod;
+  fastod.control = control;
+  TaneOptions tane;
+  tane.control = control;
+  OrderOptions order;
+  order.control = control;
+  order.max_level = 3;
+  FastodResult f = Fastod(fastod).Discover(relation);
+  TaneResult t = Tane(tane).Discover(relation);
+  OrderResult o = OrderBaseline(order).Discover(relation);
+  return {{f.timed_out, f.cancelled},
+          {t.timed_out, t.cancelled},
+          {o.timed_out, o.cancelled}};
+}
+
+TEST(DeadlineTest, PassedDeadlineFlagsDirectRunsTimedOutNotCancelled) {
+  ExecutionControl control;
+  ExpireDeadline(&control);
+  EXPECT_EQ(DirectStopFlags(&control),
+            (std::vector<std::pair<bool, bool>>(3, {true, false})));
+}
+
+TEST(DeadlineTest, CancelFlagsDirectRunsCancelledNotTimedOut) {
+  ExecutionControl control;
+  control.RequestCancel();
+  EXPECT_EQ(DirectStopFlags(&control),
+            (std::vector<std::pair<bool, bool>>(3, {false, true})));
 }
 
 // ------------------------------------------------ admission: service

@@ -239,12 +239,9 @@ class TrickleAlgorithm : public Algorithm {
       std::unique_lock<std::mutex> lock(gate_->mutex);
       bool ok = gate_->cv.wait_for(
           lock, std::chrono::seconds(30), [&] {
-            return gate_->released > step ||
-                   (control() != nullptr && control()->CancelRequested());
+            return gate_->released > step || control()->CancelRequested();
           });
-      if (!ok || (control() != nullptr && control()->CancelRequested())) {
-        break;
-      }
+      if (!ok || control()->CancelRequested()) break;
     }
     return Status::Ok();
   }

@@ -419,7 +419,7 @@ TEST(DiscoveryServiceTest, ConcurrentMixedBatchMatchesSequentialRuns) {
   // Exhaustive list lattice over 10 attributes: factorially far from
   // terminating, with fast early level boundaries for the cancel to hit;
   // the timeout is a test-failure backstop, not the expected exit.
-  ASSERT_TRUE(service.SetOption(*victim, "timeout", "120").ok());
+  ASSERT_TRUE(service.SetOption(*victim, "timeout-ms", "120000").ok());
   ASSERT_TRUE(service.BindDataset(*victim, DatasetOf(flight)).ok());
   ASSERT_TRUE(service.Submit(*victim).ok());
 
@@ -522,7 +522,7 @@ TEST(DiscoveryServiceTest, DestroyRunningSessionIsSafe) {
   DiscoveryService service(2);
   auto id = service.Create("order");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.SetOption(*id, "timeout", "120").ok());
+  ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "120000").ok());
   ASSERT_TRUE(service.BindDataset(*id, DatasetOf(WideFlight())).ok());
   ASSERT_TRUE(service.Submit(*id).ok());
   // Destroy while queued or running: the handle dies now, the worker
@@ -536,7 +536,7 @@ TEST(DiscoveryServiceTest, DestructorCancelsLiveSessions) {
   auto service = std::make_unique<DiscoveryService>(2);
   auto id = service->Create("order");
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service->SetOption(*id, "timeout", "120").ok());
+  ASSERT_TRUE(service->SetOption(*id, "timeout-ms", "120000").ok());
   ASSERT_TRUE(service->BindDataset(*id, DatasetOf(WideFlight())).ok());
   ASSERT_TRUE(service->Submit(*id).ok());
   // Must return promptly (cancel at the next level boundary), not after
@@ -610,7 +610,7 @@ TEST(DiscoveryServiceTest, CancelStopsEveryEngineMidRun) {
 }
 
 // ORDER polls the stop before every lattice node, not only between
-// levels, so a hard timeout-ms lands inside a long level. Level 1 has no
+// levels, so timeout-ms lands inside a long level. Level 1 has no
 // candidates and ends at once; level 2 of a 100k-row table runs 132
 // candidate checks, each a scan over all rows: seconds of work in one
 // level, so the 300 ms deadline falls inside it on any build. ORDER

@@ -71,8 +71,10 @@ TEST(TaneTest, EmployeeTableFds) {
 
 TEST(TaneTest, TimeoutFlagPropagates) {
   Table t = GenDbtesmaLike(500, 20, 3);
+  ExecutionControl control;
+  ExpireDeadline(&control);
   TaneOptions opt;
-  opt.timeout_seconds = 1e-9;
+  opt.control = &control;
   TaneResult r = Tane(opt).Discover(Encode(t));
   EXPECT_TRUE(r.timed_out);
 }

@@ -4,10 +4,13 @@
 #define FASTOD_TESTS_TEST_UTIL_H_
 
 #include <cctype>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/json.h"
 #include "data/dataset_store.h"
 #include "data/encode.h"
@@ -27,6 +30,13 @@ inline EncodedRelation Encode(const Table& table) {
 inline std::shared_ptr<const LoadedDataset> DatasetOf(
     const Table& table, std::string id = "table") {
   return LoadedDataset::Build(std::move(id), Encode(table), "table");
+}
+
+/// Arms `control`'s deadline and waits until it has passed, so a run
+/// handed the control stops at its first safepoint, timed out.
+inline void ExpireDeadline(ExecutionControl* control) {
+  control->SetDeadlineAfterMillis(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
 }
 
 /// Masks the wall-clock "seconds" values in a report JSON so two runs of
